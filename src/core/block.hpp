@@ -19,8 +19,10 @@
 // Everything here is defined inline and word-at-a-time: the scramble field
 // is two shifted extracts, and embed/extract move the whole w-bit message
 // word with one mask operation — the software analogue of the FPGA
-// manipulating the full hiding vector per clock. The cipher hot path in
-// core/mhhea.cpp inlines these directly.
+// manipulating the full hiding vector per clock. scramble_range is the
+// normative reference: the whole-message walks (walk.hpp) tabulate it once
+// per key pair and look ranges up, and embed/extract_bits_with_pattern are
+// the per-block operations those walks run.
 #pragma once
 
 #include <cassert>
@@ -106,16 +108,16 @@ struct ScrambledRange {
 [[nodiscard]] inline std::uint64_t embed_bits_with_pattern(std::uint64_t v, int kn1,
                                                            std::uint64_t pattern,
                                                            std::uint64_t msg_bits, int w) {
-  assert(w >= 0 && kn1 >= 0);
-  const std::uint64_t m = util::mask64(w) << kn1;
+  assert(w >= 0 && w <= 32 && kn1 >= 0);  // w <= N/2: the mask needs no 64-bit case
+  const std::uint64_t m = ((std::uint64_t{1} << w) - 1) << kn1;
   return (v & ~m) | (((msg_bits ^ pattern) << kn1) & m);
 }
 
 /// extract_bits with a precomputed pattern; inverse of embed_bits_with_pattern.
 [[nodiscard]] inline std::uint64_t extract_bits_with_pattern(std::uint64_t v, int kn1,
                                                              std::uint64_t pattern, int w) {
-  assert(w >= 0 && kn1 >= 0);
-  return ((v >> kn1) ^ pattern) & util::mask64(w);
+  assert(w >= 0 && w <= 32 && kn1 >= 0);
+  return ((v >> kn1) ^ pattern) & ((std::uint64_t{1} << w) - 1);
 }
 
 /// Embed the low `w` bits of `msg_bits` (bit 0 = first message bit) into

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "src/util/bits.hpp"
 
@@ -15,6 +16,70 @@ namespace {
 /// streaming feed never holds more than ~16 KiB of look-ahead.
 constexpr std::size_t kCoverChunk = 2048;
 }  // namespace
+
+std::size_t detail::next_covers(CoverSource& cover, const BlockParams& params,
+                                std::uint64_t remaining_bits, std::span<std::uint64_t> buf,
+                                const char* who) {
+  const auto h = static_cast<std::uint64_t>(params.half());
+  const auto want = static_cast<std::size_t>(
+      std::min<std::uint64_t>(buf.size(), std::max<std::uint64_t>(remaining_bits / h, 1)));
+  const std::size_t got = cover.next_blocks(params.vector_bits, buf.first(want));
+  if (got == 0) throw std::runtime_error(std::string(who) + ": cover source exhausted");
+  return got;
+}
+
+std::size_t detail::embed_message(std::span<const PairCtx> pairs, const BlockParams& params,
+                                  CoverSource& cover, std::span<std::uint64_t> buf,
+                                  std::span<const std::uint8_t> msg,
+                                  std::span<std::uint8_t> out, const char* who) {
+  const auto bb = static_cast<std::size_t>(params.block_bytes());
+  const std::size_t room = out.size() / bb;
+  FrameWalk st{0, static_cast<std::uint64_t>(msg.size()) * 8, 0};
+  std::size_t blocks = 0;
+  with_width(params.vector_bits, [&]<int N>() {
+    Embed<N> embed{nullptr, BitSource(msg, 0)};
+    while (st.remaining > 0) {
+      // Every fetched vector is consumed (next_covers never over-fetches),
+      // so this chunk-granular space check is exact, not pessimistic.
+      const std::size_t got = next_covers(cover, params, st.remaining, buf, who);
+      if (room - blocks < got) {
+        throw std::length_error(std::string(who) + ": output buffer too small");
+      }
+      embed.out = out.data() + blocks * bb;
+      blocks += walk<N>(pairs, frame_bits(params), st, buf.data(), got, embed);
+    }
+  });
+  return blocks * bb;
+}
+
+std::size_t detail::extract_message(std::span<const PairCtx> pairs, const BlockParams& params,
+                                    std::span<const std::uint8_t> cipher,
+                                    std::uint64_t message_bits, std::span<std::uint8_t> out,
+                                    const char* who) {
+  const auto bb = static_cast<std::size_t>(params.block_bytes());
+  if (cipher.size() % bb != 0) {
+    throw std::invalid_argument(std::string(who) + ": ciphertext not block-aligned");
+  }
+  const auto out_bytes = static_cast<std::size_t>((message_bits + 7) / 8);
+  if (out.size() < out_bytes) {
+    throw std::length_error(std::string(who) + ": output buffer too small");
+  }
+  const std::size_t n_blocks = cipher.size() / bb;
+  Extract extract{BitSink(out.first(out_bytes))};
+  FrameWalk st{0, message_bits, 0};
+  const std::size_t used = with_width(params.vector_bits, [&]<int N>() {
+    return walk<N>(pairs, frame_bits(params), st, cipher.data(), n_blocks, extract);
+  });
+  if (st.remaining > 0) {
+    throw std::invalid_argument(std::string(who) + ": ciphertext too short for message length");
+  }
+  if (used < n_blocks) {
+    throw std::invalid_argument(std::string(who) +
+                                ": trailing ciphertext blocks after message end");
+  }
+  extract.sink.flush();
+  return out_bytes;
+}
 
 Encryptor::Encryptor(Key key, std::unique_ptr<CoverSource> cover, BlockParams params)
     : key_(std::move(key)), cover_(std::move(cover)), params_(params) {
@@ -40,114 +105,28 @@ void Encryptor::feed_bits(util::BitReader& reader, std::size_t n_bits) {
 std::size_t Encryptor::encrypt_into(std::span<const std::uint8_t> msg,
                                     std::span<std::uint8_t> out) {
   reset();
-  util::BitReader reader(msg);
-  std::size_t remaining = reader.size_bits();
-  if (remaining == 0) return 0;
-  const int bb = params_.block_bytes();
-  const auto h = static_cast<std::size_t>(params_.half());
-  std::uint8_t* dst = out.data();
-  std::size_t pair_idx = 0;
-  std::size_t pos = 0;
-  std::size_t len = 0;
-  // Refill the resident prefetch chunk. `rem` is a lower bound on the blocks
-  // still needed (each embeds at most N/2 bits, and frame caps only raise the
-  // count), so every fetched vector is consumed before the loop ends — which
-  // both drains finite covers exactly like the streaming core and makes the
-  // chunk-granular space check exact rather than pessimistic.
-  const auto refill = [&](std::size_t rem) {
-    const std::size_t want =
-        std::min(cover_buf_.size(), std::max<std::size_t>(rem / h, 1));
-    len = cover_->next_blocks(params_.vector_bits, std::span(cover_buf_.data(), want));
-    pos = 0;
-    if (len == 0) throw std::runtime_error("Encryptor: cover source exhausted");
-    const auto written = static_cast<std::size_t>(dst - out.data());
-    if (out.size() - written < len * static_cast<std::size_t>(bb)) {
-      throw std::length_error("Encryptor::encrypt_into: output buffer too small");
-    }
-  };
-  if (params_.policy == FramePolicy::framed) {
-    // Frame-batched, final-sized: the whole message length is in hand, so
-    // every frame is planned at its one-shot size directly — no frame_log_,
-    // no tail, no replay.
-    while (remaining > 0) {
-      const int frame = params_.frame_budget(remaining);
-      const std::uint64_t word = reader.read_bits(frame);
-      int consumed = 0;
-      while (consumed < frame) {
-        if (pos == len) refill(remaining - static_cast<std::size_t>(consumed));
-        const std::uint64_t v = cover_buf_[pos++];
-        const detail::PairCtx& pc = pair_ctx_[pair_idx];
-        if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-        const ScrambledRange r = scramble_range(v, pc.pair, params_);
-        const int w = std::min(r.width(), frame - consumed);
-        util::store_le(dst,
-                       embed_bits_with_pattern(v, r.kn1, pc.pattern,
-                                               (word >> consumed) & util::mask64(w), w),
-                       bb);
-        dst += bb;
-        consumed += w;
-      }
-      remaining -= static_cast<std::size_t>(frame);
-    }
-  } else {
-    while (remaining > 0) {
-      if (pos == len) refill(remaining);
-      const std::uint64_t v = cover_buf_[pos++];
-      const detail::PairCtx& pc = pair_ctx_[pair_idx];
-      if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-      const ScrambledRange r = scramble_range(v, pc.pair, params_);
-      const int w = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(r.width()), remaining));
-      util::store_le(dst, embed_bits_with_pattern(v, r.kn1, pc.pattern, reader.read_bits(w), w),
-                     bb);
-      dst += bb;
-      remaining -= static_cast<std::size_t>(w);
-    }
-  }
+  const std::size_t n = detail::embed_message(pair_ctx_, params_, *cover_, cover_buf_, msg, out,
+                                              "Encryptor::encrypt_into");
   // Rewind the cover so the core sits in the full reset state again (all
   // other members were never touched past reset()).
   cover_->reset();
-  return static_cast<std::size_t>(dst - out.data());
+  return n;
 }
 
-// Deliberately mirrors encrypt_into's refill/frame walk with the embed and
-// store removed: a drift between the two would make ciphertext_size()
-// disagree with encrypt_into's output, which into_api_test pins with
-// exact-size assertions across every registry cipher and sweep size.
 std::uint64_t Encryptor::one_shot_cipher_bytes(std::uint64_t n_bits) {
   reset();
-  if (n_bits == 0) return 0;
-  const auto h = static_cast<std::size_t>(params_.half());
-  std::uint64_t n_blocks = 0;
-  std::uint64_t remaining = n_bits;
-  std::size_t pair_idx = 0;
-  std::size_t pos = 0;
-  std::size_t len = 0;
-  const auto refill = [&](std::uint64_t rem) {
-    const std::size_t want = std::min<std::size_t>(
-        cover_buf_.size(),
-        std::max<std::size_t>(static_cast<std::size_t>(rem / h), 1));
-    len = cover_->next_blocks(params_.vector_bits, std::span(cover_buf_.data(), want));
-    pos = 0;
-    if (len == 0) throw std::runtime_error("Encryptor: cover source exhausted");
-  };
-  const bool framed = params_.policy == FramePolicy::framed;
-  int frame_remaining = 0;
-  while (remaining > 0) {
-    if (framed && frame_remaining == 0) frame_remaining = params_.frame_budget(remaining);
-    if (pos == len) refill(remaining);
-    const detail::PairCtx& pc = pair_ctx_[pair_idx];
-    if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-    const int width = scramble_range(cover_buf_[pos++], pc.pair, params_).width();
-    const int cap = framed ? std::min(width, frame_remaining) : width;
-    const int w = static_cast<int>(
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(cap), remaining));
-    ++n_blocks;
-    remaining -= static_cast<std::uint64_t>(w);
-    if (framed) frame_remaining -= w;
-  }
+  detail::FrameWalk st{0, n_bits, 0};
+  std::uint64_t blocks = 0;
+  detail::with_width(params_.vector_bits, [&]<int N>() {
+    while (st.remaining > 0) {
+      const std::size_t got =
+          detail::next_covers(*cover_, params_, st.remaining, cover_buf_, "Encryptor");
+      blocks += detail::walk<N>(pair_ctx_, detail::frame_bits(params_), st, cover_buf_.data(),
+                                got, detail::Measure{});
+    }
+  });
   cover_->reset();
-  return n_blocks * static_cast<std::uint64_t>(params_.block_bytes());
+  return blocks * static_cast<std::uint64_t>(params_.block_bytes());
 }
 
 void Encryptor::reset() {
@@ -369,18 +348,8 @@ void Encryptor::encrypt_framed_frames(util::BitReader& reader, std::size_t remai
 }
 
 void Encryptor::refill_cover(std::size_t remaining_bits) {
-  // Never fetch more vectors than this feed is guaranteed to consume: each
-  // block embeds at most N/2 bits, so at least ceil(remaining / (N/2))
-  // blocks are still needed. Finite covers (steganography mode) therefore
-  // drain exactly as in the block-at-a-time formulation.
-  const auto h = static_cast<std::size_t>(params_.half());
-  const std::size_t want =
-      std::min(cover_buf_.size(), std::max<std::size_t>(remaining_bits / h, 1));
-  const std::size_t got =
-      cover_->next_blocks(params_.vector_bits, std::span(cover_buf_.data(), want));
-  if (got == 0) throw std::runtime_error("Encryptor: cover source exhausted");
+  cover_len_ = detail::next_covers(*cover_, params_, remaining_bits, cover_buf_, "Encryptor");
   cover_pos_ = 0;
-  cover_len_ = got;
 }
 
 const std::vector<std::uint64_t>& Encryptor::blocks() const {
@@ -490,68 +459,8 @@ std::size_t Decryptor::decrypt_into(std::span<const std::uint8_t> cipher,
                                     std::uint64_t message_bits,
                                     std::span<std::uint8_t> out) {
   reset(message_bits);
-  const auto bb = static_cast<std::size_t>(params_.block_bytes());
-  if (cipher.size() % bb != 0) {
-    throw std::invalid_argument("Decryptor::decrypt_into: ciphertext not block-aligned");
-  }
-  const auto out_bytes = static_cast<std::size_t>((message_bits + 7) / 8);
-  if (out.size() < out_bytes) {
-    throw std::length_error("Decryptor::decrypt_into: output buffer too small");
-  }
-  util::SpanBitWriter sink(out.first(out_bytes));
-  std::uint64_t recovered = 0;
-  std::size_t pair_idx = 0;
-  const std::uint8_t* src = cipher.data();
-  const std::uint8_t* const end = src + cipher.size();
-  if (params_.policy != FramePolicy::framed) {
-    while (src != end) {
-      if (recovered == message_bits) {
-        throw std::invalid_argument(
-            "Decryptor::decrypt_into: trailing ciphertext blocks after message end");
-      }
-      const std::uint64_t v = util::load_le(src, static_cast<int>(bb));
-      src += bb;
-      const detail::PairCtx& pc = pair_ctx_[pair_idx];
-      if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-      const ScrambledRange range = scramble_range(v, pc.pair, params_);
-      const int w = static_cast<int>(std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(range.width()), message_bits - recovered));
-      sink.write_bits(extract_bits_with_pattern(v, range.kn1, pc.pattern, w), w);
-      recovered += static_cast<std::uint64_t>(w);
-    }
-  } else {
-    // Frame-batched: one word accumulates each frame's bits, one write_bits
-    // flushes them (mirrors feed_bytes' batched walk).
-    while (src != end) {
-      if (recovered == message_bits) {
-        throw std::invalid_argument(
-            "Decryptor::decrypt_into: trailing ciphertext blocks after message end");
-      }
-      int budget = params_.frame_budget(message_bits - recovered);
-      std::uint64_t word = 0;
-      int consumed = 0;
-      while (budget > 0 && src != end) {
-        const std::uint64_t v = util::load_le(src, static_cast<int>(bb));
-        src += bb;
-        const detail::PairCtx& pc = pair_ctx_[pair_idx];
-        if (++pair_idx == pair_ctx_.size()) pair_idx = 0;
-        const ScrambledRange range = scramble_range(v, pc.pair, params_);
-        const int w = std::min(range.width(), budget);
-        word |= extract_bits_with_pattern(v, range.kn1, pc.pattern, w) << consumed;
-        consumed += w;
-        budget -= w;
-      }
-      sink.write_bits(word, consumed);
-      recovered += static_cast<std::uint64_t>(consumed);
-      if (budget > 0) break;  // ciphertext ended mid-frame: too short, below
-    }
-  }
-  if (recovered < message_bits) {
-    throw std::invalid_argument(
-        "Decryptor::decrypt_into: ciphertext too short for message length");
-  }
-  sink.flush();
-  return out_bytes;
+  return detail::extract_message(pair_ctx_, params_, cipher, message_bits, out,
+                                 "Decryptor::decrypt_into");
 }
 
 void Decryptor::reset(std::uint64_t message_bits) {

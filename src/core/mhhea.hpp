@@ -13,11 +13,12 @@
 // half. In particular the encryptor's LFSR seed (or cover data) is NOT
 // required — it acts as a nonce.
 //
-// The hot path is word-at-a-time end to end, mirroring the FPGA's whole-
-// vector-per-clock datapath: message bits are pulled from the BitReader in
-// w-bit words, cover vectors are prefetched in chunks through
-// CoverSource::next_blocks, and each block is embedded/extracted with one
-// masked word operation (block.hpp). Both cores are resettable so adapters
+// The one-shot paths (encrypt_into, one_shot_cipher_bytes, decrypt_into) run
+// the table-driven frame-walk kernel of walk.hpp, mirroring the FPGA's
+// whole-vector-per-clock datapath: cover vectors are prefetched in chunks
+// through CoverSource::next_blocks, and each block costs one range-table
+// lookup and one masked word operation. The incremental feed paths keep
+// their block-at-a-time replay logic. Both cores are resettable so adapters
 // can amortize construction across messages.
 #pragma once
 
@@ -30,27 +31,10 @@
 #include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
+#include "src/core/walk.hpp"
 #include "src/util/bitstream.hpp"
 
 namespace mhhea::core {
-
-namespace detail {
-/// Per-pair constants of the cipher hot loops: the pair plus its cached
-/// data-scramble pattern (avoids the mod-L divide of Key::pair_for_block
-/// and the per-block pattern rebuild). Shared by Encryptor and Decryptor so
-/// the caches cannot drift apart.
-struct PairCtx {
-  KeyPair pair;
-  std::uint64_t pattern = 0;
-};
-
-inline std::vector<PairCtx> make_pair_ctx(const Key& key, const BlockParams& params) {
-  std::vector<PairCtx> ctx;
-  ctx.reserve(static_cast<std::size_t>(key.size()));
-  for (const KeyPair& p : key.pairs()) ctx.push_back({p, key_pattern(p, params)});
-  return ctx;
-}
-}  // namespace detail
 
 /// Streaming encryptor. Feed message bytes/bits; collect N-bit ciphertext
 /// blocks. One instance encrypts one message at a time; reset() rewinds the
@@ -86,9 +70,9 @@ class Encryptor {
   /// accessors see a fresh, empty stream.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
   /// Exact ciphertext bytes a one-shot encryption of an `n_bits`-bit message
-  /// would produce. Costs a cover + scramble-width scan (roughly a third of
-  /// a full encryption — cheap enough to size a buffer, not free). Implies
-  /// reset(), like encrypt_into.
+  /// would produce: encrypt_into's walk with the embed left out (cover
+  /// generation plus a width walk — cheap enough to size a buffer, not
+  /// free). Implies reset(), like encrypt_into.
   [[nodiscard]] std::uint64_t one_shot_cipher_bytes(std::uint64_t n_bits);
   /// Start a new message: drops all produced blocks (keeping their storage)
   /// and rewinds the cover source. Requires a resettable cover

@@ -7,18 +7,46 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/block.hpp"
 #include "src/core/mhhea.hpp"
-#include "src/util/bits.hpp"
-#include "src/util/bitstream.hpp"
+#include "src/core/walk.hpp"
 
 namespace mhhea::core {
 
+namespace detail {
+
+std::vector<ShardRange> split_frames(const BlockParams& params, std::uint64_t total_bits,
+                                     std::size_t n_shards) {
+  const auto vb = static_cast<std::uint64_t>(params.vector_bits);
+  const std::uint64_t n_frames = (total_bits + vb - 1) / vb;
+  std::vector<ShardRange> ranges;
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    const std::uint64_t b = n_frames * s / n_shards * vb;
+    if (ranges.empty() || b > ranges.back().bit_begin) ranges.push_back({0, b, 0, 0});
+  }
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    const bool last = i + 1 == ranges.size();
+    ranges[i].n_bits = (last ? total_bits : ranges[i + 1].bit_begin) - ranges[i].bit_begin;
+  }
+  return ranges;
+}
+
+}  // namespace detail
+
 namespace {
 
+using detail::FrameWalk;
+using detail::PairCtx;
 using detail::ShardRange;
 using detail::cover_at;
-constexpr std::size_t kFetchChunk = detail::kShardFetchChunk;
+using detail::kUnbounded;
+using Pairs = std::span<const PairCtx>;
+using CoverChunk = std::array<std::uint64_t, detail::kShardFetchChunk>;
+
+/// The walk state of a shard's first block: its key pair, its bit budget,
+/// and (shards start on frame starts or the message start) no open frame.
+FrameWalk shard_start(Pairs pairs, std::uint64_t block_begin, std::uint64_t n_bits) {
+  return {static_cast<std::size_t>(block_begin % pairs.size()), n_bits, 0};
+}
 
 // ------------------------------------------------------------- encryption
 
@@ -31,25 +59,22 @@ struct ChunkCap {
   std::uint64_t bits = 0;
 };
 
-ChunkCap scan_chunk(const CoverSource& proto, const std::vector<detail::PairCtx>& pairs,
-                    const BlockParams& params, std::uint64_t block_begin,
-                    std::uint64_t want_blocks) {
+template <int N>
+ChunkCap scan_chunk(const CoverSource& proto, Pairs pairs, const BlockParams& params,
+                    std::uint64_t block_begin, std::uint64_t want_blocks) {
   const auto cover = cover_at(proto, params, block_begin);
-  std::size_t pair_idx = static_cast<std::size_t>(block_begin % pairs.size());
+  FrameWalk st = shard_start(pairs, block_begin, kUnbounded);
   ChunkCap cap;
-  std::array<std::uint64_t, kFetchChunk> buf;
+  CoverChunk buf;
   while (cap.blocks < want_blocks) {
     const auto want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kFetchChunk, want_blocks - cap.blocks));
-    const std::size_t got = cover->next_blocks(params.vector_bits, std::span(buf.data(), want));
-    for (std::size_t i = 0; i < got; ++i) {
-      cap.bits += static_cast<std::uint64_t>(
-          scramble_range(buf[i], pairs[pair_idx].pair, params).width());
-      if (++pair_idx == pairs.size()) pair_idx = 0;
-    }
+        std::min<std::uint64_t>(buf.size(), want_blocks - cap.blocks));
+    const std::size_t got = cover->next_blocks(N, std::span(buf.data(), want));
+    (void)detail::walk<N>(pairs, kUnbounded, st, buf.data(), got, detail::Measure{});
     cap.blocks += got;
     if (got < want) break;  // finite cover exhausted inside this chunk
   }
+  cap.bits = kUnbounded - st.remaining;
   return cap;
 }
 
@@ -57,8 +82,8 @@ ChunkCap scan_chunk(const CoverSource& proto, const std::vector<detail::PairCtx>
 /// they cover the message, then walk the chunk sums into <= n_shards
 /// balanced shard ranges (boundaries at chunk granularity, so every shard's
 /// n_bits is exactly the capacity of its blocks).
-std::vector<ShardRange> plan_continuous(const CoverSource& proto,
-                                        const std::vector<detail::PairCtx>& pairs,
+template <int N>
+std::vector<ShardRange> plan_continuous(const CoverSource& proto, Pairs pairs,
                                         const BlockParams& params, std::uint64_t total_bits,
                                         std::size_t n_shards, exec::Executor* ex) {
   // Chunk size: aim for a few chunks per shard (balance) without degrading
@@ -77,7 +102,7 @@ std::vector<ShardRange> plan_continuous(const CoverSource& proto,
     chunks.resize(base + n_new);
     exec::run_indexed(ex, n_new, [&](std::size_t i) {
       const std::uint64_t begin = static_cast<std::uint64_t>(base + i) * chunk_blocks;
-      chunks[base + i] = scan_chunk(proto, pairs, params, begin, chunk_blocks);
+      chunks[base + i] = scan_chunk<N>(proto, pairs, params, begin, chunk_blocks);
     });
     for (std::size_t i = base; i < chunks.size(); ++i) {
       cap_sum += chunks[i].bits;
@@ -122,227 +147,109 @@ std::vector<ShardRange> plan_continuous(const CoverSource& proto,
   return ranges;
 }
 
-/// Framed-policy encrypt plan: the shared frame walk fed by scramble widths
-/// of a sequentially fetched cover stream.
-std::vector<ShardRange> plan_framed(const CoverSource& proto,
-                                    const std::vector<detail::PairCtx>& pairs,
+/// Framed-policy encrypt plan: the serial width walk over one sequentially
+/// generated cover stream, which also writes every cover vector into its
+/// ciphertext slot of `out` — the workers then embed in place. Only vectors
+/// the walk is certain to use are fetched (detail::next_covers), so
+/// nothing past the exact ciphertext end is written and the chunk-granular
+/// space check is exact.
+template <int N>
+std::vector<ShardRange> plan_framed(const CoverSource& proto, Pairs pairs,
                                     const BlockParams& params, std::uint64_t total_bits,
-                                    std::size_t n_shards) {
+                                    std::size_t n_shards, std::span<std::uint8_t> out) {
+  std::vector<ShardRange> ranges = detail::split_frames(params, total_bits, n_shards);
   const auto cover = cover_at(proto, params, 0);
-  std::array<std::uint64_t, kFetchChunk> buf;
+  const std::uint64_t room = out.size() / static_cast<std::size_t>(N / 8);
+  CoverChunk buf;
   std::size_t pos = 0;
   std::size_t len = 0;
-  std::size_t pair_idx = 0;
-  return detail::plan_framed_walk(params, total_bits, n_shards, [&](std::uint64_t) {
-    if (pos == len) {
-      len = cover->next_blocks(params.vector_bits, std::span(buf.data(), kFetchChunk));
-      pos = 0;
-      if (len == 0) throw std::runtime_error("encrypt_sharded: cover source exhausted");
-    }
-    const ScrambledRange r = scramble_range(buf[pos++], pairs[pair_idx].pair, params);
-    if (++pair_idx == pairs.size()) pair_idx = 0;
-    return r.width();
-  });
-}
-
-/// Embed one shard: message bits [bit_begin, bit_begin + n_bits) into blocks
-/// serialized at out + block_begin * block_bytes. Returns blocks emitted —
-/// equal to max_blocks everywhere except the trailing continuous shard.
-/// `capacity_blocks` is the room the caller's buffer has past block_begin;
-/// exceeding it throws std::length_error (only the trailing continuous shard
-/// can emit an a-priori-unknown count, so only it pays the per-block check).
-std::uint64_t encrypt_range(const ShardRange& r, std::span<const std::uint8_t> msg,
-                            const std::vector<detail::PairCtx>& pairs,
-                            const CoverSource& proto, const BlockParams& params,
-                            std::uint8_t* out, std::uint64_t capacity_blocks) {
-  const auto cover = cover_at(proto, params, r.block_begin);
-  util::BitReader reader(msg);
-  reader.seek(static_cast<std::size_t>(r.bit_begin));
-  const bool framed = params.policy == FramePolicy::framed;
-  const int bb = params.block_bytes();
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % pairs.size());
-  std::uint64_t remaining = r.n_bits;
-  std::uint64_t emitted = 0;
-  std::array<std::uint64_t, kFetchChunk> buf;
-  std::size_t pos = 0;
-  std::size_t len = 0;
-  std::uint8_t* dst = out + r.block_begin * static_cast<std::uint64_t>(bb);
-  const auto fetch = [&] {
-    // Never fetch past the planned block range, so finite covers are
-    // consumed exactly as in the sequential formulation.
-    const auto want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kFetchChunk, r.max_blocks - emitted));
-    len = cover->next_blocks(params.vector_bits, std::span(buf.data(), want));
-    pos = 0;
-    if (len == 0) throw std::runtime_error("encrypt_sharded: cover source exhausted");
-  };
-  if (framed) {
-    // Frame-batched: shard boundaries are frame starts, so each pass plans
-    // one whole frame — a single bulk read of its message bits, then the
-    // block run embedding word slices. max_blocks is exact for framed
-    // shards, so the capacity check is one up-front comparison.
-    if (r.max_blocks > capacity_blocks) {
-      throw std::length_error("encrypt_sharded_into: output buffer too small");
-    }
-    while (remaining > 0) {
-      const int frame = params.frame_budget(remaining);
-      const std::uint64_t word = reader.read_bits(frame);
-      int consumed = 0;
-      while (consumed < frame) {
-        if (pos == len) fetch();
-        const std::uint64_t v = buf[pos++];
-        const detail::PairCtx& pc = pairs[pair_idx];
-        if (++pair_idx == pairs.size()) pair_idx = 0;
-        const ScrambledRange range = scramble_range(v, pc.pair, params);
-        const int w = std::min(range.width(), frame - consumed);
-        util::store_le(dst,
-                       embed_bits_with_pattern(v, range.kn1, pc.pattern,
-                                               (word >> consumed) & util::mask64(w), w),
-                       bb);
-        dst += bb;
-        ++emitted;
-        consumed += w;
-      }
-      remaining -= static_cast<std::uint64_t>(frame);
-    }
-    return emitted;
-  }
-  while (remaining > 0) {
-    if (pos == len) fetch();
-    if (emitted == capacity_blocks) {
-      throw std::length_error("encrypt_sharded_into: output buffer too small");
-    }
-    const std::uint64_t v = buf[pos++];
-    const detail::PairCtx& pc = pairs[pair_idx];
-    if (++pair_idx == pairs.size()) pair_idx = 0;
-    const ScrambledRange range = scramble_range(v, pc.pair, params);
-    const int w = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(range.width()), remaining));
-    const std::uint64_t ct =
-        embed_bits_with_pattern(v, range.kn1, pc.pattern, reader.read_bits(w), w);
-    util::store_le(dst, ct, bb);
-    dst += bb;
-    ++emitted;
-    remaining -= static_cast<std::uint64_t>(w);
-  }
-  return emitted;
-}
-
-// ------------------------------------------------------------- decryption
-
-/// Framed-policy worker for the `_into` decrypt path. Shard boundaries are
-/// frame starts — whole multiples of vector_bits message bits, hence
-/// byte-aligned — so the frame-batched extract streams straight into the
-/// caller's slice through a SpanBitWriter instead of a private buffer.
-/// Returns the bits extracted (== r.n_bits for a plan the framed walk
-/// validated).
-std::uint64_t extract_range_into(std::span<const std::uint8_t> cipher, const ShardRange& r,
-                                 const std::vector<detail::PairCtx>& pairs,
-                                 const BlockParams& params, std::span<std::uint8_t> slice) {
-  const int bb = params.block_bytes();
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % pairs.size());
-  util::SpanBitWriter sink(slice);
-  const std::uint8_t* src = cipher.data() + r.block_begin * static_cast<std::uint64_t>(bb);
-  std::uint64_t remaining = r.n_bits;
-  std::uint64_t bits = 0;
-  for (std::uint64_t b = 0; b < r.max_blocks;) {
-    const int frame = params.frame_budget(remaining);
-    if (frame == 0) break;  // blocks past the bit budget carry nothing
-    std::uint64_t word = 0;
-    int consumed = 0;
-    while (consumed < frame && b < r.max_blocks) {
-      const std::uint64_t v = util::load_le(src, bb);
-      src += bb;
-      ++b;
-      const detail::PairCtx& pc = pairs[pair_idx];
-      if (++pair_idx == pairs.size()) pair_idx = 0;
-      const ScrambledRange range = scramble_range(v, pc.pair, params);
-      const int w = std::min(range.width(), frame - consumed);
-      word |= extract_bits_with_pattern(v, range.kn1, pc.pattern, w) << consumed;
-      consumed += w;
-    }
-    sink.write_bits(word, consumed);
-    bits += static_cast<std::uint64_t>(consumed);
-    remaining -= static_cast<std::uint64_t>(consumed);
-  }
-  sink.flush();
-  return bits;
-}
-
-/// Framed-policy decrypt plan: the shared frame walk fed by scramble widths
-/// recomputed from the ciphertext blocks' unmodified high halves. Doubles as
-/// the strict truncated/trailing validation.
-std::vector<ShardRange> plan_framed_decrypt(std::span<const std::uint8_t> cipher,
-                                            const std::vector<detail::PairCtx>& pairs,
-                                            const BlockParams& params,
-                                            std::uint64_t total_bits, std::size_t n_shards) {
-  const int bb = params.block_bytes();
-  const std::uint64_t n_blocks = cipher.size() / static_cast<std::size_t>(bb);
-  std::size_t pair_idx = 0;
-  std::vector<ShardRange> ranges =
-      detail::plan_framed_walk(params, total_bits, n_shards, [&](std::uint64_t block) {
-        if (block == n_blocks) {
-          throw std::invalid_argument(
-              "decrypt_sharded: ciphertext too short for message length");
+  std::uint64_t block = 0;
+  FrameWalk st;
+  for (ShardRange& r : ranges) {
+    r.block_begin = block;
+    st.remaining = r.n_bits;
+    while (st.remaining > 0) {
+      if (pos == len) {
+        const std::uint64_t left = total_bits - (r.bit_begin + r.n_bits) + st.remaining;
+        len = detail::next_covers(*cover, params, left, buf, "encrypt_sharded");
+        pos = 0;
+        if (room - block < len) {
+          throw std::length_error("encrypt_sharded_into: output buffer too small");
         }
-        const std::uint64_t v =
-            util::load_le(cipher.data() + block * static_cast<std::uint64_t>(bb), bb);
-        const ScrambledRange r = scramble_range(v, pairs[pair_idx].pair, params);
-        if (++pair_idx == pairs.size()) pair_idx = 0;
-        return r.width();
-      });
-  const std::uint64_t used =
-      ranges.empty() ? 0 : ranges.back().block_begin + ranges.back().max_blocks;
-  if (used < n_blocks) {
-    throw std::invalid_argument(
-        "decrypt_sharded: trailing ciphertext blocks after message end");
+        std::uint8_t* slots = out.data() + block * static_cast<std::uint64_t>(N / 8);
+        for (std::size_t i = 0; i < len; ++i) detail::store_block<N>(slots, i, buf[i]);
+      }
+      const std::size_t used = detail::walk<N>(pairs, detail::frame_bits(params), st,
+                                               buf.data() + pos, len - pos, detail::Measure{});
+      pos += used;
+      block += used;
+    }
+    r.max_blocks = block - r.block_begin;
   }
   return ranges;
 }
 
-/// The shared front half of the sharded encrypt paths: the pair caches plus
-/// the per-policy shard plan.
-struct EncryptPlan {
-  std::vector<detail::PairCtx> pairs;
-  std::vector<ShardRange> ranges;
-
-  /// Upper bound on the ciphertext blocks the workers may emit (exact for
-  /// every shard but the trailing continuous one).
-  [[nodiscard]] std::uint64_t max_blocks() const {
-    return ranges.back().block_begin + ranges.back().max_blocks;
-  }
-};
-
-EncryptPlan make_encrypt_plan(std::span<const std::uint8_t> msg, const Key& key,
-                              const CoverSource& cover, int n_shards,
-                              exec::Executor* ex, const BlockParams& params) {
-  EncryptPlan plan;
-  plan.pairs = detail::make_pair_ctx(key, params);
-  const auto total_bits = static_cast<std::uint64_t>(msg.size()) * 8;
-  plan.ranges =
-      params.policy == FramePolicy::framed
-          ? plan_framed(cover, plan.pairs, params, total_bits,
-                        static_cast<std::size_t>(n_shards))
-          : plan_continuous(cover, plan.pairs, params, total_bits,
-                            static_cast<std::size_t>(n_shards), ex);
-  return plan;
+/// Framed-policy worker: embed the shard's message bits in place over the
+/// cover vectors the plan walk left in its slots.
+template <int N>
+void embed_in_place(const ShardRange& r, std::span<const std::uint8_t> msg, Pairs pairs,
+                    const BlockParams& params, std::uint8_t* out) {
+  FrameWalk st = shard_start(pairs, r.block_begin, r.n_bits);
+  std::uint8_t* slots = out + r.block_begin * static_cast<std::uint64_t>(N / 8);
+  (void)detail::walk<N>(pairs, detail::frame_bits(params), st, slots, r.max_blocks,
+                        detail::Embed<N>{slots, detail::BitSource(msg, r.bit_begin)});
 }
 
-/// Run the planned workers into `out` (each writes its disjoint slice;
-/// encrypt_range throws std::length_error when a slice would not fit).
-/// Returns the ciphertext bytes actually written.
-std::size_t run_encrypt_sharded(const EncryptPlan& plan, std::span<const std::uint8_t> msg,
-                                const CoverSource& cover, exec::Executor* ex,
-                                std::span<std::uint8_t> out, const BlockParams& params) {
-  const auto bb = static_cast<std::uint64_t>(params.block_bytes());
+/// detail::encrypt_shard for one vector width (the continuous-policy
+/// worker).
+template <int N>
+std::uint64_t encrypt_range(const ShardRange& r, std::span<const std::uint8_t> msg,
+                            Pairs pairs, const CoverSource& proto, const BlockParams& params,
+                            std::uint8_t* out, std::uint64_t capacity_blocks) {
+  const auto cover = cover_at(proto, params, r.block_begin);
+  FrameWalk st = shard_start(pairs, r.block_begin, r.n_bits);
+  detail::Embed<N> embed{nullptr, detail::BitSource(msg, r.bit_begin)};
+  std::uint8_t* dst = out + r.block_begin * static_cast<std::uint64_t>(N / 8);
+  std::uint64_t emitted = 0;
+  CoverChunk buf;
+  while (st.remaining > 0) {
+    const std::size_t got =
+        detail::next_covers(*cover, params, st.remaining, buf, "encrypt_sharded");
+    if (capacity_blocks - emitted < got) {
+      throw std::length_error("encrypt_sharded_into: output buffer too small");
+    }
+    embed.out = dst + emitted * (N / 8);
+    emitted += detail::walk<N>(pairs, detail::frame_bits(params), st, buf.data(), got, embed);
+  }
+  return emitted;
+}
+
+/// The whole sharded encrypt for one vector width: plan, then run the
+/// workers into `out`. Returns the ciphertext bytes written.
+template <int N>
+std::size_t run_encrypt_sharded(std::span<const std::uint8_t> msg, const Key& key,
+                                const CoverSource& cover, std::size_t n_shards,
+                                exec::Executor* ex, std::span<std::uint8_t> out,
+                                const BlockParams& params) {
+  constexpr std::uint64_t bb = N / 8;
+  const std::vector<PairCtx> pairs = detail::make_pair_ctx(key, params);
+  const auto total_bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  if (params.policy == FramePolicy::framed) {
+    const std::vector<ShardRange> ranges =
+        plan_framed<N>(cover, pairs, params, total_bits, n_shards, out);
+    exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
+      embed_in_place<N>(ranges[s], msg, pairs, params, out.data());
+    });
+    return static_cast<std::size_t>((ranges.back().block_begin + ranges.back().max_blocks) * bb);
+  }
+  const std::vector<ShardRange> ranges =
+      plan_continuous<N>(cover, pairs, params, total_bits, n_shards, ex);
   const std::uint64_t out_blocks = static_cast<std::uint64_t>(out.size()) / bb;
-  const std::vector<ShardRange>& ranges = plan.ranges;
   std::vector<std::uint64_t> emitted(ranges.size(), 0);
   exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
     const std::uint64_t capacity =
         out_blocks > ranges[s].block_begin ? out_blocks - ranges[s].block_begin : 0;
-    emitted[s] =
-        encrypt_range(ranges[s], msg, plan.pairs, cover, params, out.data(), capacity);
+    emitted[s] = encrypt_range<N>(ranges[s], msg, pairs, cover, params, out.data(), capacity);
   });
   for (std::size_t s = 0; s + 1 < ranges.size(); ++s) {
     assert(emitted[s] == ranges[s].max_blocks);
@@ -351,71 +258,79 @@ std::size_t run_encrypt_sharded(const EncryptPlan& plan, std::span<const std::ui
   return static_cast<std::size_t>((ranges.back().block_begin + emitted.back()) * bb);
 }
 
-using detail::validate_sharded;
+// ------------------------------------------------------------- decryption
 
-/// Shared decrypt driver: extract `cipher` into `out` (first msg_bytes
-/// bytes). See decrypt_sharded_into for the per-policy write strategy.
-void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
-                         std::size_t msg_bytes, int n_shards, exec::Executor* ex,
-                         std::span<std::uint8_t> out, const BlockParams& params) {
-  const auto bb = static_cast<std::size_t>(params.block_bytes());
-  if (cipher.size() % bb != 0) {
-    throw std::invalid_argument("decrypt_sharded: ciphertext not block-aligned");
-  }
-  const std::uint64_t n_blocks = cipher.size() / bb;
-  const auto total_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
-  if (total_bits == 0) {
-    if (n_blocks != 0) {
-      throw std::invalid_argument(
-          "decrypt_sharded: trailing ciphertext blocks after message end");
+/// Framed-policy decrypt plan: the serial width walk over the ciphertext
+/// blocks' unmodified high halves. Doubles as the strict truncated/trailing
+/// validation.
+template <int N>
+std::vector<ShardRange> plan_framed_decrypt(std::span<const std::uint8_t> cipher, Pairs pairs,
+                                            const BlockParams& params,
+                                            std::uint64_t total_bits, std::size_t n_shards) {
+  std::vector<ShardRange> ranges = detail::split_frames(params, total_bits, n_shards);
+  const std::uint64_t n_blocks = cipher.size() / static_cast<std::size_t>(N / 8);
+  std::uint64_t block = 0;
+  FrameWalk st;
+  for (ShardRange& r : ranges) {
+    r.block_begin = block;
+    st.remaining = r.n_bits;
+    block += detail::walk<N>(pairs, detail::frame_bits(params), st,
+                             cipher.data() + block * (N / 8),
+                             static_cast<std::size_t>(n_blocks - block), detail::Measure{});
+    if (st.remaining > 0) {
+      throw std::invalid_argument("decrypt_sharded: ciphertext too short for message length");
     }
-    return;
+    r.max_blocks = block - r.block_begin;
   }
-
-  const std::vector<detail::PairCtx> pairs = detail::make_pair_ctx(key, params);
-  if (params.policy == FramePolicy::framed) {
-    // The plan walk fixes every shard's bit range and block count (and
-    // doubles as the strict length validation), and frame-aligned shard
-    // starts are byte-aligned, so workers write disjoint slices of `out`
-    // directly — no private buffers, no splice.
-    const std::vector<ShardRange> ranges = plan_framed_decrypt(
-        cipher, pairs, params, total_bits, static_cast<std::size_t>(n_shards));
-    std::vector<std::uint64_t> bits(ranges.size(), 0);
-    exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-      const ShardRange& r = ranges[s];
-      assert(r.bit_begin % 8 == 0);
-      const std::size_t byte_begin = static_cast<std::size_t>(r.bit_begin / 8);
-      const std::size_t byte_len = static_cast<std::size_t>((r.n_bits + 7) / 8);
-      bits[s] = extract_range_into(cipher, r, pairs, params,
-                                   out.subspan(byte_begin, byte_len));
-    });
-    std::uint64_t total_sum = 0;
-    for (const std::uint64_t b : bits) total_sum += b;
-    if (total_sum < total_bits) {
-      throw std::invalid_argument(
-          "decrypt_sharded: ciphertext too short for message length");
-    }
-    return;
+  if (block < n_blocks) {
+    throw std::invalid_argument(
+        "decrypt_sharded: trailing ciphertext blocks after message end");
   }
+  return ranges;
+}
 
-  // Continuous policy: no encrypt-side plan survives — widths are
-  // recomputed from the ciphertext blocks themselves. A parallel capacity
-  // pre-scan (the decrypt-side mirror of plan_continuous's scan_chunk, but
-  // reading blocks instead of stepping a cover) sums widths per chunk;
-  // shard boundaries are then walked to the nearest block edge whose
-  // cumulative bit offset is byte-aligned, so every worker extracts
-  // straight into its disjoint slice of the caller's span — no private bit
-  // buffers, no serial splice. The scan also yields the strict
-  // truncated/trailing validation up front.
-  const std::uint64_t n_eff =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(n_shards), n_blocks);
-  const auto width_at = [&](std::uint64_t block) {
-    const std::uint64_t v =
-        util::load_le(cipher.data() + block * static_cast<std::uint64_t>(bb),
-                      static_cast<int>(bb));
-    return scramble_range(v, pairs[static_cast<std::size_t>(block % pairs.size())].pair,
-                          params)
-        .width();
+/// detail::extract_shard for one vector width.
+template <int N>
+void extract_range_into(std::span<const std::uint8_t> cipher, const ShardRange& r, Pairs pairs,
+                        const BlockParams& params, std::span<std::uint8_t> slice) {
+  detail::Extract extract{detail::BitSink(slice)};
+  FrameWalk st = shard_start(pairs, r.block_begin, r.n_bits);
+  (void)detail::walk<N>(pairs, detail::frame_bits(params), st,
+                        cipher.data() + r.block_begin * (N / 8),
+                        static_cast<std::size_t>(r.max_blocks), extract);
+  assert(st.remaining == 0);
+  extract.sink.flush();
+}
+
+/// The byte slice of `out` a byte-aligned shard's bits land in.
+std::span<std::uint8_t> slice_of(std::span<std::uint8_t> out, const ShardRange& r) {
+  assert(r.bit_begin % 8 == 0);
+  return out.subspan(static_cast<std::size_t>(r.bit_begin / 8),
+                     static_cast<std::size_t>((r.n_bits + 7) / 8));
+}
+
+/// Continuous policy: no encrypt-side plan survives — widths are
+/// recomputed from the ciphertext blocks themselves. A parallel capacity
+/// pre-scan (the decrypt-side mirror of plan_continuous's scan_chunk, but
+/// reading blocks instead of stepping a cover) sums widths per chunk;
+/// shard boundaries are then walked to the nearest block edge whose
+/// cumulative bit offset is byte-aligned, so every worker extracts
+/// straight into its disjoint slice of the caller's span — no private bit
+/// buffers, no serial splice. The scan also yields the strict
+/// truncated/trailing validation up front.
+template <int N>
+void decrypt_continuous(std::span<const std::uint8_t> cipher, Pairs pairs,
+                        const BlockParams& params, std::uint64_t total_bits,
+                        std::size_t n_shards, exec::Executor* ex, std::span<std::uint8_t> out) {
+  const std::uint64_t n_blocks = cipher.size() / static_cast<std::size_t>(N / 8);
+  if (n_blocks == 0) {
+    throw std::invalid_argument("decrypt_sharded: ciphertext too short for message length");
+  }
+  const std::uint64_t n_eff = std::min<std::uint64_t>(n_shards, n_blocks);
+  const auto width_at = [&](std::uint64_t block) -> std::uint64_t {
+    return detail::range_of<N>(pairs[static_cast<std::size_t>(block % pairs.size())],
+                               detail::load_block<N>(cipher.data(), block))
+        .width;
   };
 
   const std::uint64_t chunk_blocks =
@@ -425,11 +340,10 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
   exec::run_indexed(ex, n_chunks, [&](std::size_t i) {
     const std::uint64_t begin = static_cast<std::uint64_t>(i) * chunk_blocks;
     const std::uint64_t end = std::min(n_blocks, begin + chunk_blocks);
-    std::uint64_t bits = 0;
-    for (std::uint64_t b = begin; b < end; ++b) {
-      bits += static_cast<std::uint64_t>(width_at(b));
-    }
-    cum[i + 1] = bits;  // chunk sums first; prefixed below
+    FrameWalk st = shard_start(pairs, begin, kUnbounded);
+    (void)detail::walk<N>(pairs, kUnbounded, st, cipher.data() + begin * (N / 8),
+                          static_cast<std::size_t>(end - begin), detail::Measure{});
+    cum[i + 1] = kUnbounded - st.remaining;  // chunk sums first; prefixed below
   });
   for (std::size_t i = 0; i < n_chunks; ++i) cum[i + 1] += cum[i];
 
@@ -437,7 +351,7 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
   if (total_sum < total_bits) {
     throw std::invalid_argument("decrypt_sharded: ciphertext too short for message length");
   }
-  if (total_sum - static_cast<std::uint64_t>(width_at(n_blocks - 1)) >= total_bits) {
+  if (total_sum - width_at(n_blocks - 1) >= total_bits) {
     // Bits before the final block already complete the message, so that
     // block (at least) is trailing — mirror the sequential strictness.
     throw std::invalid_argument(
@@ -462,7 +376,7 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
     std::uint64_t bits = cum[ci];
     std::uint64_t block = static_cast<std::uint64_t>(ci) * chunk_blocks;
     while (block < n_blocks && (bits < target || bits % 8 != 0) && bits < total_bits) {
-      bits += static_cast<std::uint64_t>(width_at(block));
+      bits += width_at(block);
       ++block;
     }
     if (bits % 8 != 0 || bits >= total_bits || block >= n_blocks) break;
@@ -470,52 +384,87 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
   }
 
   exec::run_indexed(ex, starts.size(), [&](std::size_t s) {
-    const std::uint64_t block_begin = starts[s].block;
-    const std::uint64_t block_end = s + 1 < starts.size() ? starts[s + 1].block : n_blocks;
-    const std::uint64_t bit_begin = starts[s].bit;
-    const std::uint64_t bit_end = s + 1 < starts.size() ? starts[s + 1].bit : total_bits;
-    util::SpanBitWriter sink(out.subspan(static_cast<std::size_t>(bit_begin / 8),
-                                         static_cast<std::size_t>((bit_end - bit_begin + 7) / 8)));
-    std::size_t pair_idx = static_cast<std::size_t>(block_begin % pairs.size());
-    const std::uint8_t* src = cipher.data() + block_begin * static_cast<std::uint64_t>(bb);
-    std::uint64_t remaining = bit_end - bit_begin;
-    for (std::uint64_t b = block_begin; b < block_end && remaining > 0; ++b, src += bb) {
-      const std::uint64_t v = util::load_le(src, static_cast<int>(bb));
-      const detail::PairCtx& pc = pairs[pair_idx];
-      if (++pair_idx == pairs.size()) pair_idx = 0;
-      const ScrambledRange range = scramble_range(v, pc.pair, params);
-      // The cap only engages on the message-final shard (interior shard
-      // budgets are exact width sums); it is what skips trailing bits of
-      // the last block, exactly as the sequential extractor does.
-      const int w = static_cast<int>(
-          std::min<std::uint64_t>(static_cast<std::uint64_t>(range.width()), remaining));
-      sink.write_bits(extract_bits_with_pattern(v, range.kn1, pc.pattern, w), w);
-      remaining -= static_cast<std::uint64_t>(w);
-    }
-    sink.flush();
+    const bool last = s + 1 == starts.size();
+    const ShardRange r{starts[s].block, starts[s].bit,
+                       (last ? total_bits : starts[s + 1].bit) - starts[s].bit,
+                       (last ? n_blocks : starts[s + 1].block) - starts[s].block};
+    extract_range_into<N>(cipher, r, pairs, params, slice_of(out, r));
   });
 }
 
+/// Shared decrypt driver: extract `cipher` into `out` (first msg_bytes
+/// bytes). See decrypt_sharded_into for the per-policy write strategy.
+void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
+                         std::size_t msg_bytes, int n_shards, exec::Executor* ex,
+                         std::span<std::uint8_t> out, const BlockParams& params) {
+  const auto bb = static_cast<std::size_t>(params.block_bytes());
+  if (cipher.size() % bb != 0) {
+    throw std::invalid_argument("decrypt_sharded: ciphertext not block-aligned");
+  }
+  const auto total_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
+  if (total_bits == 0) {
+    if (!cipher.empty()) {
+      throw std::invalid_argument(
+          "decrypt_sharded: trailing ciphertext blocks after message end");
+    }
+    return;
+  }
+  const std::vector<PairCtx> pairs = detail::make_pair_ctx(key, params);
+  const auto shards = static_cast<std::size_t>(n_shards);
+  detail::with_width(params.vector_bits, [&]<int N>() {
+    if (params.policy != FramePolicy::framed) {
+      decrypt_continuous<N>(cipher, pairs, params, total_bits, shards, ex, out);
+      return;
+    }
+    // The plan walk fixes every shard's bit range and block count (and
+    // doubles as the strict length validation), and frame-aligned shard
+    // starts are byte-aligned, so workers write disjoint slices of `out`
+    // directly — no private buffers, no splice.
+    const std::vector<ShardRange> ranges =
+        plan_framed_decrypt<N>(cipher, pairs, params, total_bits, shards);
+    exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
+      extract_range_into<N>(cipher, ranges[s], pairs, params, slice_of(out, ranges[s]));
+    });
+  });
+}
+
+using detail::validate_sharded;
+
 }  // namespace
+
+std::uint64_t detail::encrypt_shard(const ShardRange& r, std::span<const std::uint8_t> msg,
+                                    std::span<const PairCtx> pairs, const CoverSource& proto,
+                                    const BlockParams& params, std::uint8_t* out,
+                                    std::uint64_t capacity_blocks) {
+  return with_width(params.vector_bits, [&]<int N>() {
+    return encrypt_range<N>(r, msg, pairs, proto, params, out, capacity_blocks);
+  });
+}
+
+void detail::extract_shard(std::span<const std::uint8_t> cipher, const ShardRange& r,
+                           std::span<const PairCtx> pairs, const BlockParams& params,
+                           std::span<std::uint8_t> slice) {
+  with_width(params.vector_bits,
+             [&]<int N>() { extract_range_into<N>(cipher, r, pairs, params, slice); });
+}
 
 std::vector<std::uint8_t> encrypt_sharded(std::span<const std::uint8_t> msg, const Key& key,
                                           const CoverSource& cover, int n_shards,
                                           exec::Executor* ex, BlockParams params) {
   validate_sharded(key, n_shards, params, "encrypt_sharded");
   if (msg.empty()) return {};
+  // Sized exactly by the sequential core's width walk; the single-shard
+  // path IS the sequential core.
+  auto c = cover.clone();
+  c->reset();
+  Encryptor enc(key, std::move(c), params);
+  std::vector<std::uint8_t> out(
+      static_cast<std::size_t>(enc.one_shot_cipher_bytes(static_cast<std::uint64_t>(msg.size()) * 8)));
   if (n_shards == 1) {
-    // The single-shard path IS the sequential core — zero overhead.
-    auto c = cover.clone();
-    c->reset();
-    Encryptor enc(key, std::move(c), params);
-    enc.feed(msg);
-    return enc.cipher_bytes();
+    (void)enc.encrypt_into(msg, out);
+  } else {
+    (void)encrypt_sharded_into(msg, key, cover, n_shards, ex, out, params);
   }
-  const EncryptPlan plan = make_encrypt_plan(msg, key, cover, n_shards, ex, params);
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(
-      plan.max_blocks() * static_cast<std::uint64_t>(params.block_bytes())));
-  const std::size_t n = run_encrypt_sharded(plan, msg, cover, ex, out, params);
-  out.resize(n);
   return out;
 }
 
@@ -531,8 +480,10 @@ std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& k
     Encryptor enc(key, std::move(c), params);
     return enc.encrypt_into(msg, out);
   }
-  const EncryptPlan plan = make_encrypt_plan(msg, key, cover, n_shards, ex, params);
-  return run_encrypt_sharded(plan, msg, cover, ex, out, params);
+  return detail::with_width(params.vector_bits, [&]<int N>() {
+    return run_encrypt_sharded<N>(msg, key, cover, static_cast<std::size_t>(n_shards), ex, out,
+                                  params);
+  });
 }
 
 std::vector<std::uint8_t> decrypt_sharded(std::span<const std::uint8_t> cipher,

@@ -7,24 +7,30 @@
 // fixed block_bytes slot, block capacities depend only on the cover vector
 // and the cyclic key pair (never on message data), and the cover stream is
 // random-access (CoverSource::skip_blocks over the O(log n) Lfsr::jump). So
-// once the message bit offset of a shard's first block is known, the shard
-// clones the cover prototype, jumps to its block range, seeks the message
-// reader and works entirely within its own slice of the output.
+// once the message bit offset and cover of a shard's first block are known,
+// the shard works entirely within its own slice of the output.
 //
-// Finding those offsets is the plan phase:
+// Finding those offsets is the plan phase. Every walk below — plan, scan
+// and worker — is the table-driven frame-walk kernel of walk.hpp:
+//   * framed policy, encrypt — the frame budget feeds back into per-block
+//     widths, so one serial walk generates the cover stream once, writes
+//     each cover vector into its ciphertext slot of the caller's buffer and
+//     pins the block index at each shard's first frame. Workers then embed
+//     in place over those slots: no cover clone, no jump, no second cover
+//     generation.
+//   * framed policy, decrypt — the same serial width walk, over the
+//     ciphertext blocks' unmodified high halves (it doubles as the strict
+//     length validation); frame starts are byte-aligned, so workers extract
+//     straight into their slices of the caller's output.
 //   * continuous policy — capacities are scanned in parallel chunks (each
-//     chunk worker jumps to its block range and sums scramble widths); a
-//     prefix walk over chunk capacities yields shard boundaries. Decryption
-//     runs the same shape of pre-scan over the ciphertext blocks themselves
-//     (capacities are recomputed from them, no cover jump needed), snapping
-//     shard boundaries to byte-aligned bit offsets so every worker extracts
-//     straight into its disjoint slice of the caller's output span.
-//   * framed policy — the frame budget feeds back into per-block widths, so
-//     the scan is sequential (one cheap width pass), but boundaries land on
-//     frame starts and the embed/extract phase still runs fully parallel.
+//     chunk worker jumps a cover clone to its block range and sums widths);
+//     a prefix walk over chunk capacities yields shard boundaries, and each
+//     worker clones and jumps its own cover. Decryption runs the same shape
+//     of pre-scan over the ciphertext blocks and snaps shard boundaries to
+//     byte-aligned bit offsets, so every worker extracts straight into its
+//     disjoint slice of the caller's output span.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -36,6 +42,7 @@
 #include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
+#include "src/core/walk.hpp"
 #include "src/exec/executor.hpp"
 
 namespace mhhea::core {
@@ -80,66 +87,41 @@ struct ShardRange {
   std::uint64_t max_blocks = 0;
 };
 
-/// The framed-policy plan walk, shared by the MHHEA encrypt/decrypt plans
-/// and the HHEA plan — they differ only in where block widths come from.
-/// Frames consume exactly vector_bits message bits each (short final frame
-/// aside), so shard *bit* boundaries are a fixed even frame split; one
-/// sequential walk — the frame budget feeds back into per-block widths, so
-/// this pass cannot be parallelised — pins the block index at each boundary.
-///
-/// `width_at(block_index)` returns the uncapped width of block
-/// `block_index`; blocks are visited in strict sequential order, so the
-/// callback may keep its own cursor state, and it throws if it runs out of
-/// input (too-short ciphertext, exhausted cover). Every returned max_blocks
-/// is exact; the walk's total block count is the last range's
-/// block_begin + max_blocks.
-template <typename WidthFn>
-std::vector<ShardRange> plan_framed_walk(const BlockParams& params,
-                                         std::uint64_t total_bits, std::size_t n_shards,
-                                         WidthFn&& width_at) {
-  const auto vb = static_cast<std::uint64_t>(params.vector_bits);
-  const std::uint64_t n_frames = (total_bits + vb - 1) / vb;
-  std::vector<std::uint64_t> boundary_bits;  // strictly increasing frame starts
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    const std::uint64_t b = n_frames * s / n_shards * vb;
-    if (boundary_bits.empty() || b > boundary_bits.back()) boundary_bits.push_back(b);
-  }
-  std::vector<ShardRange> ranges(boundary_bits.size());
-  std::size_t next_boundary = 0;
-  std::uint64_t bit = 0;
-  std::uint64_t block = 0;
-  // Frame-batched walk: resolve each frame's budget up front and drain it in
-  // an inner run — the boundary snap and frame bookkeeping run once per
-  // frame, not once per block. Shard begins can only sit on frame starts
-  // (frames consume whole budgets), so the snap stays exact.
-  while (bit < total_bits) {
-    if (next_boundary < boundary_bits.size() && bit == boundary_bits[next_boundary]) {
-      ranges[next_boundary].block_begin = block;
-      ranges[next_boundary].bit_begin = bit;
-      ++next_boundary;
-    }
-    const int frame = params.frame_budget(total_bits - bit);
-    int budget = frame;
-    while (budget > 0) {
-      budget -= std::min(width_at(block), budget);
-      ++block;
-    }
-    bit += static_cast<std::uint64_t>(frame);
-  }
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    const bool last = i + 1 == ranges.size();
-    ranges[i].n_bits = (last ? total_bits : ranges[i + 1].bit_begin) - ranges[i].bit_begin;
-    ranges[i].max_blocks = (last ? block : ranges[i + 1].block_begin) - ranges[i].block_begin;
-  }
-  return ranges;
-}
+/// The framed policy's shard bit ranges: an even split of whole frames
+/// (exactly vector_bits message bits each, short final frame aside), so
+/// every shard starts on a frame start — byte-aligned, with the frame
+/// budget freshly open. Sets bit_begin and n_bits; the caller's width walk
+/// pins block_begin and max_blocks (exact for every framed shard). Shared by
+/// the MHHEA and HHEA planners.
+[[nodiscard]] std::vector<ShardRange> split_frames(const BlockParams& params,
+                                                   std::uint64_t total_bits,
+                                                   std::size_t n_shards);
+
+/// One shard's embed over a cover clone jumped to its first block — the
+/// continuous-policy MHHEA worker and every HHEA worker: message bits
+/// [bit_begin, bit_begin + n_bits) into blocks serialized at out +
+/// block_begin * block_bytes. Returns the blocks emitted (max_blocks, or
+/// fewer for a trailing shard whose max_blocks is an upper bound); throws
+/// std::length_error past `capacity_blocks` slots.
+std::uint64_t encrypt_shard(const ShardRange& r, std::span<const std::uint8_t> msg,
+                            std::span<const PairCtx> pairs, const CoverSource& proto,
+                            const BlockParams& params, std::uint8_t* out,
+                            std::uint64_t capacity_blocks);
+
+/// One shard's extract: its n_bits message bits from blocks [block_begin,
+/// block_begin + max_blocks) of `cipher`, LSB-first from the start of
+/// `slice` (sized to exactly ceil(n_bits / 8) bytes).
+void extract_shard(std::span<const std::uint8_t> cipher, const ShardRange& r,
+                   std::span<const PairCtx> pairs, const BlockParams& params,
+                   std::span<std::uint8_t> slice);
 
 }  // namespace detail
 
 /// Sharded one-shot encryption, bit-identical to core::encrypt (and to
-/// Encryptor fed in one shot) for every shard count. `cover` is a prototype:
-/// each worker derives its own via clone() + reset() + skip_blocks, so the
-/// source must be clonable and resettable (LfsrCover and BufferCover are).
+/// Encryptor fed in one shot) for every shard count. `cover` is a prototype
+/// the walks derive their own covers from via clone() + reset() (+
+/// skip_blocks for continuous-policy workers), so the source must be
+/// clonable and resettable (LfsrCover and BufferCover are).
 /// `ex` may be null — shards then run inline on the calling thread, same
 /// bytes, no parallelism. `n_shards` >= 1; the planner may use fewer shards
 /// than requested on short messages.
@@ -150,8 +132,9 @@ std::vector<ShardRange> plan_framed_walk(const BlockParams& params,
 /// encrypt_sharded into caller storage: every worker writes its disjoint
 /// block-range slice of `out` directly — no per-worker buffers, no splice,
 /// no allocation for the ciphertext itself (the plan scratch remains).
-/// Returns the ciphertext bytes written; throws std::length_error when `out`
-/// cannot hold them (partial contents are then unspecified).
+/// Nothing past the returned ciphertext end is written. Returns the
+/// ciphertext bytes written; throws std::length_error when `out` cannot
+/// hold them (partial contents are then unspecified).
 std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& key,
                                  const CoverSource& cover, int n_shards,
                                  exec::Executor* ex, std::span<std::uint8_t> out,

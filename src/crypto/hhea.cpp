@@ -18,6 +18,7 @@ HheaEncryptor::HheaEncryptor(core::Key key, std::unique_ptr<core::CoverSource> c
   params_.validate();
   if (cover_ == nullptr) throw std::invalid_argument("HheaEncryptor: null cover source");
   key_.require_fits(params_, "HheaEncryptor");
+  ctx_ = detail::fixed_range_ctx(key_);
 }
 
 void HheaEncryptor::feed(std::span<const std::uint8_t> msg) {
@@ -48,36 +49,12 @@ void HheaEncryptor::feed(std::span<const std::uint8_t> msg) {
 std::size_t HheaEncryptor::encrypt_into(std::span<const std::uint8_t> msg,
                                         std::span<std::uint8_t> out) {
   reset();
-  util::BitReader reader(msg);
-  std::size_t remaining = reader.size_bits();
-  const bool framed = params_.policy == FramePolicy::framed;
-  const auto n_pairs = static_cast<std::size_t>(key_.size());
-  const int bb = params_.block_bytes();
-  std::uint8_t* dst = out.data();
-  std::size_t space = out.size();
-  std::size_t pair_idx = 0;
-  int frame_remaining = 0;
-  while (remaining > 0) {
-    if (framed && frame_remaining == 0) frame_remaining = params_.frame_budget(remaining);
-    if (space < static_cast<std::size_t>(bb)) {
-      throw std::length_error("HheaEncryptor::encrypt_into: output buffer too small");
-    }
-    const std::uint64_t v = cover_->next_block(params_.vector_bits);
-    const core::KeyPair& pair = key_.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == n_pairs) pair_idx = 0;
-    const std::size_t cap = framed ? static_cast<std::size_t>(frame_remaining) : remaining;
-    const int n = pair.span() + 1;
-    const int w = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(n), cap));
-    util::store_le(dst, util::deposit(v, pair.lo() + w - 1, pair.lo(), reader.read_bits(w)),
-                   bb);
-    dst += bb;
-    space -= static_cast<std::size_t>(bb);
-    remaining -= static_cast<std::size_t>(w);
-    if (framed) frame_remaining -= w;
-  }
+  std::array<std::uint64_t, core::detail::kShardFetchChunk> covers;
+  const std::size_t n = core::detail::embed_message(ctx_, params_, *cover_, covers, msg, out,
+                                                    "HheaEncryptor::encrypt_into");
   // Rewind the cover so the core sits in the full reset state again.
   cover_->reset();
-  return static_cast<std::size_t>(dst - out.data());
+  return n;
 }
 
 void HheaEncryptor::reset() {
@@ -102,6 +79,7 @@ HheaDecryptor::HheaDecryptor(core::Key key, std::uint64_t message_bits, BlockPar
     : key_(std::move(key)), params_(params), total_bits_(message_bits) {
   params_.validate();
   key_.require_fits(params_, "HheaDecryptor");
+  ctx_ = detail::fixed_range_ctx(key_);
   out_.reserve_bits(message_bits);
 }
 
@@ -143,49 +121,8 @@ std::size_t HheaDecryptor::decrypt_into(std::span<const std::uint8_t> cipher,
                                         std::uint64_t message_bits,
                                         std::span<std::uint8_t> out) {
   reset(message_bits);
-  const auto bb = static_cast<std::size_t>(params_.block_bytes());
-  if (cipher.size() % bb != 0) {
-    throw std::invalid_argument("HheaDecryptor::decrypt_into: ciphertext not block-aligned");
-  }
-  const auto out_bytes = static_cast<std::size_t>((message_bits + 7) / 8);
-  if (out.size() < out_bytes) {
-    throw std::length_error("HheaDecryptor::decrypt_into: output buffer too small");
-  }
-  util::SpanBitWriter sink(out.first(out_bytes));
-  const bool framed = params_.policy == FramePolicy::framed;
-  const auto n_pairs = static_cast<std::size_t>(key_.size());
-  std::uint64_t recovered = 0;
-  std::size_t pair_idx = 0;
-  int frame_remaining = 0;
-  const std::uint8_t* src = cipher.data();
-  const std::uint8_t* const end = src + cipher.size();
-  while (src != end) {
-    if (recovered == message_bits) {
-      throw std::invalid_argument(
-          "HheaDecryptor::decrypt_into: trailing ciphertext blocks after message end");
-    }
-    if (framed && frame_remaining == 0) {
-      frame_remaining = params_.frame_budget(message_bits - recovered);
-    }
-    const std::uint64_t v = util::load_le(src, static_cast<int>(bb));
-    src += bb;
-    const core::KeyPair& pair = key_.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == n_pairs) pair_idx = 0;
-    const std::uint64_t cap = framed ? static_cast<std::uint64_t>(frame_remaining)
-                                     : message_bits - recovered;
-    const int n = pair.span() + 1;
-    const int w =
-        static_cast<int>(std::min<std::uint64_t>(static_cast<std::uint64_t>(n), cap));
-    sink.write_bits(v >> pair.lo(), w);
-    recovered += static_cast<std::uint64_t>(w);
-    if (framed) frame_remaining -= w;
-  }
-  if (recovered < message_bits) {
-    throw std::invalid_argument(
-        "HheaDecryptor::decrypt_into: ciphertext too short for message length");
-  }
-  sink.flush();
-  return out_bytes;
+  return core::detail::extract_message(ctx_, params_, cipher, message_bits, out,
+                                       "HheaDecryptor::decrypt_into");
 }
 
 void HheaDecryptor::reset(std::uint64_t message_bits) {
@@ -201,8 +138,6 @@ void HheaDecryptor::reset(std::uint64_t message_bits) {
 namespace {
 
 using core::detail::ShardRange;  // max_blocks is exact for every HHEA shard
-using core::detail::cover_at;
-constexpr std::size_t kFetchChunk = core::detail::kShardFetchChunk;
 
 /// The key's fixed width cycle: block i embeds widths[i mod L] bits (capped
 /// only by frame/message budgets), so bit offsets of block boundaries are
@@ -232,16 +167,40 @@ std::vector<ShardRange> plan_continuous(const WidthCycle& wc, std::uint64_t tota
   return ranges;
 }
 
-/// Framed plan: the shared frame walk fed by the cover-free width cycle.
-/// Used identically by encrypt and decrypt (widths don't depend on V).
-std::vector<ShardRange> plan_framed(const WidthCycle& wc, const BlockParams& params,
-                                    std::uint64_t total_bits, std::size_t n_shards) {
-  std::size_t pair_idx = 0;
-  return core::detail::plan_framed_walk(params, total_bits, n_shards, [&](std::uint64_t) {
+/// Blocks the framed policy needs for `n_bits` message bits starting on a
+/// frame start at pair `pair_idx` (advanced past them): the cover-free
+/// frame walk over the width cycle (frame budgets feed back into per-block
+/// widths, so there is no closed form).
+std::uint64_t framed_blocks(const WidthCycle& wc, const BlockParams& params,
+                            std::uint64_t n_bits, std::size_t& pair_idx) {
+  std::uint64_t blocks = 0;
+  int frame_remaining = 0;
+  while (n_bits > 0) {
+    if (frame_remaining == 0) frame_remaining = params.frame_budget(n_bits);
     const auto n = static_cast<int>(wc.prefix[pair_idx + 1] - wc.prefix[pair_idx]);
     if (++pair_idx == wc.L) pair_idx = 0;
-    return n;
-  });
+    const int w = std::min(n, frame_remaining);
+    n_bits -= static_cast<std::uint64_t>(w);
+    frame_remaining -= w;
+    ++blocks;
+  }
+  return blocks;
+}
+
+/// Framed plan: the shared frame split, each shard's block count walked
+/// over the width cycle. Used identically by encrypt and decrypt (widths
+/// don't depend on V).
+std::vector<ShardRange> plan_framed(const WidthCycle& wc, const BlockParams& params,
+                                    std::uint64_t total_bits, std::size_t n_shards) {
+  std::vector<ShardRange> ranges = core::detail::split_frames(params, total_bits, n_shards);
+  std::uint64_t block = 0;
+  std::size_t pair_idx = 0;
+  for (ShardRange& r : ranges) {
+    r.block_begin = block;
+    r.max_blocks = framed_blocks(wc, params, r.n_bits, pair_idx);
+    block += r.max_blocks;
+  }
+  return ranges;
 }
 
 std::vector<ShardRange> plan_shards(const WidthCycle& wc, const BlockParams& params,
@@ -255,105 +214,6 @@ std::vector<ShardRange> plan_shards(const WidthCycle& wc, const BlockParams& par
   return ranges;
 }
 
-/// Embed one shard into its slice of the serialized output.
-void encrypt_range(const ShardRange& r, std::span<const std::uint8_t> msg,
-                   const core::Key& key, const core::CoverSource& proto,
-                   const BlockParams& params, std::uint8_t* out) {
-  const auto cover = cover_at(proto, params, r.block_begin);
-  util::BitReader reader(msg);
-  reader.seek(static_cast<std::size_t>(r.bit_begin));
-  const bool framed = params.policy == FramePolicy::framed;
-  const int bb = params.block_bytes();
-  const auto L = static_cast<std::size_t>(key.size());
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % L);
-  std::uint64_t remaining = r.n_bits;
-  int frame_remaining = 0;  // shard boundaries are frame starts
-  std::array<std::uint64_t, kFetchChunk> buf;
-  std::size_t pos = 0;
-  std::size_t len = 0;
-  std::uint8_t* dst = out + r.block_begin * static_cast<std::uint64_t>(bb);
-  for (std::uint64_t b = 0; b < r.max_blocks; ++b, dst += bb) {
-    if (framed && frame_remaining == 0) {
-      frame_remaining = params.frame_budget(remaining);
-    }
-    if (pos == len) {
-      const auto want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kFetchChunk, r.max_blocks - b));
-      len = cover->next_blocks(params.vector_bits, std::span(buf.data(), want));
-      pos = 0;
-      if (len == 0) throw std::runtime_error("hhea_encrypt_sharded: cover source exhausted");
-    }
-    const std::uint64_t v = buf[pos++];
-    const core::KeyPair& pair = key.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == L) pair_idx = 0;
-    const int n = pair.span() + 1;
-    const auto cap = framed ? static_cast<std::uint64_t>(frame_remaining) : remaining;
-    const int w = static_cast<int>(std::min<std::uint64_t>(static_cast<std::uint64_t>(n), cap));
-    util::store_le(dst, util::deposit(v, pair.lo() + w - 1, pair.lo(), reader.read_bits(w)),
-                   bb);
-    remaining -= static_cast<std::uint64_t>(w);
-    if (framed) frame_remaining -= w;
-  }
-}
-
-/// Extract one shard into a private bit buffer (spliced in order after the
-/// join). The shard's n_bits budget already encodes every message/frame cap.
-std::vector<std::uint8_t> extract_range(std::span<const std::uint8_t> cipher,
-                                        const ShardRange& r, const core::Key& key,
-                                        const BlockParams& params) {
-  const bool framed = params.policy == FramePolicy::framed;
-  const int bb = params.block_bytes();
-  const auto L = static_cast<std::size_t>(key.size());
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % L);
-  util::BitWriter out;
-  out.reserve_bits(static_cast<std::size_t>(r.n_bits));
-  std::uint64_t remaining = r.n_bits;
-  int frame_remaining = 0;
-  const std::uint8_t* src = cipher.data() + r.block_begin * static_cast<std::uint64_t>(bb);
-  for (std::uint64_t b = 0; b < r.max_blocks; ++b, src += bb) {
-    if (framed && frame_remaining == 0) {
-      frame_remaining = params.frame_budget(remaining);
-    }
-    const std::uint64_t v = util::load_le(src, bb);
-    const core::KeyPair& pair = key.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == L) pair_idx = 0;
-    const int n = pair.span() + 1;
-    const auto cap = framed ? static_cast<std::uint64_t>(frame_remaining) : remaining;
-    const int w = static_cast<int>(std::min<std::uint64_t>(static_cast<std::uint64_t>(n), cap));
-    out.write_bits(v >> pair.lo(), w);
-    remaining -= static_cast<std::uint64_t>(w);
-    if (framed) frame_remaining -= w;
-  }
-  return out.take();
-}
-
-/// Extract one shard straight into the caller's byte slice (framed policy
-/// only: shard boundaries are frame starts, hence byte-aligned).
-void extract_range_into(std::span<const std::uint8_t> cipher, const ShardRange& r,
-                        const core::Key& key, const BlockParams& params,
-                        std::span<std::uint8_t> slice) {
-  const int bb = params.block_bytes();
-  const auto L = static_cast<std::size_t>(key.size());
-  std::size_t pair_idx = static_cast<std::size_t>(r.block_begin % L);
-  util::SpanBitWriter out(slice);
-  std::uint64_t remaining = r.n_bits;
-  int frame_remaining = 0;
-  const std::uint8_t* src = cipher.data() + r.block_begin * static_cast<std::uint64_t>(bb);
-  for (std::uint64_t b = 0; b < r.max_blocks; ++b, src += bb) {
-    if (frame_remaining == 0) frame_remaining = params.frame_budget(remaining);
-    const std::uint64_t v = util::load_le(src, bb);
-    const core::KeyPair& pair = key.pair(static_cast<int>(pair_idx));
-    if (++pair_idx == L) pair_idx = 0;
-    const int n = pair.span() + 1;
-    const int w = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(std::min(n, frame_remaining)), remaining));
-    out.write_bits(v >> pair.lo(), w);
-    remaining -= static_cast<std::uint64_t>(w);
-    frame_remaining -= w;
-  }
-  out.flush();
-}
-
 /// Run the planned embed workers into `out` (presized by the caller to the
 /// plan's total_blocks). Shared by the allocating and `_into` encrypt forms
 /// so each plans exactly once.
@@ -361,8 +221,10 @@ void run_hhea_encrypt_ranges(const std::vector<ShardRange>& ranges,
                              std::span<const std::uint8_t> msg, const core::Key& key,
                              const core::CoverSource& cover, exec::Executor* ex,
                              const BlockParams& params, std::uint8_t* out) {
+  const std::vector<core::detail::PairCtx> ctx = detail::fixed_range_ctx(key);
   exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-    encrypt_range(ranges[s], msg, key, cover, params, out);
+    (void)core::detail::encrypt_shard(ranges[s], msg, ctx, cover, params, out,
+                                      ranges[s].max_blocks);
   });
 }
 
@@ -390,13 +252,14 @@ void run_hhea_decrypt_sharded(std::span<const std::uint8_t> cipher, const core::
     throw std::invalid_argument(
         "hhea_decrypt_sharded: trailing ciphertext blocks after message end");
   }
+  const std::vector<core::detail::PairCtx> ctx = detail::fixed_range_ctx(key);
   if (params.policy == FramePolicy::framed) {
     // Frame-aligned shard starts are byte-aligned: write slices directly.
     exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
       const ShardRange& r = ranges[s];
-      const std::size_t byte_begin = static_cast<std::size_t>(r.bit_begin / 8);
-      const std::size_t byte_len = static_cast<std::size_t>((r.n_bits + 7) / 8);
-      extract_range_into(cipher, r, key, params, out.subspan(byte_begin, byte_len));
+      core::detail::extract_shard(cipher, r, ctx, params,
+                                  out.subspan(static_cast<std::size_t>(r.bit_begin / 8),
+                                              static_cast<std::size_t>((r.n_bits + 7) / 8)));
     });
     return;
   }
@@ -405,7 +268,8 @@ void run_hhea_decrypt_sharded(std::span<const std::uint8_t> cipher, const core::
   // spliced in order into the caller's storage.
   std::vector<std::vector<std::uint8_t>> parts(ranges.size());
   exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-    parts[s] = extract_range(cipher, ranges[s], key, params);
+    parts[s].resize(static_cast<std::size_t>((ranges[s].n_bits + 7) / 8));
+    core::detail::extract_shard(cipher, ranges[s], ctx, params, parts[s]);
   });
   util::SpanBitWriter sink(out.first(msg_bytes));
   for (std::size_t s = 0; s < ranges.size(); ++s) {
@@ -415,6 +279,16 @@ void run_hhea_decrypt_sharded(std::span<const std::uint8_t> cipher, const core::
 }
 
 }  // namespace
+
+std::vector<core::detail::PairCtx> detail::fixed_range_ctx(const core::Key& key) {
+  std::vector<core::detail::PairCtx> ctx(static_cast<std::size_t>(key.size()));
+  for (std::size_t i = 0; i < ctx.size(); ++i) {
+    const core::KeyPair& p = key.pair(static_cast<int>(i));
+    ctx[i].pair = p;
+    ctx[i].range.fill({p.lo(), static_cast<std::uint8_t>(p.span() + 1)});
+  }
+  return ctx;
+}
 
 std::uint64_t hhea_cipher_bytes(const core::Key& key, std::uint64_t msg_bits,
                                 BlockParams params) {
@@ -428,22 +302,8 @@ std::uint64_t hhea_cipher_bytes(const detail::WidthCycle& wc, std::uint64_t msg_
   if (msg_bits == 0) return 0;
   const auto bb = static_cast<std::uint64_t>(params.block_bytes());
   if (params.policy != FramePolicy::framed) return wc.blocks_for_bits(msg_bits) * bb;
-  // Framed: one cover-free frame walk over the width cycle (frame budgets
-  // feed back into per-block widths, so there is no closed form).
-  std::uint64_t blocks = 0;
-  std::uint64_t remaining = msg_bits;
   std::size_t pair_idx = 0;
-  int frame_remaining = 0;
-  while (remaining > 0) {
-    if (frame_remaining == 0) frame_remaining = params.frame_budget(remaining);
-    const auto n = static_cast<int>(wc.prefix[pair_idx + 1] - wc.prefix[pair_idx]);
-    if (++pair_idx == wc.L) pair_idx = 0;
-    const int w = std::min(n, frame_remaining);
-    ++blocks;
-    remaining -= static_cast<std::uint64_t>(w);
-    frame_remaining -= w;
-  }
-  return blocks * bb;
+  return framed_blocks(wc, params, msg_bits, pair_idx) * bb;
 }
 
 std::vector<std::uint8_t> hhea_encrypt_sharded(std::span<const std::uint8_t> msg,

@@ -9,9 +9,9 @@
 // the two scrambling steps.
 //
 // The same CoverSource / framing machinery as the core cipher is reused so
-// HHEA and MHHEA are compared on equal footing; like core::Encryptor the
-// hot path moves whole message words per block and both cores are
-// resettable.
+// HHEA and MHHEA are compared on equal footing: the one-shot and sharded
+// paths run the MHHEA walk kernel over fixed-range tables, and both cores
+// are resettable.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
+#include "src/core/walk.hpp"
 #include "src/util/bitstream.hpp"
 #include "src/exec/executor.hpp"
 
@@ -63,6 +64,11 @@ struct WidthCycle {
   }
 };
 
+/// HHEA as the degenerate case of the MHHEA walk kernel (core/walk.hpp):
+/// every scramble-field value maps to the pair's fixed range [K1, K2] and
+/// the data pattern is zero, so the same walks embed and extract HHEA.
+[[nodiscard]] std::vector<core::detail::PairCtx> fixed_range_ctx(const core::Key& key);
+
 }  // namespace detail
 
 /// Streaming HHEA encryptor (API mirrors core::Encryptor).
@@ -88,6 +94,7 @@ class HheaEncryptor {
   core::Key key_;
   std::unique_ptr<core::CoverSource> cover_;
   core::BlockParams params_;
+  std::vector<core::detail::PairCtx> ctx_;  // the one-shot walk's tables
   std::vector<std::uint64_t> blocks_;
   std::uint64_t block_index_ = 0;
   std::size_t pair_idx_ = 0;
@@ -121,6 +128,7 @@ class HheaDecryptor {
  private:
   core::Key key_;
   core::BlockParams params_;
+  std::vector<core::detail::PairCtx> ctx_;  // the one-shot walk's tables
   std::uint64_t total_bits_;
   std::uint64_t recovered_ = 0;
   std::uint64_t block_index_ = 0;

@@ -67,12 +67,13 @@ void Session::skip_to_nonce(std::uint64_t nonce) {
 }
 
 std::vector<std::uint8_t> Session::seal(std::span<const std::uint8_t> msg) {
-  require_nonce_available();
-  std::vector<std::uint8_t> out(cipher_.sealed_v2_size(msg.size(), next_nonce_));
-  const std::size_t n = cipher_.seal_v2_into(msg, next_nonce_, out);
-  out.resize(n);
-  ++next_nonce_;
-  return out;
+  // One walk: seal into the reusable scratch sized by the cheap bound, then
+  // hand back exactly the written bytes (sizing the result with
+  // sealed_v2_size would walk the cover a second time).
+  const std::size_t bound = max_sealed_size(msg.size());
+  if (seal_buf_.size() < bound) seal_buf_.resize(bound);
+  const std::size_t n = seal_into(msg, seal_buf_);
+  return {seal_buf_.begin(), seal_buf_.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
 std::size_t Session::seal_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out) {

@@ -151,7 +151,8 @@ class Session {
   void commit_replay(std::uint64_t nonce);
 
   MhheaCipher cipher_;
-  std::uint64_t next_nonce_ = 0;  // seal-side counter
+  std::vector<std::uint8_t> seal_buf_;  // seal()'s container scratch (ciphertext only)
+  std::uint64_t next_nonce_ = 0;        // seal-side counter
   // Open-side window: bit i of seen_ covers nonce highest_ - i.
   std::uint64_t highest_ = 0;
   std::uint64_t seen_ = 0;

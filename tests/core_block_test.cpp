@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/key.hpp"
+#include "src/core/walk.hpp"
 #include "src/util/rng.hpp"
 
 namespace mhhea::core {
@@ -155,6 +157,51 @@ TEST(EmbedExtract, GeneralizedVectors) {
       const std::uint64_t ct = embed_bits(v, r, pair, msg, w, params);
       EXPECT_EQ(ct >> params.half(), v >> params.half());
       EXPECT_EQ(extract_bits(ct, scramble_range(ct, pair, params), pair, w, params), msg);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The hot loops' per-key range table (walk.hpp) against scramble_range,
+// which stays the normative reference.
+
+TEST(RangeTable, MatchesScrambleRangeForEveryPairFieldAndRandomVectors) {
+  util::Xoshiro256 rng(0x7AB1E);
+  for (const int n : {16, 32, 64}) {
+    const BlockParams params{n, FramePolicy::framed};
+    const int h = params.half();
+    const int lb = params.loc_bits();
+    const auto lookup = [&](const detail::PairCtx& pc, std::uint64_t v) {
+      return detail::with_width(n, [&]<int N>() { return detail::range_of<N>(pc, v); });
+    };
+    const auto same = [](const detail::RangeEntry& e, const ScrambledRange& ref) {
+      return e.kn1 == ref.kn1 && e.kn1 + e.width - 1 == ref.kn2;
+    };
+    for (int a = 0; a <= params.max_key_value(); ++a) {
+      for (int b = 0; b <= params.max_key_value(); ++b) {
+        const KeyPair pair{static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b)};
+        const Key key({pair}, params);
+        const std::vector<detail::PairCtx> ctx = detail::make_pair_ctx(key, params);
+        const detail::PairCtx& pc = ctx[0];
+        for (int field = 0; field < h; ++field) {
+          // A vector whose scramble field reads `field`: bit j of the field
+          // sits at V[(K1 + j) mod H + H]; every other bit random.
+          std::uint64_t v = rng.next() & util::mask64(n);
+          for (int j = 0; j < lb; ++j) {
+            v = util::set_bit(v, (pair.lo() + j) % h + h, util::get_bit(field, j) != 0);
+          }
+          const ScrambledRange ref = scramble_range(v, pair, params);
+          ASSERT_TRUE(same(pc.range[static_cast<std::size_t>(field)], ref))
+              << "N=" << n << " pair=" << a << "-" << b << " field=" << field;
+          ASSERT_TRUE(same(lookup(pc, v), ref))
+              << "N=" << n << " pair=" << a << "-" << b << " v=" << v;
+        }
+        for (int i = 0; i < 64; ++i) {
+          const std::uint64_t v = rng.next() & util::mask64(n);
+          ASSERT_TRUE(same(lookup(pc, v), scramble_range(v, pair, params)))
+              << "N=" << n << " pair=" << a << "-" << b << " v=" << v;
+        }
+      }
     }
   }
 }

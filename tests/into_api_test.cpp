@@ -256,8 +256,10 @@ TEST_P(ShardedIntoPolicy, CoreShardedIntoMatchesSequential) {
   const core::Key key = core::Key::random(rng, 8, params);
   const core::LfsrCover cover(params.vector_bits, 0xACE1);
   exec::Executor pool(4);
-  for (const std::size_t len : {std::size_t{0}, std::size_t{3}, std::size_t{257},
-                                std::size_t{5000}, std::size_t{16384}}) {
+  // 1 and 17 bytes end in a short final frame under every framed width.
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                std::size_t{17}, std::size_t{257}, std::size_t{5000},
+                                std::size_t{16384}}) {
     const auto msg = random_message(rng, len);
     const auto expected = core::encrypt(msg, key, 0xACE1, params);
     for (const int shards : {2, 4, 8}) {
@@ -266,6 +268,11 @@ TEST_P(ShardedIntoPolicy, CoreShardedIntoMatchesSequential) {
           core::encrypt_sharded_into(msg, key, cover, shards, &pool, ct, params);
       ASSERT_EQ(n, expected.size()) << "len=" << len << " shards=" << shards;
       ASSERT_TRUE(std::equal(expected.begin(), expected.end(), ct.begin()))
+          << "len=" << len << " shards=" << shards;
+      // Covers are generated straight into `ct`: nothing past the exact
+      // ciphertext end may be touched.
+      EXPECT_TRUE(std::all_of(ct.begin() + static_cast<std::ptrdiff_t>(n), ct.end(),
+                              [](std::uint8_t b) { return b == 0xEE; }))
           << "len=" << len << " shards=" << shards;
       std::vector<std::uint8_t> back(len, 0xEE);
       ASSERT_EQ(core::decrypt_sharded_into(expected, key, len, shards, &pool, back, params),
@@ -291,6 +298,8 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, ShardedIntoPolicy,
     ::testing::Values(core::BlockParams::paper(), core::BlockParams::hardware(),
                       core::BlockParams{32, core::FramePolicy::continuous},
+                      core::BlockParams{32, core::FramePolicy::framed},
+                      core::BlockParams{64, core::FramePolicy::continuous},
                       core::BlockParams{64, core::FramePolicy::framed}),
     [](const auto& info) {
       return std::string(info.param.policy == core::FramePolicy::framed ? "framed"

@@ -144,6 +144,29 @@ TEST(Session, SealIntoOpenIntoSpanForms) {
   EXPECT_EQ(sealer.next_nonce(), before);
 }
 
+TEST(Session, SealMatchesSealIntoAndAdvancesTheNonceOnce) {
+  // seal() seals through a reusable scratch buffer and returns exactly the
+  // written bytes: the same container seal_into() writes, one nonce each.
+  Session by_vector = make_pair_session();
+  Session by_span = make_pair_session();
+  by_vector.set_compression(compress::Method::lzss);
+  by_span.set_compression(compress::Method::lzss);
+  util::Xoshiro256 rng(0x5EA1);
+  std::string text;
+  while (text.size() < 3000) text += "GET /index.html 200 ";
+  for (const auto& msg : {random_message(rng, 0), random_message(rng, 1),
+                          random_message(rng, 4096), bytes_of(text),
+                          random_message(rng, 17)}) {
+    const std::uint64_t before = by_vector.next_nonce();
+    const auto sealed = by_vector.seal(msg);
+    EXPECT_EQ(by_vector.next_nonce(), before + 1);
+    std::vector<std::uint8_t> buf(by_span.max_sealed_size(msg.size()));
+    const std::size_t n = by_span.seal_into(msg, buf);
+    ASSERT_EQ(sealed.size(), n) << msg.size();
+    EXPECT_TRUE(std::equal(sealed.begin(), sealed.end(), buf.begin())) << msg.size();
+  }
+}
+
 TEST(Session, RejectsReplayedNonce) {
   Session sealer = make_pair_session();
   Session opener = make_pair_session();
