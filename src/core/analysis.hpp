@@ -1,9 +1,9 @@
 // Analytical model of MHHEA's rate and location statistics.
 //
-// Used by the benchmark harness to predict throughput (Table 1) and by the
-// security experiments to quantify how well the location scrambling spreads
-// the hidden bits (the property that defeats the constant chosen-plaintext
-// attack, §II/§VI).
+// MhheaCipher reports its expected expansion from it (Table 1's rate
+// model), and the location statistics quantify how well the location
+// scrambling spreads the hidden bits (the property that defeats the
+// constant chosen-plaintext attack, §II/§VI).
 #pragma once
 
 #include <array>
@@ -32,7 +32,7 @@ namespace mhhea::core {
 /// Probability that location j (0 <= j < N/2) is replaced by a message bit,
 /// for one key pair under a uniform scramble field. The flatter this
 /// distribution, the less a ciphertext-only attacker learns (HHEA without
-/// scrambling concentrates all mass on [K1, K2] — see src/attack).
+/// scrambling concentrates all mass on [K1, K2]).
 [[nodiscard]] std::vector<double> location_replacement_probability(
     const KeyPair& pair, const BlockParams& params = BlockParams::paper());
 

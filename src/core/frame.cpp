@@ -126,12 +126,10 @@ FrameHeader frame_decode(std::span<const std::uint8_t> framed,
 
 std::vector<std::uint8_t> seal(std::span<const std::uint8_t> msg, const Key& key,
                                std::uint64_t seed, BlockParams params) {
-  Encryptor enc(key, make_lfsr_cover(params.vector_bits, seed), params);
-  enc.feed(msg);
   FrameHeader h;
   h.params = params;
-  h.message_bits = enc.message_bits();
-  return frame_encode(h, enc.cipher_bytes());
+  h.message_bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  return frame_encode(h, encrypt(msg, key, seed, params));
 }
 
 std::vector<std::uint8_t> open(std::span<const std::uint8_t> framed, const Key& key) {
@@ -140,11 +138,10 @@ std::vector<std::uint8_t> open(std::span<const std::uint8_t> framed, const Key& 
   if (h.version != 1) {
     throw std::invalid_argument("frame: v2 container requires authenticated open");
   }
-  Decryptor dec(key, h.message_bits, h.params);
-  dec.feed_bytes(payload);
-  if (!dec.done()) throw std::invalid_argument("frame: truncated ciphertext");
-  std::vector<std::uint8_t> msg = dec.message();
-  msg.resize(static_cast<std::size_t>((h.message_bits + 7) / 8));
+  // frame_decode bounds message_bits by the payload, so this allocation is
+  // too; the length need not be a whole number of bytes.
+  std::vector<std::uint8_t> msg(static_cast<std::size_t>((h.message_bits + 7) / 8));
+  (void)Decryptor(key, 0, h.params).decrypt_into(payload, h.message_bits, msg);
   return msg;
 }
 

@@ -117,11 +117,11 @@ void extract_shard(std::span<const std::uint8_t> cipher, const ShardRange& r,
 
 }  // namespace detail
 
-/// Sharded one-shot encryption, bit-identical to core::encrypt (and to
-/// Encryptor fed in one shot) for every shard count. `cover` is a prototype
-/// the walks derive their own covers from via clone() + reset() (+
-/// skip_blocks for continuous-policy workers), so the source must be
-/// clonable and resettable (LfsrCover and BufferCover are).
+/// Sharded one-shot encryption, bit-identical to Encryptor::encrypt_into
+/// for every shard count (core::encrypt is its single-shard LFSR case).
+/// `cover` is a prototype the walks derive their own covers from via
+/// clone() + reset() (+ skip_blocks for continuous-policy workers), so the
+/// source must be clonable and resettable (LfsrCover and BufferCover are).
 /// `ex` may be null — shards then run inline on the calling thread, same
 /// bytes, no parallelism. `n_shards` >= 1; the planner may use fewer shards
 /// than requested on short messages.

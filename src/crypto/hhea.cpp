@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "src/core/shard.hpp"
-#include "src/util/bits.hpp"
+#include "src/util/bitstream.hpp"
 
 namespace mhhea::crypto {
 
@@ -14,125 +14,34 @@ using core::FramePolicy;
 
 HheaEncryptor::HheaEncryptor(core::Key key, std::unique_ptr<core::CoverSource> cover,
                              BlockParams params)
-    : key_(std::move(key)), cover_(std::move(cover)), params_(params) {
+    : cover_(std::move(cover)), params_(params) {
   params_.validate();
   if (cover_ == nullptr) throw std::invalid_argument("HheaEncryptor: null cover source");
-  key_.require_fits(params_, "HheaEncryptor");
-  ctx_ = detail::fixed_range_ctx(key_);
-}
-
-void HheaEncryptor::feed(std::span<const std::uint8_t> msg) {
-  util::BitReader reader(msg);
-  std::size_t remaining = reader.size_bits();
-  const bool framed = params_.policy == FramePolicy::framed;
-  const auto n_pairs = static_cast<std::size_t>(key_.size());
-  blocks_.reserve(blocks_.size() + remaining / 3 + 4);
-  while (remaining > 0) {
-    if (framed && frame_remaining_ == 0) {
-      frame_remaining_ = params_.frame_budget(remaining);
-    }
-    const std::uint64_t v = cover_->next_block(params_.vector_bits);
-    const core::KeyPair& pair = key_.pair(static_cast<int>(pair_idx_));
-    if (++pair_idx_ == n_pairs) pair_idx_ = 0;
-    const std::size_t cap = framed ? static_cast<std::size_t>(frame_remaining_) : remaining;
-    const int n = pair.span() + 1;  // fixed, unscrambled range width
-    const int w = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(n), cap));
-    // Whole-word embed at the fixed location — no data XOR in HHEA.
-    blocks_.push_back(util::deposit(v, pair.lo() + w - 1, pair.lo(), reader.read_bits(w)));
-    ++block_index_;
-    msg_bits_ += static_cast<std::uint64_t>(w);
-    remaining -= static_cast<std::size_t>(w);
-    if (framed) frame_remaining_ -= w;
-  }
+  key.require_fits(params_, "HheaEncryptor");
+  ctx_ = detail::fixed_range_ctx(key);
 }
 
 std::size_t HheaEncryptor::encrypt_into(std::span<const std::uint8_t> msg,
                                         std::span<std::uint8_t> out) {
   reset();
   std::array<std::uint64_t, core::detail::kShardFetchChunk> covers;
-  const std::size_t n = core::detail::embed_message(ctx_, params_, *cover_, covers, msg, out,
-                                                    "HheaEncryptor::encrypt_into");
-  // Rewind the cover so the core sits in the full reset state again.
-  cover_->reset();
-  return n;
+  return core::detail::embed_message(ctx_, params_, *cover_, covers, msg, out,
+                                     "HheaEncryptor::encrypt_into");
 }
 
-void HheaEncryptor::reset() {
-  cover_->reset();
-  blocks_.clear();
-  block_index_ = 0;
-  pair_idx_ = 0;
-  msg_bits_ = 0;
-  frame_remaining_ = 0;
-}
+void HheaEncryptor::reset() { cover_->reset(); }
 
-std::vector<std::uint8_t> HheaEncryptor::cipher_bytes() const {
-  const int bb = params_.block_bytes();
-  std::vector<std::uint8_t> out(blocks_.size() * static_cast<std::size_t>(bb));
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    util::store_le(out.data() + i * static_cast<std::size_t>(bb), blocks_[i], bb);
-  }
-  return out;
-}
-
-HheaDecryptor::HheaDecryptor(core::Key key, std::uint64_t message_bits, BlockParams params)
-    : key_(std::move(key)), params_(params), total_bits_(message_bits) {
+HheaDecryptor::HheaDecryptor(core::Key key, BlockParams params) : params_(params) {
   params_.validate();
-  key_.require_fits(params_, "HheaDecryptor");
-  ctx_ = detail::fixed_range_ctx(key_);
-  out_.reserve_bits(message_bits);
-}
-
-int HheaDecryptor::feed_block(std::uint64_t block) {
-  if (done()) return 0;
-  const bool framed = params_.policy == FramePolicy::framed;
-  if (framed && frame_remaining_ == 0) {
-    frame_remaining_ = params_.frame_budget(total_bits_ - recovered_);
-  }
-  const core::KeyPair& pair = key_.pair(static_cast<int>(pair_idx_));
-  if (++pair_idx_ == static_cast<std::size_t>(key_.size())) pair_idx_ = 0;
-  const std::uint64_t cap = framed ? static_cast<std::uint64_t>(frame_remaining_)
-                                   : total_bits_ - recovered_;
-  const int n = pair.span() + 1;
-  const int w =
-      static_cast<int>(std::min<std::uint64_t>(static_cast<std::uint64_t>(n), cap));
-  out_.write_bits(block >> pair.lo(), w);  // write_bits keeps the low w bits
-  recovered_ += static_cast<std::uint64_t>(w);
-  ++block_index_;
-  if (framed) frame_remaining_ -= w;
-  return w;
-}
-
-void HheaDecryptor::feed_bytes(std::span<const std::uint8_t> cipher) {
-  const auto bb = static_cast<std::size_t>(params_.block_bytes());
-  if (cipher.size() % bb != 0) {
-    throw std::invalid_argument("HheaDecryptor: ciphertext not block-aligned");
-  }
-  for (std::size_t i = 0; i < cipher.size(); i += bb) {
-    if (done()) {
-      throw std::invalid_argument(
-          "HheaDecryptor: trailing ciphertext blocks after message end");
-    }
-    feed_block(util::load_le(cipher.data() + i, static_cast<int>(bb)));
-  }
+  key.require_fits(params_, "HheaDecryptor");
+  ctx_ = detail::fixed_range_ctx(key);
 }
 
 std::size_t HheaDecryptor::decrypt_into(std::span<const std::uint8_t> cipher,
                                         std::uint64_t message_bits,
-                                        std::span<std::uint8_t> out) {
-  reset(message_bits);
+                                        std::span<std::uint8_t> out) const {
   return core::detail::extract_message(ctx_, params_, cipher, message_bits, out,
                                        "HheaDecryptor::decrypt_into");
-}
-
-void HheaDecryptor::reset(std::uint64_t message_bits) {
-  total_bits_ = message_bits;
-  recovered_ = 0;
-  block_index_ = 0;
-  pair_idx_ = 0;
-  frame_remaining_ = 0;
-  out_.clear();
-  out_.reserve_bits(message_bits);
 }
 
 namespace {
@@ -212,20 +121,6 @@ std::vector<ShardRange> plan_shards(const WidthCycle& wc, const BlockParams& par
   *total_blocks =
       ranges.empty() ? 0 : ranges.back().block_begin + ranges.back().max_blocks;
   return ranges;
-}
-
-/// Run the planned embed workers into `out` (presized by the caller to the
-/// plan's total_blocks). Shared by the allocating and `_into` encrypt forms
-/// so each plans exactly once.
-void run_hhea_encrypt_ranges(const std::vector<ShardRange>& ranges,
-                             std::span<const std::uint8_t> msg, const core::Key& key,
-                             const core::CoverSource& cover, exec::Executor* ex,
-                             const BlockParams& params, std::uint8_t* out) {
-  const std::vector<core::detail::PairCtx> ctx = detail::fixed_range_ctx(key);
-  exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-    (void)core::detail::encrypt_shard(ranges[s], msg, ctx, cover, params, out,
-                                      ranges[s].max_blocks);
-  });
 }
 
 /// Shared body of the sharded decrypt forms: plan, strict length validation,
@@ -311,22 +206,9 @@ std::vector<std::uint8_t> hhea_encrypt_sharded(std::span<const std::uint8_t> msg
                                                const core::CoverSource& cover, int n_shards,
                                                exec::Executor* ex, BlockParams params) {
   core::detail::validate_sharded(key, n_shards, params, "hhea_encrypt_sharded");
-  if (msg.empty()) return {};
-  if (n_shards == 1) {
-    auto c = cover.clone();
-    c->reset();
-    HheaEncryptor enc(key, std::move(c), params);
-    enc.feed(msg);
-    return enc.cipher_bytes();
-  }
-  const WidthCycle wc(key);
-  const auto total_bits = static_cast<std::uint64_t>(msg.size()) * 8;
-  std::uint64_t total_blocks = 0;
-  const std::vector<ShardRange> ranges =
-      plan_shards(wc, params, total_bits, static_cast<std::size_t>(n_shards), &total_blocks);
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(total_blocks) *
-                                static_cast<std::size_t>(params.block_bytes()));
-  run_hhea_encrypt_ranges(ranges, msg, key, cover, ex, params, out.data());
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(
+      hhea_cipher_bytes(key, static_cast<std::uint64_t>(msg.size()) * 8, params)));
+  (void)hhea_encrypt_sharded_into(msg, key, cover, n_shards, ex, out, params);
   return out;
 }
 
@@ -352,7 +234,11 @@ std::size_t hhea_encrypt_sharded_into(std::span<const std::uint8_t> msg,
   if (out.size() < need) {
     throw std::length_error("hhea_encrypt_sharded_into: output buffer too small");
   }
-  run_hhea_encrypt_ranges(ranges, msg, key, cover, ex, params, out.data());
+  const std::vector<core::detail::PairCtx> ctx = detail::fixed_range_ctx(key);
+  exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
+    (void)core::detail::encrypt_shard(ranges[s], msg, ctx, cover, params, out.data(),
+                                      ranges[s].max_blocks);
+  });
   return need;
 }
 
@@ -376,8 +262,8 @@ std::size_t hhea_decrypt_sharded_into(std::span<const std::uint8_t> cipher,
     throw std::length_error("hhea_decrypt_sharded_into: output buffer too small");
   }
   if (n_shards == 1) {
-    HheaDecryptor dec(key, static_cast<std::uint64_t>(msg_bytes) * 8, params);
-    return dec.decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
+    return HheaDecryptor(key, params)
+        .decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
   }
   run_hhea_decrypt_sharded(cipher, key, msg_bytes, n_shards, ex, out, params);
   return msg_bytes;
@@ -386,21 +272,16 @@ std::size_t hhea_decrypt_sharded_into(std::span<const std::uint8_t> cipher,
 std::vector<std::uint8_t> hhea_encrypt(std::span<const std::uint8_t> msg,
                                        const core::Key& key, std::uint64_t seed,
                                        BlockParams params) {
-  HheaEncryptor enc(key, core::make_lfsr_cover(params.vector_bits, seed), params);
-  enc.feed(msg);
-  return enc.cipher_bytes();
+  return hhea_encrypt_sharded(msg, key, core::LfsrCover(params.vector_bits, seed), 1, nullptr,
+                              params);
 }
 
 std::vector<std::uint8_t> hhea_decrypt(std::span<const std::uint8_t> cipher,
                                        const core::Key& key, std::size_t msg_bytes,
                                        BlockParams params) {
-  HheaDecryptor dec(key, static_cast<std::uint64_t>(msg_bytes) * 8, params);
-  dec.feed_bytes(cipher);
-  if (!dec.done()) {
-    throw std::invalid_argument("hhea_decrypt: ciphertext too short for message length");
-  }
-  auto msg = dec.message();
-  msg.resize(msg_bytes);
+  std::vector<std::uint8_t> msg(msg_bytes);
+  (void)HheaDecryptor(key, params)
+      .decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, msg);
   return msg;
 }
 

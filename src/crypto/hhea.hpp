@@ -3,15 +3,16 @@
 //
 // HHEA hides message bits at FIXED key locations: block i uses pair
 // (K1, K2) = key[i mod L] and writes message bits directly (no XOR) into
-// V[K1 .. K2]. There is no location scrambling and no data scrambling —
-// which is exactly why a constant chosen-plaintext attack recovers the key
-// locations (demonstrated in src/attack/cpa.hpp) and why the paper added
-// the two scrambling steps.
+// V[K1 .. K2]. There is no location scrambling and no data scrambling, so
+// every ciphertext bit outside the key ranges is the cover's own bit and a
+// constant plaintext shows up verbatim at the key locations (the
+// Hhea.LocationsAreFixedPerPair / NoDataScrambling tests pin both) — which
+// is why the paper added the two scrambling steps.
 //
 // The same CoverSource / framing machinery as the core cipher is reused so
-// HHEA and MHHEA are compared on equal footing: the one-shot and sharded
-// paths run the MHHEA walk kernel over fixed-range tables, and both cores
-// are resettable.
+// HHEA and MHHEA are compared on equal footing: every encrypt and decrypt
+// runs the MHHEA walk kernel over fixed-range tables, and both cores are
+// reusable across messages.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
 #include "src/core/walk.hpp"
-#include "src/util/bitstream.hpp"
 #include "src/exec/executor.hpp"
 
 namespace mhhea::crypto {
@@ -71,70 +71,43 @@ struct WidthCycle {
 
 }  // namespace detail
 
-/// Streaming HHEA encryptor (API mirrors core::Encryptor).
+/// Whole-message HHEA encryptor (API mirrors core::Encryptor).
 class HheaEncryptor {
  public:
   HheaEncryptor(core::Key key, std::unique_ptr<core::CoverSource> cover,
                 core::BlockParams params = core::BlockParams::paper());
 
-  void feed(std::span<const std::uint8_t> msg);
-  /// One-shot fast path: encrypt the whole of `msg` straight into the
-  /// caller's buffer (no internal block storage, zero heap allocations) and
-  /// return the ciphertext bytes written. Byte-identical to
-  /// reset()+feed(msg) -> cipher_bytes(). Throws std::length_error when
+  /// Encrypt the whole of `msg` straight into the caller's buffer (zero
+  /// heap allocations) and return the ciphertext bytes written —
+  /// hhea_cipher_bytes of its bit length. Throws std::length_error when
   /// `out` is too small (partial contents unspecified). Implies reset().
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
-  /// Start a new message; requires a resettable cover source.
+  /// Rewind the cover source; requires a resettable cover.
   void reset();
-  [[nodiscard]] std::uint64_t message_bits() const noexcept { return msg_bits_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& blocks() const noexcept { return blocks_; }
-  [[nodiscard]] std::vector<std::uint8_t> cipher_bytes() const;
 
  private:
-  core::Key key_;
   std::unique_ptr<core::CoverSource> cover_;
   core::BlockParams params_;
-  std::vector<core::detail::PairCtx> ctx_;  // the one-shot walk's tables
-  std::vector<std::uint64_t> blocks_;
-  std::uint64_t block_index_ = 0;
-  std::size_t pair_idx_ = 0;
-  std::uint64_t msg_bits_ = 0;
-  int frame_remaining_ = 0;
+  std::vector<core::detail::PairCtx> ctx_;  // the walk's fixed-range tables
 };
 
-/// Streaming HHEA decryptor.
+/// Whole-message HHEA decryptor (API mirrors core::Decryptor, minus its
+/// unused length argument).
 class HheaDecryptor {
  public:
-  HheaDecryptor(core::Key key, std::uint64_t message_bits,
-                core::BlockParams params = core::BlockParams::paper());
+  explicit HheaDecryptor(core::Key key, core::BlockParams params = core::BlockParams::paper());
 
-  int feed_block(std::uint64_t block);
-  /// Consume serialized blocks; throws std::invalid_argument on unconsumed
-  /// trailing blocks once the message is complete.
-  void feed_bytes(std::span<const std::uint8_t> cipher);
-  /// One-shot fast path: decrypt the whole ciphertext of a
-  /// `message_bits`-bit message into the caller's buffer (zero-padded to
-  /// whole bytes, ceil(message_bits/8) bytes written — the return value).
-  /// Strict like feed_bytes plus completeness: std::invalid_argument on
+  /// Decrypt the whole ciphertext of a `message_bits`-bit message into the
+  /// caller's buffer (zero-padded to whole bytes, ceil(message_bits/8)
+  /// bytes written — the return value). Strict: std::invalid_argument on
   /// misaligned, truncated or trailing ciphertext; std::length_error when
-  /// `out` is too small. Zero heap allocations; implies reset(message_bits).
+  /// `out` is too small. Zero heap allocations.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
-                           std::span<std::uint8_t> out);
-  /// Start over, expecting a `message_bits`-bit message.
-  void reset(std::uint64_t message_bits);
-  [[nodiscard]] bool done() const noexcept { return recovered_ == total_bits_; }
-  [[nodiscard]] std::vector<std::uint8_t> message() const { return out_.bytes(); }
+                           std::span<std::uint8_t> out) const;
 
  private:
-  core::Key key_;
   core::BlockParams params_;
-  std::vector<core::detail::PairCtx> ctx_;  // the one-shot walk's tables
-  std::uint64_t total_bits_;
-  std::uint64_t recovered_ = 0;
-  std::uint64_t block_index_ = 0;
-  std::size_t pair_idx_ = 0;
-  int frame_remaining_ = 0;
-  util::BitWriter out_;
+  std::vector<core::detail::PairCtx> ctx_;  // the walk's fixed-range tables
 };
 
 /// Exact ciphertext bytes for an `msg_bits`-bit message: HHEA block widths
@@ -152,7 +125,9 @@ class HheaDecryptor {
                                               std::uint64_t msg_bits,
                                               const core::BlockParams& params);
 
-/// One-shot helpers with an LFSR cover (seed = nonce), like core::encrypt.
+/// One-shot helpers with an LFSR cover (seed = nonce), like core::encrypt:
+/// hhea_encrypt is the single-shard hhea_encrypt_sharded, hhea_decrypt the
+/// allocating form of HheaDecryptor::decrypt_into.
 [[nodiscard]] std::vector<std::uint8_t> hhea_encrypt(
     std::span<const std::uint8_t> msg, const core::Key& key, std::uint64_t seed,
     core::BlockParams params = core::BlockParams::paper());
@@ -169,9 +144,10 @@ class HheaDecryptor {
 // each clones `cover`, jumps to its block range (Lfsr::jump underneath) and
 // embeds/extracts its own slice.
 
-/// Sharded one-shot encryption, bit-identical to HheaEncryptor fed in one
-/// shot. `cover` is a clonable, resettable prototype; `ex` may be null
-/// (shards run inline). n_shards >= 1.
+/// Sharded one-shot encryption, bit-identical to HheaEncryptor::encrypt_into
+/// for every shard count: the output is sized by hhea_cipher_bytes and
+/// filled by hhea_encrypt_sharded_into. `cover` is a clonable, resettable
+/// prototype; `ex` may be null (shards run inline). n_shards >= 1.
 [[nodiscard]] std::vector<std::uint8_t> hhea_encrypt_sharded(
     std::span<const std::uint8_t> msg, const core::Key& key,
     const core::CoverSource& cover, int n_shards, exec::Executor* ex,

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/core/cover.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea::crypto {
 
@@ -14,10 +13,10 @@ HheaCipher::HheaCipher(core::Key key, std::uint64_t seed, core::BlockParams para
     : key_(std::move(key)),
       seed_(seed),
       params_(params),
-      shards_(util::resolve_parallelism(shards, "HheaCipher")),
+      shards_(exec::resolve_parallelism(shards, "HheaCipher")),
       wc_(key_),
       enc_(key_, core::make_lfsr_cover(params_.vector_bits, seed_), params_),
-      dec_(key_, 0, params_) {
+      dec_(key_, params_) {
   double mean_bits = 0.0;
   for (const auto& p : key_.pairs()) mean_bits += static_cast<double>(p.span() + 1);
   mean_bits /= static_cast<double>(key_.size());
@@ -25,7 +24,7 @@ HheaCipher::HheaCipher(core::Key key, std::uint64_t seed, core::BlockParams para
   // Worker budget clamped to hardware concurrency; a single resolved worker
   // means no executor handle and the sequential cores run inline (see
   // MhheaCipher). Constructing an adapter never spawns threads.
-  workers_ = std::min(shards_, util::resolve_parallelism(0, "HheaCipher"));
+  workers_ = std::min(shards_, exec::resolve_parallelism(0, "HheaCipher"));
   if (shards_ > 1 && workers_ > 1) {
     cover_proto_ = core::make_lfsr_cover(params_.vector_bits, seed_);
     // Warm the LFSR's lazily built leap tables and jump matrix once, so

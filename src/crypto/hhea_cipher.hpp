@@ -64,7 +64,7 @@ class HheaCipher final : public Cipher {
   int shards_;
   detail::WidthCycle wc_;  // key's width cycle, built once for size queries
   HheaEncryptor enc_;  // reusable core, reset per encrypt()
-  HheaDecryptor dec_;  // reusable core, reset per decrypt()
+  HheaDecryptor dec_;  // reusable core, shared by every decrypt()
   double expansion_;
   // Sharded-mode state (null when the shard clamp resolves to 1).
   std::unique_ptr<core::CoverSource> cover_proto_;

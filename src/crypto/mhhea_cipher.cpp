@@ -9,7 +9,6 @@
 #include "src/core/frame.hpp"
 #include "src/core/shard.hpp"
 #include "src/util/secret.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea::crypto {
 
@@ -53,7 +52,7 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
       seed_(seed),
       params_(params),
       framing_(framing),
-      shards_(util::resolve_parallelism(shards, "MhheaCipher")),
+      shards_(exec::resolve_parallelism(shards, "MhheaCipher")),
       sched_(schedule),
       // Core construction validates params, seed and key-vs-params eagerly.
       // sealed_v2 seeds the cover for nonce 0 from the schedule (cur_nonce_
@@ -72,7 +71,7 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
   // clamp resolves to a single worker no executor handle exists at all and
   // every message runs the sequential resettable cores inline. Fan-out goes
   // to the process-wide executor, so constructing a cipher spawns nothing.
-  workers_ = std::min(shards_, util::resolve_parallelism(0, "MhheaCipher"));
+  workers_ = std::min(shards_, exec::resolve_parallelism(0, "MhheaCipher"));
   if (shards_ > 1 && workers_ > 1) {
     cover_proto_ = core::make_lfsr_cover(
         params_.vector_bits, framing_ == Framing::sealed_v2 ? v2_cover_seed(0) : seed_);

@@ -5,8 +5,8 @@
 // One adapter instance = one (key, nonce, params, framing) configuration.
 // The instance keeps one resettable Encryptor/Decryptor core and rewinds it
 // per call instead of constructing a fresh engine each time — per-message
-// setup (cover construction, key-pattern caches, LFSR leap tables, block
-// storage) is paid once. Calls remain deterministic and independent: the
+// setup (cover construction, key range tables, LFSR leap tables, the cover
+// prefetch buffer) is paid once. Calls remain deterministic and independent: the
 // cover source is re-seeded on every reset, so encrypt() is a pure function
 // of the configuration and the message. The reusable core makes calls
 // STATEFUL internally — share one instance per thread (the batch API
@@ -216,7 +216,7 @@ class MhheaCipher final : public Cipher {
   V2KeySchedule sched_;       // sealed_v2 only; zeroed otherwise
   std::uint64_t cur_nonce_ = 0;  // nonce enc_/cover_proto_ are seeded for
   core::Encryptor enc_;  // reusable core, reset per encrypt()
-  core::Decryptor dec_;  // reusable core, reset per decrypt()
+  core::Decryptor dec_;  // reusable core, shared by every decrypt()
   // Compression pre-stage (sealed_v2 only): the outbound method knob, the
   // lazily built per-method engines (indexed by tag — openers may need any
   // of them), and the grow-only envelope scratch for each direction. The

@@ -1,7 +1,5 @@
 #include "src/crypto/yaea.hpp"
 
-#include "src/util/thread_pool.hpp"
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -137,7 +135,7 @@ void GeffeKeystream::warm() {
 
 Yaea::Yaea(KeyType key, int shards)
     : key_(key),
-      shards_(util::resolve_parallelism(shards, "Yaea")),
+      shards_(exec::resolve_parallelism(shards, "Yaea")),
       // Constructing the prototype validates the seeds eagerly (the registry
       // contract: bad configurations fail at construction, not mid-sweep).
       ks_proto_(key.seed_a, key.seed_b, key.seed_c) {
@@ -146,7 +144,7 @@ Yaea::Yaea(KeyType key, int shards)
   // across more workers than cores only buys dispatch overhead, and a fan-out
   // of one would always run inline anyway. Work goes to the process-wide
   // executor — constructing a cipher no longer spawns threads.
-  workers_ = std::min(shards_, util::resolve_parallelism(0, "Yaea"));
+  workers_ = std::min(shards_, exec::resolve_parallelism(0, "Yaea"));
   if (shards_ > 1 && workers_ > 1) exec_ = &exec::Executor::shared();
 }
 

@@ -14,9 +14,8 @@
 // Table 1 needs from YAEA: a conventional (non-hiding) stream cipher with a
 // short critical path and small area, hence the highest functional density.
 // Its known weakness (75% correlation of z with both b and c — the classic
-// Geffe correlation attack, implemented in src/attack) stands in for the
-// paper's caveat that "different algorithms have different degrees of
-// security".
+// Geffe correlation attack; not implemented here) stands in for the paper's
+// caveat that "different algorithms have different degrees of security".
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea::exec {
 
@@ -129,7 +128,7 @@ void Executor::worker_loop(std::size_t index) {
 }
 
 Executor& Executor::shared() {
-  static Executor instance(util::resolve_parallelism(0, "Executor::shared"));
+  static Executor instance(resolve_parallelism(0, "Executor::shared"));
   return instance;
 }
 

@@ -1,12 +1,12 @@
 // Persistent work-stealing executor — the one thread home for every
 // concurrent path in the repo.
 //
-// Why it exists: the PR-1 util::ThreadPool was constructed per batch call and
-// per cipher instance, so every fan-out paid thread spawn/join and every
-// small message paid wakeup latency on a cold pool. A long-lived server
-// cannot afford either. The Executor is constructed once (usually the
-// process-wide shared() instance, sized to hardware concurrency) and shared
-// by encrypt_batch, the shard planners and the server's request handlers.
+// Why it exists: a thread pool constructed per batch call or per cipher
+// instance makes every fan-out pay thread spawn/join and every small message
+// pay wakeup latency on a cold pool. A long-lived server cannot afford
+// either. The Executor is constructed once (usually the process-wide
+// shared() instance, sized to hardware concurrency) and shared by
+// encrypt_batch, the shard planners and the server's request handlers.
 //
 // Design:
 //   * per-worker deques + a shared injection queue. A worker pushes its own
@@ -24,9 +24,9 @@
 //   * graceful drain on shutdown: the destructor completes every queued task
 //     before joining — submitted work is never dropped.
 //
-// Submission after shutdown began throws (like ThreadPool); exec::run_indexed
-// catches mid-fan-out submit failures, joins the tasks it already queued
-// (their closures reference the caller's frame) and only then rethrows.
+// Submission after shutdown began throws; exec::run_indexed catches
+// mid-fan-out submit failures, joins the tasks it already queued (their
+// closures reference the caller's frame) and only then rethrows.
 #pragma once
 
 #include <condition_variable>
@@ -37,15 +37,34 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace mhhea::exec {
 
+/// Resolve a user-facing parallelism knob (threads, shards): 0 picks
+/// hardware concurrency, >= 1 is taken as-is. The enforced condition is
+/// >= 1 *after* the 0 resolution, so negative counts throw
+/// std::invalid_argument saying exactly that.
+inline int resolve_parallelism(int n, const char* who) {
+  if (n == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }
+  if (n < 1) {
+    throw std::invalid_argument(std::string(who) +
+                                ": parallelism must resolve to >= 1 (0 picks hardware "
+                                "concurrency; negative counts are invalid)");
+  }
+  return n;
+}
+
 class Executor {
  public:
   /// Spawns `n_workers` persistent workers (>= 1; std::invalid_argument
-  /// otherwise — 0 is NOT resolved here, pass util::resolve_parallelism(0)
+  /// otherwise — 0 is NOT resolved here, pass resolve_parallelism(0)
   /// for hardware concurrency).
   explicit Executor(int n_workers);
 
@@ -179,9 +198,9 @@ class TaskGroup {
 /// Run `task(i)` for every i in [0, n) — fanned out on `ex` when one is
 /// given, inline on the calling thread otherwise (same results, no
 /// parallelism). Blocks until every task finished; the first task exception
-/// is rethrown on the calling thread. Unlike the legacy ThreadPool form this
-/// needs no whole-pool barrier: the group's latch isolates concurrent
-/// callers, so any number of fan-outs share one executor.
+/// is rethrown on the calling thread. No whole-pool barrier is needed: the
+/// group's latch isolates concurrent callers, so any number of fan-outs
+/// share one executor.
 template <typename Task>
 void run_indexed(Executor* ex, std::size_t n, const Task& task) {
   if (n == 0) return;

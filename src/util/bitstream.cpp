@@ -2,94 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "src/util/bits.hpp"
 
 namespace mhhea::util {
-
-bool BitReader::read_bit() noexcept {
-  assert(!eof());
-  const std::size_t byte = pos_ / 8;
-  const int bit = static_cast<int>(pos_ % 8);
-  ++pos_;
-  return ((bytes_[byte] >> bit) & 1u) != 0;
-}
-
-std::uint64_t BitReader::read_bits(int n, int* read) {
-  assert(n >= 0 && n <= 64);
-  const std::size_t avail = remaining_bits();
-  const int take =
-      static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(n), avail));
-  if (read != nullptr) {
-    *read = take;
-  } else if (take < n) {
-    throw std::out_of_range("BitReader::read_bits: fewer bits remain than requested");
-  }
-  // Gather whole bytes: at most ceil((take + 7) / 8) + 1 iterations, instead
-  // of one iteration per bit.
-  std::uint64_t v = 0;
-  int filled = 0;
-  while (filled < take) {
-    const int off = static_cast<int>(pos_ % 8);
-    const int nbits = std::min(8 - off, take - filled);
-    const std::uint64_t chunk =
-        (static_cast<std::uint64_t>(bytes_[pos_ / 8]) >> off) & mask64(nbits);
-    v |= chunk << filled;
-    filled += nbits;
-    pos_ += static_cast<std::size_t>(nbits);
-  }
-  return v;
-}
-
-bool BitReader::peek_bit(std::size_t ahead) const noexcept {
-  const std::size_t p = pos_ + ahead;
-  assert(p < size_bits());
-  return ((bytes_[p / 8] >> (p % 8)) & 1u) != 0;
-}
-
-void BitWriter::write_bit(bool b) {
-  const std::size_t byte = bits_ / 8;
-  const int bit = static_cast<int>(bits_ % 8);
-  if (byte >= out_.size()) out_.push_back(0);
-  if (b) out_[byte] = static_cast<std::uint8_t>(out_[byte] | (1u << bit));
-  ++bits_;
-}
-
-void BitWriter::write_bits(std::uint64_t v, int n) {
-  assert(n >= 0 && n <= 64);
-  v &= mask64(n);  // bits above n are ignored, as in the bit-by-bit form
-  const std::size_t needed = (bits_ + static_cast<std::size_t>(n) + 7) / 8;
-  if (out_.size() < needed) out_.resize(needed, 0);
-  int written = 0;
-  while (written < n) {
-    const int off = static_cast<int>(bits_ % 8);
-    const int nbits = std::min(8 - off, n - written);
-    out_[bits_ / 8] = static_cast<std::uint8_t>(
-        out_[bits_ / 8] | (((v >> written) & mask64(nbits)) << off));
-    written += nbits;
-    bits_ += static_cast<std::size_t>(nbits);
-  }
-}
-
-void BitWriter::append_bits(std::span<const std::uint8_t> bytes, std::size_t n_bits) {
-  assert(n_bits <= bytes.size() * 8);
-  BitReader reader(bytes);
-  while (n_bits > 0) {
-    const int k = static_cast<int>(std::min<std::size_t>(64, n_bits));
-    write_bits(reader.read_bits(k), k);
-    n_bits -= static_cast<std::size_t>(k);
-  }
-}
-
-void BitWriter::align_to_byte() {
-  while (bits_ % 8 != 0) write_bit(false);
-}
-
-std::vector<std::uint8_t> BitWriter::take() noexcept {
-  bits_ = 0;
-  return std::move(out_);
-}
 
 void SpanBitWriter::write_bits(std::uint64_t v, int n) {
   assert(n >= 0 && n <= 64);
@@ -111,10 +27,9 @@ void SpanBitWriter::write_bits(std::uint64_t v, int n) {
 
 void SpanBitWriter::append_bits(std::span<const std::uint8_t> bytes, std::size_t n_bits) {
   assert(n_bits <= bytes.size() * 8);
-  BitReader reader(bytes);
-  while (n_bits > 0) {
+  for (const std::uint8_t* p = bytes.data(); n_bits > 0; p += 8) {
     const int k = static_cast<int>(std::min<std::size_t>(64, n_bits));
-    write_bits(reader.read_bits(k), k);
+    write_bits(load_le(p, (k + 7) / 8), k);
     n_bits -= static_cast<std::size_t>(k);
   }
 }

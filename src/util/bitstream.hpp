@@ -8,9 +8,9 @@
 // This makes the software bit stream identical to the hardware view of the
 // message cache, which is what the co-simulation tests rely on.
 //
-// Multi-bit reads and writes move whole bytes at a time (the software
-// analogue of the hardware's word-wide message cache port), so the cipher
-// hot path never degenerates into a bit-by-bit loop.
+// The cipher walks themselves read and write message bits through the
+// kernel-private BitSource/BitSink (core/walk.hpp); what is left here is the
+// bit-granular splice writer and the hardware word packing.
 #pragma once
 
 #include <cstddef>
@@ -21,94 +21,12 @@
 
 namespace mhhea::util {
 
-/// Read-only LSB-first bit cursor over a byte span. Does not own the bytes.
-class BitReader {
- public:
-  BitReader() = default;
-  explicit BitReader(std::span<const std::uint8_t> bytes) noexcept : bytes_(bytes) {}
-
-  /// Total number of bits in the underlying buffer.
-  [[nodiscard]] std::size_t size_bits() const noexcept { return bytes_.size() * 8; }
-  /// Number of bits not yet consumed.
-  [[nodiscard]] std::size_t remaining_bits() const noexcept { return size_bits() - pos_; }
-  /// True when all bits have been consumed (the algorithm's EOF test).
-  [[nodiscard]] bool eof() const noexcept { return pos_ >= size_bits(); }
-  /// Current cursor, in bits from the start.
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-
-  /// Consume one bit. Precondition: !eof().
-  [[nodiscard]] bool read_bit() noexcept;
-
-  /// Consume up to `n` (<=64) bits into the low bits of the result,
-  /// first-consumed bit at bit 0.
-  ///
-  /// With `read` non-null a short read is a soft condition: if fewer than `n`
-  /// bits remain, the high bits are zero, the cursor stops at EOF and `read`
-  /// receives the count consumed. Without `read` an under-read throws
-  /// std::out_of_range — release builds must never silently embed fewer bits
-  /// than requested (the assert-only guard this replaces vanished under
-  /// NDEBUG).
-  [[nodiscard]] std::uint64_t read_bits(int n, int* read = nullptr);
-
-  /// Peek one bit at offset `ahead` from the cursor without consuming.
-  [[nodiscard]] bool peek_bit(std::size_t ahead = 0) const noexcept;
-
-  /// Reset the cursor to the beginning.
-  void rewind() noexcept { pos_ = 0; }
-
-  /// Move the cursor to an absolute bit offset — how a shard worker starts
-  /// reading mid-message. Throws std::out_of_range past the buffer end.
-  void seek(std::size_t bit_pos) {
-    if (bit_pos > size_bits()) {
-      throw std::out_of_range("BitReader::seek: position past end of buffer");
-    }
-    pos_ = bit_pos;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-/// Append-only LSB-first bit sink producing a byte vector.
-class BitWriter {
- public:
-  /// Append one bit.
-  void write_bit(bool b);
-  /// Append the low `n` (<=64) bits of `v`, bit 0 first.
-  void write_bits(std::uint64_t v, int n);
-  /// Append the first `n_bits` bits of `bytes` (LSB-first) — the splice
-  /// primitive the sharded decrypt paths use to concatenate per-shard bit
-  /// buffers at arbitrary bit offsets.
-  void append_bits(std::span<const std::uint8_t> bytes, std::size_t n_bits);
-  /// Number of bits written so far.
-  [[nodiscard]] std::size_t size_bits() const noexcept { return bits_; }
-  /// Pad with zero bits to the next byte boundary.
-  void align_to_byte();
-  /// The bytes written so far; a trailing partial byte is zero-padded.
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
-  /// Move the buffer out (leaves the writer empty).
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept;
-  /// Discard everything written, keeping the allocated capacity (the reuse
-  /// hook the resettable decryptor cores need).
-  void clear() noexcept {
-    out_.clear();
-    bits_ = 0;
-  }
-  /// Pre-allocate room for `n` more bits.
-  void reserve_bits(std::size_t n) { out_.reserve((bits_ + n + 7) / 8); }
-
- private:
-  std::vector<std::uint8_t> out_;
-  std::size_t bits_ = 0;
-};
-
-/// LSB-first bit sink over caller-provided storage — the zero-allocation
-/// counterpart of BitWriter the `_into` decrypt paths emit through. Bits
-/// accumulate in a word and are flushed to the span one whole byte at a
-/// time, so each output byte is written exactly once (the target needs no
-/// pre-zeroing). Running past the span throws std::length_error — a short
-/// output buffer must never truncate a message silently.
+/// LSB-first bit sink over caller-provided storage, the splice stage of
+/// HHEA's continuous sharded decrypt. Bits accumulate in a word and are
+/// flushed to the span one whole byte at a time, so each output byte is
+/// written exactly once (the target needs no pre-zeroing). Running past the
+/// span throws std::length_error — a short output buffer must never
+/// truncate a message silently.
 class SpanBitWriter {
  public:
   SpanBitWriter() = default;

@@ -1,9 +1,7 @@
 #include "src/util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace mhhea::util {
 
@@ -25,79 +23,5 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double chi_square_uniform(std::span<const std::uint64_t> counts) {
-  assert(!counts.empty());
-  std::uint64_t total = 0;
-  for (auto c : counts) total += c;
-  if (total == 0) return 0.0;
-  const double expected = static_cast<double>(total) / static_cast<double>(counts.size());
-  double chi = 0.0;
-  for (auto c : counts) {
-    const double d = static_cast<double>(c) - expected;
-    chi += d * d / expected;
-  }
-  return chi;
-}
-
-double chi_square_critical(int df, double alpha) {
-  assert(df >= 1);
-  // Wilson–Hilferty: chi2_alpha(df) ~ df * (1 - 2/(9 df) + z_alpha sqrt(2/(9 df)))^3
-  double z = 0.0;
-  if (alpha <= 0.011) {
-    z = 2.326347874;  // z_{0.01}
-  } else {
-    z = 1.644853627;  // z_{0.05}
-  }
-  const double d = static_cast<double>(df);
-  const double t = 1.0 - 2.0 / (9.0 * d) + z * std::sqrt(2.0 / (9.0 * d));
-  return d * t * t * t;
-}
-
-double normal_q(double z) { return 0.5 * std::erfc(z / std::sqrt(2.0)); }
-
-double normal_two_sided_p(double z) { return 2.0 * normal_q(std::fabs(z)); }
-
-double pearson(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  if (n < 2) return 0.0;
-  double mx = 0, my = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mx += x[i];
-    my += y[i];
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxy = 0, sxx = 0, syy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-std::string ascii_bar_chart(std::span<const std::string> labels,
-                            std::span<const double> values, int width,
-                            double scale_max) {
-  assert(labels.size() == values.size());
-  double vmax = scale_max;
-  if (vmax <= 0.0) {
-    for (double v : values) vmax = std::max(vmax, v);
-    if (vmax <= 0.0) vmax = 1.0;
-  }
-  std::size_t label_w = 0;
-  for (const auto& l : labels) label_w = std::max(label_w, l.size());
-  std::ostringstream os;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const int n = static_cast<int>(std::lround(values[i] / vmax * width));
-    os << labels[i] << std::string(label_w - labels[i].size(), ' ') << " |";
-    os << std::string(static_cast<std::size_t>(std::max(0, n)), '#');
-    os << ' ' << values[i] << '\n';
-  }
-  return os.str();
-}
 
 }  // namespace mhhea::util

@@ -80,9 +80,9 @@ TEST(Analysis, MonteCarloAgreesWithModel) {
   for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
 
   Encryptor enc(key, make_lfsr_cover(16, 0xACE1));
-  enc.feed(msg);
-  const double measured = static_cast<double>(enc.message_bits()) /
-                          static_cast<double>(enc.blocks().size());
+  const double blocks = static_cast<double>(enc.one_shot_cipher_bytes(msg.size() * 8)) /
+                        BlockParams::paper().block_bytes();
+  const double measured = static_cast<double>(msg.size() * 8) / blocks;
   EXPECT_NEAR(measured, expected_bits_per_block(key), 0.05);
 }
 

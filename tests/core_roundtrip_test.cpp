@@ -12,6 +12,7 @@
 #include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
+#include "src/util/bits.hpp"
 #include "src/util/rng.hpp"
 
 namespace mhhea::core {
@@ -151,16 +152,15 @@ TEST(Steganography, BufferCoverRoundTrip) {
   for (auto& b : cover_blocks) b = rng.below(0x10000);
 
   Encryptor enc(key, std::make_unique<BufferCover>(cover_blocks));
-  enc.feed(msg);
+  std::vector<std::uint8_t> cipher(enc.one_shot_cipher_bytes(msg.size() * 8));
+  ASSERT_EQ(enc.encrypt_into(msg, cipher), cipher.size());
   // Every stego block differs from its cover only in the low byte.
-  for (std::size_t i = 0; i < enc.blocks().size(); ++i) {
-    EXPECT_EQ(enc.blocks()[i] >> 8, cover_blocks[i] >> 8) << i;
+  for (std::size_t i = 0; i < cipher.size() / 2; ++i) {
+    EXPECT_EQ(util::load_le(cipher.data() + 2 * i, 2) >> 8, cover_blocks[i] >> 8) << i;
   }
-  Decryptor dec(key, enc.message_bits());
-  for (std::uint64_t b : enc.blocks()) (void)dec.feed_block(b);
-  ASSERT_TRUE(dec.done());
-  auto back = dec.message();
-  back.resize(msg.size());
+  std::vector<std::uint8_t> back(msg.size());
+  const Decryptor dec(key, 0);
+  EXPECT_EQ(dec.decrypt_into(cipher, msg.size() * 8, back), msg.size());
   EXPECT_EQ(back, msg);
 }
 
@@ -169,24 +169,9 @@ TEST(Steganography, ExhaustedCoverThrows) {
   std::vector<std::uint64_t> tiny_cover = {0xAAAA, 0xBBBB};
   Encryptor enc(key, std::make_unique<BufferCover>(tiny_cover));
   const std::vector<std::uint8_t> msg(16, 0xFF);
-  EXPECT_THROW(enc.feed(msg), std::runtime_error);
-}
-
-TEST(Encryptor, IncrementalFeedMatchesOneShot) {
-  util::Xoshiro256 rng(12);
-  const Key key = Key::random(rng, 8);
-  const auto msg = random_message(rng, 96);
-
-  Encryptor one(key, make_lfsr_cover(16, 0xACE1));
-  one.feed(msg);
-
-  Encryptor inc(key, make_lfsr_cover(16, 0xACE1));
-  inc.feed(std::span(msg).subspan(0, 10));
-  inc.feed(std::span(msg).subspan(10, 50));
-  inc.feed(std::span(msg).subspan(60));
-
-  // Byte-boundary splits preserve the bit stream, so blocks must match.
-  EXPECT_EQ(one.blocks(), inc.blocks());
+  std::vector<std::uint8_t> out(1024);
+  EXPECT_THROW((void)enc.encrypt_into(msg, out), std::runtime_error);
+  EXPECT_THROW((void)enc.one_shot_cipher_bytes(msg.size() * 8), std::runtime_error);
 }
 
 TEST(Encryptor, RejectsBadConstruction) {
@@ -200,85 +185,52 @@ TEST(Encryptor, RejectsBadConstruction) {
 }
 
 TEST(Encryptor, ResetReplaysTheSameStream) {
-  // A reset core re-seeds its cover, so repeated encryptions of different
-  // messages are bit-identical to fresh construction each time.
+  // Every encryption rewinds the cover, so a reused core encrypting
+  // messages of different lengths, in both policies, is bit-identical to a
+  // fresh core each time.
   util::Xoshiro256 rng(14);
   const Key key = Key::random(rng, 8);
-  Encryptor reused(key, make_lfsr_cover(16, 0xACE1));
-  for (std::size_t len : {5u, 96u, 1u, 0u, 333u}) {
-    const auto msg = random_message(rng, len);
-    reused.reset();
-    reused.feed(msg);
-    Encryptor fresh(key, make_lfsr_cover(16, 0xACE1));
-    fresh.feed(msg);
-    EXPECT_EQ(reused.cipher_bytes(), fresh.cipher_bytes()) << len;
-    EXPECT_EQ(reused.blocks(), fresh.blocks()) << len;
-    EXPECT_EQ(reused.message_bits(), len * 8);
+  for (auto policy : {FramePolicy::continuous, FramePolicy::framed}) {
+    const BlockParams params{16, policy};
+    Encryptor reused(key, make_lfsr_cover(16, 0xACE1), params);
+    for (std::size_t len : {5u, 96u, 1u, 0u, 333u, 3u, 41u}) {
+      const auto msg = random_message(rng, len);
+      std::vector<std::uint8_t> ct(reused.one_shot_cipher_bytes(len * 8));
+      reused.reset();
+      ASSERT_EQ(reused.encrypt_into(msg, ct), ct.size()) << len;
+      EXPECT_EQ(ct, encrypt(msg, key, 0xACE1, params)) << len;
+    }
   }
 }
 
 TEST(Encryptor, ResetRewindsBufferCover) {
-  // Steganography mode: reset must restart from the first cover block.
+  // Steganography mode: every encryption restarts from the first cover block.
   util::Xoshiro256 rng(15);
   const Key key = Key::parse("0-3,2-5");
   std::vector<std::uint64_t> cover_blocks(300);
   for (auto& b : cover_blocks) b = rng.below(0x10000);
   const auto msg = random_message(rng, 16);
   Encryptor enc(key, std::make_unique<BufferCover>(cover_blocks));
-  enc.feed(msg);
-  const auto first = enc.cipher_bytes();
+  std::vector<std::uint8_t> first(enc.one_shot_cipher_bytes(msg.size() * 8));
+  ASSERT_EQ(enc.encrypt_into(msg, first), first.size());
+  std::vector<std::uint8_t> again(first.size());
   enc.reset();
-  enc.feed(msg);
-  EXPECT_EQ(enc.cipher_bytes(), first);
-}
-
-TEST(Encryptor, ResetInteractsWithFramedPolicyAndIncrementalFeeds) {
-  // The tail-replay machinery must be fully cleared by reset(), in both
-  // framing policies, even when the previous message ended mid-frame.
-  util::Xoshiro256 rng(16);
-  const Key key = Key::random(rng, 4);
-  for (auto policy : {FramePolicy::continuous, FramePolicy::framed}) {
-    const BlockParams params{16, policy};
-    Encryptor reused(key, make_lfsr_cover(16, 0x77), params);
-    reused.feed(random_message(rng, 3));  // leaves a re-openable tail
-    const auto msg = random_message(rng, 41);
-    reused.reset();
-    reused.feed(std::span(msg).subspan(0, 7));
-    reused.feed(std::span(msg).subspan(7));
-    Encryptor fresh(key, make_lfsr_cover(16, 0x77), params);
-    fresh.feed(msg);
-    EXPECT_EQ(reused.blocks(), fresh.blocks());
-  }
+  ASSERT_EQ(enc.encrypt_into(msg, again), again.size());
+  EXPECT_EQ(again, first);
 }
 
 TEST(Decryptor, ResetDecodesANewMessageLength) {
+  // One Decryptor serves messages of any length: each call names its own.
   util::Xoshiro256 rng(17);
   const Key key = Key::random(rng, 8);
-  Decryptor dec(key, 0);
+  const Decryptor dec(key, 0);
   for (std::size_t len : {64u, 3u, 0u, 200u}) {
     const auto msg = random_message(rng, len);
     const auto ct = encrypt(msg, key, 0xBEEF);
-    dec.reset(len * 8);
-    dec.feed_bytes(ct);
-    ASSERT_TRUE(dec.done()) << len;
-    auto back = dec.message();
-    back.resize(len);
+    std::vector<std::uint8_t> back(len);
+    EXPECT_EQ(dec.decrypt_into(ct, len * 8, back), len);
     EXPECT_EQ(back, msg) << len;
   }
-}
-
-TEST(Decryptor, ExtraBlocksAfterDoneAreIgnored) {
-  util::Xoshiro256 rng(13);
-  const Key key = Key::random(rng, 2);
-  const auto msg = random_message(rng, 8);
-  const auto cipher = encrypt(msg, key, 0xACE1);
-  Decryptor dec(key, msg.size() * 8);
-  dec.feed_bytes(cipher);
-  ASSERT_TRUE(dec.done());
-  EXPECT_EQ(dec.feed_block(0xFFFF), 0);
-  auto back = dec.message();
-  back.resize(msg.size());
-  EXPECT_EQ(back, msg);
 }
 
 }  // namespace

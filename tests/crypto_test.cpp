@@ -43,9 +43,10 @@ TEST(Hhea, LocationsAreFixedPerPair) {
   std::vector<std::uint64_t> cover_blocks(200);
   for (auto& b : cover_blocks) b = rng.below(0x10000);
   HheaEncryptor enc(key, std::make_unique<core::BufferCover>(cover_blocks));
-  enc.feed(msg);
-  for (std::size_t i = 0; i < enc.blocks().size(); ++i) {
-    const std::uint64_t diff = enc.blocks()[i] ^ cover_blocks[i];
+  std::vector<std::uint8_t> ct(hhea_cipher_bytes(key, msg.size() * 8));
+  ASSERT_EQ(enc.encrypt_into(msg, ct), ct.size());
+  for (std::size_t i = 0; i < ct.size() / 2; ++i) {
+    const std::uint64_t diff = util::load_le(ct.data() + 2 * i, 2) ^ cover_blocks[i];
     EXPECT_EQ(diff & ~std::uint64_t{0b111100}, 0u) << "block " << i;
   }
 }
@@ -55,9 +56,12 @@ TEST(Hhea, NoDataScrambling) {
   const core::Key key = core::Key::parse("0-7");
   const std::vector<std::uint8_t> zeros(16, 0x00);
   HheaEncryptor enc(key, std::make_unique<core::CountingCover>(0xFF00));
-  enc.feed(zeros);
-  for (std::uint64_t b : enc.blocks()) {
+  std::vector<std::uint8_t> ct(hhea_cipher_bytes(key, zeros.size() * 8));
+  ASSERT_EQ(enc.encrypt_into(zeros, ct), ct.size());
+  for (std::size_t i = 0; i < ct.size() / 2; ++i) {
+    const std::uint64_t b = util::load_le(ct.data() + 2 * i, 2);
     EXPECT_EQ(b & 0xFF, 0u);  // all-zero plaintext -> low byte all zero
+    EXPECT_EQ(b >> 8, ((0xFF00 + i) >> 8) & 0xFF);  // high byte: the cover's
   }
 }
 

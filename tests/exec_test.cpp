@@ -1,5 +1,5 @@
 // Unit tests for the persistent work-stealing executor (src/exec/) and the
-// two fork-join run_indexed primitives built on top of it:
+// fork-join run_indexed primitive built on top of it:
 //
 //   * steal correctness — tasks submitted from outside and from worker
 //     threads all complete exactly once, whatever deque they landed on;
@@ -9,13 +9,11 @@
 //     the waiting thread, and the remaining tasks still run;
 //   * helping — TaskGroup::wait executes queued work itself, so nested
 //     fan-out cannot deadlock even on a single-worker executor;
-//   * the run_indexed mid-fan-out submit-failure contract (the PR-9 bugfix):
-//     when submission throws partway through, already-queued tasks — whose
-//     closures reference the caller's stack frame — are joined before the
-//     error propagates. The legacy ThreadPool overload is pinned with the
-//     fail_submits_after fault-injection seam; pre-fix the frame unwound
-//     while workers still held references into it (stack-use-after-scope
-//     under ASan).
+//   * the run_indexed mid-fan-out submit-failure contract: when submission
+//     throws partway through (executor shutting down), already-queued tasks
+//     — whose closures reference the caller's stack frame — are joined
+//     before the error propagates, never left holding references into an
+//     unwound frame (stack-use-after-scope under ASan).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "src/exec/executor.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace mhhea {
 namespace {
@@ -202,51 +199,13 @@ TEST(Executor, RunIndexedRethrowsTaskException) {
 
 // ------------------------------------------------------ mid-fan-out unwind
 //
-// The PR-9 bugfix: run_indexed must not let its frame unwind while
-// already-submitted closures (which capture `task` & the error slot by
-// reference) are still queued or running. The ThreadPool overload is driven
-// with the fail_submits_after seam: k submissions succeed, the next throws
-// exactly like the shutdown race.
-
-TEST(RunIndexedUnwind, ThreadPoolJoinsQueuedTasksBeforeRethrow) {
-  util::ThreadPool pool(1);
-  Gate gate;
-  // Occupy the only worker so the two allowed submissions stay queued when
-  // the third throws — pre-fix, run_indexed's frame unwound right then,
-  // and the worker later wrote through dangling references (ASan
-  // stack-use-after-scope).
-  pool.submit([&gate] { gate.wait(); });
-  pool.fail_submits_after(2);
-  std::atomic<int> ran{0};
-  std::thread caller([&] {
-    EXPECT_THROW(
-        util::run_indexed(&pool, 4, [&ran](std::size_t) { ran.fetch_add(1); }),
-        std::runtime_error);
-  });
-  // Give run_indexed time to hit the failing submit and enter the unwind
-  // path while the queued tasks are still pending behind the gate.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  gate.open();
-  caller.join();
-  // Both queued tasks ran to completion before the rethrow.
-  EXPECT_EQ(ran.load(), 2);
-  pool.fail_submits_after(-1);
-  pool.wait_idle();
-}
-
-TEST(RunIndexedUnwind, ThreadPoolDisarmedSeamStillWorks) {
-  util::ThreadPool pool(2);
-  pool.fail_submits_after(-1);  // disarmed: normal operation
-  std::atomic<int> ran{0};
-  util::run_indexed(&pool, 8, [&ran](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 8);
-}
+// run_indexed must not let its frame unwind while already-submitted
+// closures (which capture `task` by reference) are still queued or running.
 
 TEST(RunIndexedUnwind, ExecutorFanOutDuringShutdownThrowsCleanly) {
-  // Executor path of the same contract: when submission is rejected
-  // (shutdown in progress), exec::run_indexed joins whatever it already
-  // queued (TaskGroup::wait) and surfaces the submission error instead of
-  // unwinding past live closures. The destructor blocks on a gated worker,
+  // When submission is rejected (shutdown in progress), exec::run_indexed
+  // joins whatever it already queued (TaskGroup::wait) and surfaces the
+  // submission error instead of unwinding past live closures. The destructor blocks on a gated worker,
   // pinning the executor in the stopping state.
   auto ex = std::make_unique<exec::Executor>(1);
   exec::Executor* raw = ex.get();  // see SubmitDuringShutdownThrows

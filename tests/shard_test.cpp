@@ -187,8 +187,8 @@ TEST(ShardStego, BufferCoverDrainsExactlyLikeSequential) {
   const auto msg = random_message(rng, 700);
 
   core::Encryptor enc(key, cover.clone(), params);
-  enc.feed(msg);
-  const auto& expected = enc.cipher_bytes();
+  std::vector<std::uint8_t> expected(enc.one_shot_cipher_bytes(msg.size() * 8));
+  ASSERT_EQ(enc.encrypt_into(msg, expected), expected.size());
   exec::Executor pool(4);
   for (const int shards : {2, 4, 8}) {
     EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, &pool, params), expected)

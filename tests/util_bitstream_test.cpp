@@ -14,179 +14,88 @@
 namespace mhhea::util {
 namespace {
 
-TEST(BitReader, LsbFirstWithinByte) {
-  const std::array<std::uint8_t, 1> data = {0b10110010};
-  BitReader r(data);
-  // Bit 0 (LSB) must come out first.
-  EXPECT_FALSE(r.read_bit());
-  EXPECT_TRUE(r.read_bit());
-  EXPECT_FALSE(r.read_bit());
-  EXPECT_FALSE(r.read_bit());
-  EXPECT_TRUE(r.read_bit());
-  EXPECT_TRUE(r.read_bit());
-  EXPECT_FALSE(r.read_bit());
-  EXPECT_TRUE(r.read_bit());
-  EXPECT_TRUE(r.eof());
-}
+// The BitWriter suite covers SpanBitWriter, the bit writer the library
+// keeps: its bulk writes and splices are checked against a bit-by-bit
+// reference at every in-byte start offset.
 
-TEST(BitReader, ReadBitsPacksLsbFirst) {
-  const std::array<std::uint8_t, 2> data = {0xD0, 0x48};  // word 0x48D0 LE
-  BitReader r(data);
-  EXPECT_EQ(r.read_bits(16), 0x48D0u);
-  EXPECT_TRUE(r.eof());
-}
-
-TEST(BitReader, PartialReadAtEof) {
-  const std::array<std::uint8_t, 1> data = {0xFF};
-  BitReader r(data);
-  int got = 0;
-  EXPECT_EQ(r.read_bits(5, &got), 0b11111u);
-  EXPECT_EQ(got, 5);
-  EXPECT_EQ(r.read_bits(5, &got), 0b111u);  // only 3 left, zero-extended
-  EXPECT_EQ(got, 3);
-  EXPECT_TRUE(r.eof());
-  EXPECT_EQ(r.read_bits(4, &got), 0u);
-  EXPECT_EQ(got, 0);
-}
-
-TEST(BitReader, UnderReadWithoutOutParamThrows) {
-  // Without the out-param there is no way to observe a short read, so it
-  // must be an error in every build mode — not an assert that vanishes
-  // under NDEBUG and silently embeds zero bits.
-  const std::array<std::uint8_t, 1> data = {0xFF};
-  BitReader r(data);
-  EXPECT_EQ(r.read_bits(6), 0b111111u);
-  EXPECT_THROW((void)r.read_bits(3), std::out_of_range);
-  // The failed read consumes nothing; a sized read still works.
-  EXPECT_EQ(r.remaining_bits(), 2u);
-  EXPECT_EQ(r.read_bits(2), 0b11u);
-  EXPECT_THROW((void)r.read_bits(1), std::out_of_range);
-  EXPECT_EQ(r.read_bits(0), 0u);  // zero-bit read is always satisfiable
-}
-
-TEST(BitReader, BulkReadMatchesBitByBit) {
-  // The word-at-a-time fast path must agree with the single-bit reference
-  // for every (offset, width) shape.
-  Xoshiro256 rng(0xB17);
-  std::vector<std::uint8_t> data(64);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-  for (int trial = 0; trial < 2000; ++trial) {
-    BitReader bulk(data);
-    BitReader ref(data);
-    // Random pre-read to de-align the cursor.
-    const int skip = static_cast<int>(rng.below(40));
-    (void)bulk.read_bits(skip);
-    (void)ref.read_bits(skip);
-    const int n = static_cast<int>(rng.below(65));
-    int got_bulk = 0;
-    const std::uint64_t v = bulk.read_bits(n, &got_bulk);
-    std::uint64_t expect = 0;
-    int got_ref = 0;
-    while (got_ref < n && !ref.eof()) {
-      expect |= static_cast<std::uint64_t>(ref.read_bit()) << got_ref;
-      ++got_ref;
-    }
-    ASSERT_EQ(v, expect) << "skip=" << skip << " n=" << n;
-    ASSERT_EQ(got_bulk, got_ref);
-    ASSERT_EQ(bulk.position(), ref.position());
+/// Bits packed LSB-first into bytes, the final partial byte zero-padded.
+std::vector<std::uint8_t> pack(const std::vector<bool>& bits) {
+  std::vector<std::uint8_t> out((bits.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) out[i / 8] = static_cast<std::uint8_t>(out[i / 8] | (1u << (i % 8)));
   }
-}
-
-TEST(BitReader, PeekDoesNotConsume) {
-  const std::array<std::uint8_t, 1> data = {0b101};
-  BitReader r(data);
-  EXPECT_TRUE(r.peek_bit(0));
-  EXPECT_FALSE(r.peek_bit(1));
-  EXPECT_TRUE(r.peek_bit(2));
-  EXPECT_EQ(r.position(), 0u);
-}
-
-TEST(BitReader, RewindRestarts) {
-  const std::array<std::uint8_t, 1> data = {0x81};
-  BitReader r(data);
-  (void)r.read_bits(8);
-  EXPECT_TRUE(r.eof());
-  r.rewind();
-  EXPECT_EQ(r.read_bits(8), 0x81u);
-}
-
-TEST(BitReader, SeekJumpsToAbsoluteBitOffset) {
-  const std::array<std::uint8_t, 4> data = {0x12, 0x34, 0x56, 0x78};
-  BitReader r(data);
-  BitReader stepped(data);
-  (void)stepped.read_bits(13);
-  r.seek(13);
-  EXPECT_EQ(r.position(), 13u);
-  EXPECT_EQ(r.read_bits(11), stepped.read_bits(11));
-  r.seek(0);
-  EXPECT_EQ(r.read_bits(8), 0x12u);
-  r.seek(32);  // seeking exactly to EOF is fine
-  EXPECT_TRUE(r.eof());
-  EXPECT_THROW(r.seek(33), std::out_of_range);
-}
-
-TEST(BitWriter, RoundTripWithReader) {
-  Xoshiro256 rng(42);
-  BitWriter w;
-  std::vector<bool> bits;
-  for (int i = 0; i < 1000; ++i) {
-    const bool b = rng.chance(0.5);
-    bits.push_back(b);
-    w.write_bit(b);
-  }
-  EXPECT_EQ(w.size_bits(), 1000u);
-  const auto bytes = w.bytes();
-  EXPECT_EQ(bytes.size(), 125u);
-  BitReader r(bytes);
-  for (bool b : bits) EXPECT_EQ(r.read_bit(), b);
+  return out;
 }
 
 TEST(BitWriter, WriteBitsMatchesBitByBit) {
-  BitWriter a, b;
-  a.write_bits(0xCA06, 16);
-  for (int i = 0; i < 16; ++i) b.write_bit(((0xCA06 >> i) & 1) != 0);
-  EXPECT_EQ(a.bytes(), b.bytes());
+  std::array<std::uint8_t, 2> a{}, b{};
+  SpanBitWriter bulk(a), stepped(b);
+  bulk.write_bits(0xCA06, 16);
+  for (int i = 0; i < 16; ++i) stepped.write_bits((0xCA06 >> i) & 1, 1);
+  bulk.flush();
+  stepped.flush();
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a[0], 0x06);  // LSB-first: the low byte lands first
+  EXPECT_EQ(a[1], 0xCA);
 }
 
 TEST(BitWriter, BulkWritesMatchBitByBitAcrossAlignments) {
-  // Same fast-path-vs-reference sweep as the reader: random widths keep the
-  // cursor at every in-byte alignment, and high garbage bits are ignored.
+  // For every start offset 0-7, a random run of write_bits (widths 0-64,
+  // garbage above the width) and append_bits splices (any bit count of a
+  // random buffer) must equal the same bits written one at a time.
   Xoshiro256 rng(0x3117);
-  BitWriter bulk, ref;
-  for (int trial = 0; trial < 2000; ++trial) {
-    const int n = static_cast<int>(rng.below(65));
-    const std::uint64_t v = rng.next();  // bits above n must be ignored
-    bulk.write_bits(v, n);
-    for (int i = 0; i < n; ++i) ref.write_bit(((v >> i) & 1) != 0);
-    ASSERT_EQ(bulk.size_bits(), ref.size_bits()) << trial;
+  for (int offset = 0; offset < 8; ++offset) {
+    std::vector<bool> ref;
+    std::vector<std::uint8_t> out(4096, 0xEE);
+    SpanBitWriter w(out);
+    const std::uint64_t lead = rng.next();
+    w.write_bits(lead, offset);
+    for (int i = 0; i < offset; ++i) ref.push_back(((lead >> i) & 1) != 0);
+    for (int trial = 0; trial < 200; ++trial) {
+      if (rng.below(2) == 0) {
+        const int n = static_cast<int>(rng.below(65));
+        const std::uint64_t v = rng.next();  // bits above n must be ignored
+        w.write_bits(v, n);
+        for (int i = 0; i < n; ++i) ref.push_back(((v >> i) & 1) != 0);
+      } else {
+        std::vector<std::uint8_t> part(rng.below(12) + 1);
+        for (auto& byte : part) byte = static_cast<std::uint8_t>(rng.next());
+        const std::size_t n = rng.below(part.size() * 8 + 1);
+        w.append_bits(part, n);
+        for (std::size_t i = 0; i < n; ++i) ref.push_back(((part[i / 8] >> (i % 8)) & 1) != 0);
+      }
+      ASSERT_EQ(w.size_bits(), ref.size()) << "offset " << offset << " trial " << trial;
+    }
+    w.flush();
+    const std::vector<std::uint8_t> want = pack(ref);
+    ASSERT_LE(want.size(), out.size());
+    EXPECT_EQ(std::vector<std::uint8_t>(out.begin(), out.begin() + want.size()), want)
+        << "offset " << offset;
+    // Nothing past the last (zero-padded) byte is touched.
+    for (std::size_t i = want.size(); i < out.size(); ++i) ASSERT_EQ(out[i], 0xEE) << i;
   }
-  EXPECT_EQ(bulk.bytes(), ref.bytes());
-}
-
-TEST(BitWriter, ClearKeepsNothing) {
-  BitWriter w;
-  w.write_bits(0xABCD, 16);
-  w.clear();
-  EXPECT_EQ(w.size_bits(), 0u);
-  EXPECT_TRUE(w.bytes().empty());
-  w.write_bits(0b101, 3);
-  EXPECT_EQ(w.bytes().at(0), 0b101);
 }
 
 TEST(BitWriter, AlignToBytePadsWithZeros) {
-  BitWriter w;
-  w.write_bits(0b101, 3);
-  w.align_to_byte();
-  EXPECT_EQ(w.size_bits(), 8u);
-  EXPECT_EQ(w.bytes().at(0), 0b101);
+  // flush() completes the final partial byte with zero bits, whatever the
+  // target held before.
+  std::array<std::uint8_t, 2> out{0xFF, 0xFF};
+  SpanBitWriter w(out);
+  w.write_bits(0xFFFF'FFFF, 11);  // 8 bits + 3 pending
+  w.flush();
+  EXPECT_EQ(out[0], 0xFF);
+  EXPECT_EQ(out[1], 0x07);  // the 5 slack bits are zero, not stale
 }
 
-TEST(BitWriter, TakeResets) {
-  BitWriter w;
-  w.write_bits(0xAB, 8);
-  const auto bytes = w.take();
-  EXPECT_EQ(bytes.size(), 1u);
-  EXPECT_EQ(w.size_bits(), 0u);
+TEST(BitWriter, ShortBufferThrows) {
+  std::array<std::uint8_t, 2> out{};
+  SpanBitWriter w(out);
+  w.write_bits(0xABCD, 16);
+  EXPECT_THROW(w.write_bits(0xFF, 8), std::length_error);
+  SpanBitWriter pending(out);
+  pending.write_bits(0xFFFF, 16);
+  pending.write_bits(1, 1);
+  EXPECT_THROW(pending.flush(), std::length_error);  // the padded byte has no room
 }
 
 TEST(Words16, RoundTrip) {

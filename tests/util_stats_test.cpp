@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <string>
-#include <vector>
-
 namespace mhhea::util {
 namespace {
 
@@ -28,58 +23,6 @@ TEST(RunningStats, DegenerateCases) {
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(ChiSquare, UniformCountsGiveZero) {
-  const std::array<std::uint64_t, 8> counts = {10, 10, 10, 10, 10, 10, 10, 10};
-  EXPECT_DOUBLE_EQ(chi_square_uniform(counts), 0.0);
-}
-
-TEST(ChiSquare, HandComputedStatistic) {
-  // counts (6,14) of 20: expected 10 each -> chi2 = 16+16 / 10 = 3.2
-  const std::array<std::uint64_t, 2> counts = {6, 14};
-  EXPECT_NEAR(chi_square_uniform(counts), 3.2, 1e-12);
-}
-
-TEST(ChiSquare, CriticalValuesMatchTables) {
-  // Standard table values; Wilson–Hilferty is good to ~1%.
-  EXPECT_NEAR(chi_square_critical(7, 0.05), 14.067, 0.15);
-  EXPECT_NEAR(chi_square_critical(7, 0.01), 18.475, 0.25);
-  EXPECT_NEAR(chi_square_critical(15, 0.05), 24.996, 0.25);
-  EXPECT_NEAR(chi_square_critical(255, 0.05), 293.25, 1.5);
-}
-
-TEST(Normal, TailValues) {
-  EXPECT_NEAR(normal_q(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(normal_q(1.959964), 0.025, 1e-4);
-  EXPECT_NEAR(normal_two_sided_p(1.959964), 0.05, 2e-4);
-  EXPECT_NEAR(normal_two_sided_p(-1.959964), 0.05, 2e-4);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  std::vector<double> neg(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) neg[i] = -y[i];
-  EXPECT_NEAR(pearson(x, neg), -1.0, 1e-12);
-}
-
-TEST(Pearson, DegenerateSeriesGiveZero) {
-  const std::vector<double> x = {1, 1, 1};
-  const std::vector<double> y = {2, 4, 6};
-  EXPECT_DOUBLE_EQ(pearson(x, y), 0.0);
-  EXPECT_DOUBLE_EQ(pearson({}, {}), 0.0);
-}
-
-TEST(AsciiBarChart, RendersLabelsAndScales) {
-  const std::vector<std::string> labels = {"YAEA", "HHEA", "MHHEA"};
-  const std::vector<double> values = {0.866, 0.110, 0.569};
-  const std::string chart = ascii_bar_chart(labels, values, 40);
-  EXPECT_NE(chart.find("YAEA"), std::string::npos);
-  EXPECT_NE(chart.find("MHHEA"), std::string::npos);
-  // The largest value gets the full width.
-  EXPECT_NE(chart.find(std::string(40, '#')), std::string::npos);
 }
 
 }  // namespace

@@ -7,11 +7,16 @@ Rules (each with an ID used in findings and suppressions):
                       std::invalid_argument / std::length_error (the public
                       error contract), MacError / ReplayError /
                       NonceExhaustedError (its authenticated-session
-                      refinements), std::out_of_range (bit-level read
+                      refinements), std::out_of_range (table-domain
                       contracts), and std::logic_error / std::runtime_error
                       (API misuse / environment exhaustion) — the last three
                       only in files allowlisted below, so new code can't
                       casually reach for them.
+
+  throw-allowlist     Every allowlist entry must still be needed: the file
+                      must exist and still contain a `throw` of the listed
+                      type. A stale entry would silently license the type
+                      for whatever code lands in that file next.
 
   length-error-msg    The error-type convention pinned in PR 6: every
                       std::length_error means "short output buffer" and must
@@ -75,17 +80,13 @@ ALLOWED_THROWS_EVERYWHERE = {
 # them. Paths are repo-relative POSIX.
 RESTRICTED_THROW_ALLOWLIST = {
     "std::out_of_range": {
-        "src/util/bitstream.hpp",   # BitReader::seek past end
-        "src/util/bitstream.cpp",   # BitReader::read_bits under-read
         "src/lfsr/polynomials.cpp", # polynomial table domain [2,32]
     },
     "std::runtime_error": {
-        "src/util/thread_pool.hpp", # submit after shutdown
         "src/exec/executor.cpp",    # submit after shutdown
         "src/core/cover.cpp",       # finite cover exhausted
         "src/core/mhhea.cpp",       # cover exhausted mid-encrypt
         "src/core/shard.cpp",       # cover exhausted mid-plan
-        "src/crypto/hhea.cpp",      # cover exhausted mid-plan
         "src/server/server.cpp",    # socket/epoll environment failures
     },
     "std::logic_error": {
@@ -172,7 +173,8 @@ def collect_secret_names(files: list[tuple[Path, str, list[str]]]) -> set[str]:
     return names
 
 
-def lint_tree(root: Path) -> list[Finding]:
+def lint_tree(root: Path,
+              allowlist: dict[str, set[str]] = RESTRICTED_THROW_ALLOWLIST) -> list[Finding]:
     files: list[tuple[Path, str, list[str]]] = []
     for glob in SOURCE_GLOBS:
         for path in sorted(root.glob(glob)):
@@ -183,6 +185,7 @@ def lint_tree(root: Path) -> list[Finding]:
     secret_res = [re.compile(rf"\b{re.escape(n)}\b") for n in sorted(secret_names)]
 
     findings: list[Finding] = []
+    thrown_in: set[tuple[str, str]] = set()  # (type, file) of every throw seen
     for path, rel, lines in files:
         for lineno, line in enumerate(lines, start=1):
             suppressed = {m.group(1) for m in SUPPRESS_RE.finditer(line)}
@@ -197,9 +200,10 @@ def lint_tree(root: Path) -> list[Finding]:
                 if is_comment_or_string_context(code, m.start()):
                     continue
                 thrown = m.group(1)
+                thrown_in.add((thrown, rel))
                 if thrown in ALLOWED_THROWS_EVERYWHERE:
                     continue
-                allow = RESTRICTED_THROW_ALLOWLIST.get(thrown)
+                allow = allowlist.get(thrown)
                 if allow is not None and rel in allow:
                     continue
                 if allow is not None:
@@ -252,10 +256,37 @@ def lint_tree(root: Path) -> list[Finding]:
                                "branches on key material; use a throwing check")
                         break
 
+    # throw-allowlist
+    for thrown, paths in sorted(allowlist.items()):
+        for rel in sorted(paths):
+            if (thrown, rel) in thrown_in:
+                continue
+            why = ("no longer throws it" if (root / rel).is_file()
+                   else "the file does not exist")
+            findings.append(Finding(root / rel, 1, "throw-allowlist",
+                                    f"stale allowlist entry for {thrown}: {why}; "
+                                    "remove the entry"))
+
     return findings
 
 
 # --- negative self-test ----------------------------------------------------
+
+# Every self-test tree holds this allowlisted file and lints against this
+# allowlist, so the real allowlist's entries never show up as stale there.
+SELF_TEST_ALLOWED = (
+    "src/core/allowed.cpp",
+    'void f() { throw std::runtime_error("allowlisted here"); }\n',
+)
+SELF_TEST_ALLOWLIST = {"std::runtime_error": {SELF_TEST_ALLOWED[0]}}
+
+
+def write_tree(root: Path, files: dict[str, str]) -> None:
+    for relpath, contents in files.items():
+        target = root / relpath
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(contents, encoding="utf-8")
+
 
 SELF_TEST_SOURCES = {
     # rule-id -> (filename, contents that must trigger exactly that rule)
@@ -318,10 +349,8 @@ def run_self_test() -> int:
     for case, (relpath, contents) in SELF_TEST_SOURCES.items():
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            target = root / relpath
-            target.parent.mkdir(parents=True)
-            target.write_text(contents, encoding="utf-8")
-            found = lint_tree(root)
+            write_tree(root, dict([SELF_TEST_ALLOWED, (relpath, contents)]))
+            found = lint_tree(root, SELF_TEST_ALLOWLIST)
             want = SELF_TEST_EXPECT[case]
             if not any(f.rule == want for f in found):
                 failures.append(f"self-test '{case}': expected a {want} finding, got "
@@ -329,36 +358,45 @@ def run_self_test() -> int:
     # 2. A clean file must NOT trigger anything.
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        target = root / "src/core/clean.cpp"
-        target.parent.mkdir(parents=True)
-        target.write_text(
+        write_tree(root, dict([SELF_TEST_ALLOWED, (
+            "src/core/clean.cpp",
             'void f(bool bad) {\n'
             '  if (bad) throw std::invalid_argument("malformed input");\n'
             '  throw std::length_error("output buffer too small");\n'
             "}\n",
-            encoding="utf-8",
-        )
-        found = lint_tree(root)
+        )]))
+        found = lint_tree(root, SELF_TEST_ALLOWLIST)
         if found:
             failures.append(f"self-test clean file: unexpected findings {[str(f) for f in found]}")
     # 3. Suppression comments must work.
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        target = root / "src/core/suppressed.cpp"
-        target.parent.mkdir(parents=True)
-        target.write_text(
+        write_tree(root, dict([SELF_TEST_ALLOWED, (
+            "src/core/suppressed.cpp",
             "void f() { throw std::domain_error(\"x\"); }  "
             "// lint-ok: throw-type exercised by a unit test\n",
-            encoding="utf-8",
-        )
-        if lint_tree(root):
+        )]))
+        if lint_tree(root, SELF_TEST_ALLOWLIST):
             failures.append("self-test suppression: lint-ok comment did not suppress")
+    # 4. Stale allowlist entries must be caught: one naming a file that is
+    #    gone, one naming a file that no longer throws the listed type.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_tree(root, dict([SELF_TEST_ALLOWED]))
+        stale = {**SELF_TEST_ALLOWLIST,
+                 "std::logic_error": {SELF_TEST_ALLOWED[0], "src/core/gone.cpp"}}
+        found = lint_tree(root, stale)
+        flagged = sorted(f.path.relative_to(root).as_posix() for f in found
+                         if f.rule == "throw-allowlist")
+        if flagged != [SELF_TEST_ALLOWED[0], "src/core/gone.cpp"] or len(found) != 2:
+            failures.append("self-test stale allowlist: expected throw-allowlist findings "
+                            f"for both stale entries only, got {[str(f) for f in found]}")
 
     if failures:
         for f in failures:
             print(f, file=sys.stderr)
         return 1
-    print(f"lint self-test: {len(SELF_TEST_SOURCES) + 2} cases OK")
+    print(f"lint self-test: {len(SELF_TEST_SOURCES) + 3} cases OK")
     return 0
 
 
