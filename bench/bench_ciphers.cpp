@@ -456,10 +456,10 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     }
   }
   os << "},\n";
-  // Authenticated-container cost: MHHEA-sealed-v2 over MHHEA-sealed
+  // Authenticated-container cost: MHHEA-sealed-v2 over raw MHHEA
   // throughput (sequential encrypt cells, best-rep totals across sizes and
-  // both API forms). 1.0 would be a free MAC; the v2 acceptance floor is
-  // 0.85 (within 15% of v1).
+  // both API forms). The ratio prices the header, the MAC and the framed
+  // hardware configuration together; 1.0 would make all three free.
   os << "  \"mac_overhead\": {";
   {
     std::map<std::string, double> sums;  // cipher -> total best-rep MB/s
@@ -469,10 +469,10 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         sums[c.cipher] += c.mb_per_s_max;
       }
     }
-    const auto v1 = sums.find("MHHEA-sealed");
+    const auto raw = sums.find("MHHEA");
     const auto v2 = sums.find("MHHEA-sealed-v2");
-    if (v1 != sums.end() && v2 != sums.end() && v1->second > 0.0) {
-      os << "\"sealed_v2_vs_v1\": " << v2->second / v1->second;
+    if (raw != sums.end() && v2 != sums.end() && raw->second > 0.0) {
+      os << "\"sealed_v2_vs_raw\": " << v2->second / raw->second;
     }
   }
   os << "},\n";

@@ -1,7 +1,7 @@
 // The per-block MHHEA transform — pure functions, the normative reference
 // for the RTL and gate-level models.
 //
-// Paper §II, resolved against the Fig. 8 worked example (DESIGN.md §3):
+// Paper §II, resolved against the Fig. 8 worked example:
 //   1. canonicalise the key pair: K1 <= K2, d = K2 - K1;
 //   2. scramble the location: the log2(H)-bit field read from V's high half
 //      starting at K1+H (bit j = V[(K1+j) mod H + H], H = N/2) is XORed

@@ -1,52 +1,45 @@
-// Self-describing container for MHHEA ciphertext.
+// Self-describing, authenticated container for MHHEA ciphertext.
 //
 // The paper transports the message length out of band ("EOF"); for a usable
 // library we define a small framed format so a receiver holding only the key
-// can decrypt a byte blob:
+// (and the MAC key) can decrypt a byte blob. Encrypt-then-MAC — sealed by
+// crypto::Session or MhheaCipher in Framing::sealed_v2:
 //
 //   offset  size  field
 //   0       4     magic "MHEA"
-//   4       1     format version (1 or 2)
+//   4       1     format version (always 2)
 //   5       1     flags: bit0 = framed policy, bits 2..1 = log2(N/16),
-//                 bit3 = compressed envelope (v2 only, 0 in v1),
-//                 bits 7..4 reserved (0)
-//   6       1     compression method tag (v2 only, nonzero iff flags bit3
-//                 is set — compress::Method; 0 in v1)
+//                 bit3 = compressed envelope, bits 7..4 reserved (0)
+//   6       1     compression method tag (nonzero iff flags bit3 is set —
+//                 compress::Method)
 //   7       1     reserved (0)
 //   8       8     message length in bits (little-endian)
-//   16      ...   v1: ciphertext blocks (N/8 bytes each, little-endian)
-//
-// Format v2 (authenticated, encrypt-then-MAC — sealed by crypto::Session or
-// MhheaCipher in Framing::sealed_v2) extends the header and appends a tag:
-//
-//   offset  size  field
-//   0       16    v1 header with version byte = 2
 //   16      8     nonce / message counter (little-endian)
 //   24      ...   ciphertext blocks (N/8 bytes each, little-endian)
 //   end-16  16    SipHash-2-4-128 tag over header || ciphertext
+//
+// frame_decode rejects every other version byte, including 1: that
+// layout (the first 16 bytes alone, no nonce, no MAC) was unauthenticated.
 //
 // When the compressed flag is set, the sealed "message" is a compression
 // envelope (src/compress: method tag, varint raw size, stream) rather than
 // the plaintext, `message length in bits` counts the envelope's bits, and
 // the header's method byte repeats the envelope's tag — the opener
 // cross-checks the two after MAC verification and decryption, so neither can
-// be swapped independently. An uncompressed v2 container (flag clear, method
+// be swapped independently. An uncompressed container (flag clear, method
 // byte 0) is byte-identical to the pre-compression format, which is what
 // keeps the existing known-answer vectors valid.
 //
 // The header is integrity-checked on parse (magic, version, vector size,
-// length vs payload). In v1 the LFSR seed is deliberately absent — it is a
-// nonce the receiver never needs (see mhhea.hpp). In v2 the nonce is carried
-// in-band because the cover seed is *derived* from key + nonce by the session
-// key schedule (see crypto/session.hpp); the MAC is verified before any
-// decryption so tampering can never surface as garbage plaintext.
+// length vs payload). The nonce is carried in-band because the cover seed is
+// *derived* from key + nonce by the session key schedule (see
+// crypto/session.hpp); the MAC is verified before any decryption so
+// tampering can never surface as garbage plaintext.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "src/core/key.hpp"
 #include "src/core/params.hpp"
 
 namespace mhhea::core {
@@ -54,52 +47,29 @@ namespace mhhea::core {
 struct FrameHeader {
   BlockParams params;
   std::uint64_t message_bits = 0;
-  int version = 1;
-  std::uint64_t nonce = 0;  // v2 only; must be 0 when version == 1
-  // v2 only: compression method tag of the embedded envelope (0 = the
-  // payload is the plaintext itself; must be 0 when version == 1).
+  std::uint64_t nonce = 0;
+  // Compression method tag of the embedded envelope (0 = the payload is the
+  // plaintext itself).
   std::uint8_t compression = 0;
 
-  static constexpr std::size_t kSize = 16;       // v1 header bytes
-  static constexpr std::size_t kSizeV2 = 24;     // v2 header bytes (v1 + nonce)
-  static constexpr std::size_t kMacBytesV2 = 16; // v2 trailer tag bytes
-  // Total non-ciphertext bytes of a v2 container.
+  static constexpr std::size_t kSizeV2 = 24;     // header bytes
+  static constexpr std::size_t kMacBytesV2 = 16; // trailer tag bytes
+  // Total non-ciphertext bytes of a container.
   static constexpr std::size_t kOverheadV2 = kSizeV2 + kMacBytesV2;
-
-  [[nodiscard]] std::size_t header_size() const { return version == 2 ? kSizeV2 : kSize; }
 };
 
-/// Serialize header + ciphertext into one buffer.
-[[nodiscard]] std::vector<std::uint8_t> frame_encode(const FrameHeader& header,
-                                                     std::span<const std::uint8_t> cipher);
-
-/// Serialize just the header (16 bytes for v1, 24 for v2, per
-/// `header.version`) into the front of `out` (which must be at least
-/// `header.header_size()` bytes — std::length_error otherwise). The
-/// allocation-free half of frame_encode: the `_into` sealed path writes the
-/// header here and streams blocks straight after it in the caller's buffer.
-/// For v2 the caller appends the MAC trailer after the ciphertext.
+/// Serialize the 24-byte header into the front of `out` (std::length_error
+/// when shorter). The sealed path writes the header here, streams blocks
+/// straight after it in the caller's buffer and appends the MAC trailer.
 void frame_encode_header(const FrameHeader& header, std::span<std::uint8_t> out);
 
-/// Parse and validate a framed buffer (either version). Throws
-/// std::invalid_argument with a specific message on any malformation. On
-/// success, `payload` receives the ciphertext span (view into `framed`); for
-/// v2 this excludes the 16-byte MAC trailer, which is NOT verified here —
+/// Parse and validate a container. Throws std::invalid_argument with a
+/// specific message on any malformation, including a version byte other
+/// than 2. On success, `payload` receives the ciphertext span (view into
+/// `framed`, excluding the 16-byte MAC trailer, which is NOT verified here —
 /// structural parsing is keyless, authentication needs the MAC key (see
 /// crypto::MhheaCipher / crypto::Session).
 [[nodiscard]] FrameHeader frame_decode(std::span<const std::uint8_t> framed,
                                        std::span<const std::uint8_t>* payload);
-
-/// Convenience: encrypt + frame in one call (seed is the nonce).
-[[nodiscard]] std::vector<std::uint8_t> seal(std::span<const std::uint8_t> msg, const Key& key,
-                                             std::uint64_t seed,
-                                             BlockParams params = BlockParams::paper());
-
-/// Convenience: parse + decrypt in one call. v1 only: a v2 container is
-/// rejected with std::invalid_argument because opening it without MAC
-/// verification would defeat the authenticated format — use
-/// crypto::Session::open (or MhheaCipher in Framing::sealed_v2) instead.
-[[nodiscard]] std::vector<std::uint8_t> open(std::span<const std::uint8_t> framed,
-                                             const Key& key);
 
 }  // namespace mhhea::core

@@ -18,7 +18,8 @@
 
 namespace mhhea::core {
 
-/// How message bits are framed into hiding-vector blocks (DESIGN.md §3).
+/// How message bits (an LSB-first stream — util/bits.hpp) are framed into
+/// hiding-vector blocks.
 enum class FramePolicy {
   /// Paper pseudocode: the message bit index m streams continuously across
   /// blocks until EOF.

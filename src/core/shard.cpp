@@ -289,7 +289,9 @@ std::vector<ShardRange> plan_framed_decrypt(std::span<const std::uint8_t> cipher
   return ranges;
 }
 
-/// detail::extract_shard for one vector width.
+/// One shard's extract: its n_bits message bits from blocks [block_begin,
+/// block_begin + max_blocks) of `cipher`, LSB-first from the start of
+/// `slice` (sized to exactly ceil(n_bits / 8) bytes).
 template <int N>
 void extract_range_into(std::span<const std::uint8_t> cipher, const ShardRange& r, Pairs pairs,
                         const BlockParams& params, std::span<std::uint8_t> slice) {
@@ -392,11 +394,22 @@ void decrypt_continuous(std::span<const std::uint8_t> cipher, Pairs pairs,
   });
 }
 
-/// Shared decrypt driver: extract `cipher` into `out` (first msg_bytes
-/// bytes). See decrypt_sharded_into for the per-policy write strategy.
-void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
-                         std::size_t msg_bytes, int n_shards, exec::Executor* ex,
-                         std::span<std::uint8_t> out, const BlockParams& params) {
+using detail::validate_sharded;
+
+}  // namespace
+
+std::uint64_t detail::encrypt_shard(const ShardRange& r, std::span<const std::uint8_t> msg,
+                                    std::span<const PairCtx> pairs, const CoverSource& proto,
+                                    const BlockParams& params, std::uint8_t* out,
+                                    std::uint64_t capacity_blocks) {
+  return with_width(params.vector_bits, [&]<int N>() {
+    return encrypt_range<N>(r, msg, pairs, proto, params, out, capacity_blocks);
+  });
+}
+
+void detail::run_decrypt_sharded(std::span<const std::uint8_t> cipher, Pairs pairs,
+                                 std::size_t msg_bytes, int n_shards, exec::Executor* ex,
+                                 std::span<std::uint8_t> out, const BlockParams& params) {
   const auto bb = static_cast<std::size_t>(params.block_bytes());
   if (cipher.size() % bb != 0) {
     throw std::invalid_argument("decrypt_sharded: ciphertext not block-aligned");
@@ -409,9 +422,8 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
     }
     return;
   }
-  const std::vector<PairCtx> pairs = detail::make_pair_ctx(key, params);
   const auto shards = static_cast<std::size_t>(n_shards);
-  detail::with_width(params.vector_bits, [&]<int N>() {
+  with_width(params.vector_bits, [&]<int N>() {
     if (params.policy != FramePolicy::framed) {
       decrypt_continuous<N>(cipher, pairs, params, total_bits, shards, ex, out);
       return;
@@ -426,26 +438,6 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, const Key& key,
       extract_range_into<N>(cipher, ranges[s], pairs, params, slice_of(out, ranges[s]));
     });
   });
-}
-
-using detail::validate_sharded;
-
-}  // namespace
-
-std::uint64_t detail::encrypt_shard(const ShardRange& r, std::span<const std::uint8_t> msg,
-                                    std::span<const PairCtx> pairs, const CoverSource& proto,
-                                    const BlockParams& params, std::uint8_t* out,
-                                    std::uint64_t capacity_blocks) {
-  return with_width(params.vector_bits, [&]<int N>() {
-    return encrypt_range<N>(r, msg, pairs, proto, params, out, capacity_blocks);
-  });
-}
-
-void detail::extract_shard(std::span<const std::uint8_t> cipher, const ShardRange& r,
-                           std::span<const PairCtx> pairs, const BlockParams& params,
-                           std::span<std::uint8_t> slice) {
-  with_width(params.vector_bits,
-             [&]<int N>() { extract_range_into<N>(cipher, r, pairs, params, slice); });
 }
 
 std::vector<std::uint8_t> encrypt_sharded(std::span<const std::uint8_t> msg, const Key& key,
@@ -490,10 +482,8 @@ std::vector<std::uint8_t> decrypt_sharded(std::span<const std::uint8_t> cipher,
                                           const Key& key, std::size_t msg_bytes,
                                           int n_shards, exec::Executor* ex,
                                           BlockParams params) {
-  validate_sharded(key, n_shards, params, "decrypt_sharded");
-  if (n_shards == 1) return decrypt(cipher, key, msg_bytes, params);
   std::vector<std::uint8_t> msg(msg_bytes);
-  run_decrypt_sharded(cipher, key, msg_bytes, n_shards, ex, msg, params);
+  (void)decrypt_sharded_into(cipher, key, msg_bytes, n_shards, ex, msg, params);
   return msg;
 }
 
@@ -509,7 +499,8 @@ std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key
     Decryptor dec(key, static_cast<std::uint64_t>(msg_bytes) * 8, params);
     return dec.decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
   }
-  run_decrypt_sharded(cipher, key, msg_bytes, n_shards, ex, out, params);
+  detail::run_decrypt_sharded(cipher, detail::make_pair_ctx(key, params), msg_bytes, n_shards,
+                              ex, out, params);
   return msg_bytes;
 }
 

@@ -108,12 +108,16 @@ std::uint64_t encrypt_shard(const ShardRange& r, std::span<const std::uint8_t> m
                             const BlockParams& params, std::uint8_t* out,
                             std::uint64_t capacity_blocks);
 
-/// One shard's extract: its n_bits message bits from blocks [block_begin,
-/// block_begin + max_blocks) of `cipher`, LSB-first from the start of
-/// `slice` (sized to exactly ceil(n_bits / 8) bytes).
-void extract_shard(std::span<const std::uint8_t> cipher, const ShardRange& r,
-                   std::span<const PairCtx> pairs, const BlockParams& params,
-                   std::span<std::uint8_t> slice);
+/// The sharded decrypt driver over prebuilt pair tables — MHHEA's
+/// make_pair_ctx or HHEA's fixed-range tables: extract the `msg_bytes`-byte
+/// message of `cipher` into the first msg_bytes bytes of `out` (the caller
+/// checks that `out` is long enough). Strict like the sequential decrypt:
+/// std::invalid_argument on misaligned, truncated or trailing ciphertext.
+/// Every shard starts on a byte-aligned bit offset (see
+/// decrypt_sharded_into), so workers extract straight into their slices.
+void run_decrypt_sharded(std::span<const std::uint8_t> cipher, std::span<const PairCtx> pairs,
+                         std::size_t msg_bytes, int n_shards, exec::Executor* ex,
+                         std::span<std::uint8_t> out, const BlockParams& params);
 
 }  // namespace detail
 

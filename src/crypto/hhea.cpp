@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/core/shard.hpp"
-#include "src/util/bitstream.hpp"
 
 namespace mhhea::crypto {
 
@@ -97,8 +96,7 @@ std::uint64_t framed_blocks(const WidthCycle& wc, const BlockParams& params,
 }
 
 /// Framed plan: the shared frame split, each shard's block count walked
-/// over the width cycle. Used identically by encrypt and decrypt (widths
-/// don't depend on V).
+/// over the width cycle (widths don't depend on V, so no cover is read).
 std::vector<ShardRange> plan_framed(const WidthCycle& wc, const BlockParams& params,
                                     std::uint64_t total_bits, std::size_t n_shards) {
   std::vector<ShardRange> ranges = core::detail::split_frames(params, total_bits, n_shards);
@@ -121,56 +119,6 @@ std::vector<ShardRange> plan_shards(const WidthCycle& wc, const BlockParams& par
   *total_blocks =
       ranges.empty() ? 0 : ranges.back().block_begin + ranges.back().max_blocks;
   return ranges;
-}
-
-/// Shared body of the sharded decrypt forms: plan, strict length validation,
-/// and extraction into the first msg_bytes bytes of `out`.
-void run_hhea_decrypt_sharded(std::span<const std::uint8_t> cipher, const core::Key& key,
-                              std::size_t msg_bytes, int n_shards, exec::Executor* ex,
-                              std::span<std::uint8_t> out, const BlockParams& params) {
-  const auto bb = static_cast<std::size_t>(params.block_bytes());
-  if (cipher.size() % bb != 0) {
-    throw std::invalid_argument("hhea_decrypt_sharded: ciphertext not block-aligned");
-  }
-  const WidthCycle wc(key);
-  const auto total_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
-  std::uint64_t total_blocks = 0;
-  const std::vector<ShardRange> ranges =
-      plan_shards(wc, params, total_bits, static_cast<std::size_t>(n_shards), &total_blocks);
-  // Widths are deterministic, so the exact block count is known up front and
-  // the strict length contract is a single comparison.
-  const std::uint64_t have = cipher.size() / bb;
-  if (have < total_blocks) {
-    throw std::invalid_argument("hhea_decrypt_sharded: ciphertext too short for message length");
-  }
-  if (have > total_blocks) {
-    throw std::invalid_argument(
-        "hhea_decrypt_sharded: trailing ciphertext blocks after message end");
-  }
-  const std::vector<core::detail::PairCtx> ctx = detail::fixed_range_ctx(key);
-  if (params.policy == FramePolicy::framed) {
-    // Frame-aligned shard starts are byte-aligned: write slices directly.
-    exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-      const ShardRange& r = ranges[s];
-      core::detail::extract_shard(cipher, r, ctx, params,
-                                  out.subspan(static_cast<std::size_t>(r.bit_begin / 8),
-                                              static_cast<std::size_t>((r.n_bits + 7) / 8)));
-    });
-    return;
-  }
-  // Continuous shard boundaries fall on arbitrary bit offsets (the key's
-  // width cycle owes bytes nothing), so workers keep private bit buffers
-  // spliced in order into the caller's storage.
-  std::vector<std::vector<std::uint8_t>> parts(ranges.size());
-  exec::run_indexed(ex, ranges.size(), [&](std::size_t s) {
-    parts[s].resize(static_cast<std::size_t>((ranges[s].n_bits + 7) / 8));
-    core::detail::extract_shard(cipher, ranges[s], ctx, params, parts[s]);
-  });
-  util::SpanBitWriter sink(out.first(msg_bytes));
-  for (std::size_t s = 0; s < ranges.size(); ++s) {
-    sink.append_bits(parts[s], static_cast<std::size_t>(ranges[s].n_bits));
-  }
-  sink.flush();
 }
 
 }  // namespace
@@ -246,10 +194,8 @@ std::vector<std::uint8_t> hhea_decrypt_sharded(std::span<const std::uint8_t> cip
                                                const core::Key& key, std::size_t msg_bytes,
                                                int n_shards, exec::Executor* ex,
                                                BlockParams params) {
-  core::detail::validate_sharded(key, n_shards, params, "hhea_decrypt_sharded");
-  if (n_shards == 1) return hhea_decrypt(cipher, key, msg_bytes, params);
   std::vector<std::uint8_t> msg(msg_bytes);
-  run_hhea_decrypt_sharded(cipher, key, msg_bytes, n_shards, ex, msg, params);
+  (void)hhea_decrypt_sharded_into(cipher, key, msg_bytes, n_shards, ex, msg, params);
   return msg;
 }
 
@@ -265,7 +211,10 @@ std::size_t hhea_decrypt_sharded_into(std::span<const std::uint8_t> cipher,
     return HheaDecryptor(key, params)
         .decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
   }
-  run_hhea_decrypt_sharded(cipher, key, msg_bytes, n_shards, ex, out, params);
+  // Core's driver over the fixed-range tables: the same byte-snapped shard
+  // boundaries and strict length checks as MHHEA's sharded decrypt.
+  core::detail::run_decrypt_sharded(cipher, detail::fixed_range_ctx(key), msg_bytes, n_shards,
+                                    ex, out, params);
   return msg_bytes;
 }
 

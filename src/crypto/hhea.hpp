@@ -142,7 +142,8 @@ class HheaDecryptor {
 // arithmetic over the key's width cycle (no capacity scan at all), and the
 // framed plan is one cover-free frame walk. Workers then run fully parallel:
 // each clones `cover`, jumps to its block range (Lfsr::jump underneath) and
-// embeds/extracts its own slice.
+// embeds its own slice. Sharded decryption is core's driver
+// (core::detail::run_decrypt_sharded) over HHEA's fixed-range tables.
 
 /// Sharded one-shot encryption, bit-identical to HheaEncryptor::encrypt_into
 /// for every shard count: the output is sized by hhea_cipher_bytes and
@@ -170,10 +171,10 @@ std::size_t hhea_encrypt_sharded_into(
     std::span<std::uint8_t> out, core::BlockParams params = core::BlockParams::paper());
 
 /// hhea_decrypt_sharded into caller storage (std::length_error when `out` is
-/// shorter than `msg_bytes`). Framed shards start byte-aligned and write
-/// their slices directly; continuous shard boundaries fall on arbitrary bit
-/// offsets, so those workers keep private bit buffers spliced into `out`.
-/// Returns `msg_bytes`.
+/// shorter than `msg_bytes`). Shards start on byte-aligned bit offsets —
+/// frame starts, or continuous-policy boundaries snapped to the nearest
+/// aligned block edge, as in core::decrypt_sharded_into — so every worker
+/// writes its slice of `out` directly. Returns `msg_bytes`.
 std::size_t hhea_decrypt_sharded_into(
     std::span<const std::uint8_t> cipher, const core::Key& key, std::size_t msg_bytes,
     int n_shards, exec::Executor* ex, std::span<std::uint8_t> out,

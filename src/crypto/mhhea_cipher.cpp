@@ -160,89 +160,85 @@ void MhheaCipher::require_v2(const char* what) const {
   }
 }
 
+std::size_t MhheaCipher::encrypt_blocks(std::span<const std::uint8_t> msg,
+                                        std::span<std::uint8_t> out) {
+  const int eff = std::min(effective_shards(shards_, msg.size()), workers_);
+  return eff > 1 ? core::encrypt_sharded_into(msg, key_, *cover_proto_, eff, exec_, out, params_)
+                 : enc_.encrypt_into(msg, out);
+}
+
+std::size_t MhheaCipher::decrypt_blocks(std::span<const std::uint8_t> cipher,
+                                        std::uint64_t message_bits,
+                                        std::span<std::uint8_t> out) {
+  // The sharded planner splits whole bytes; a sub-byte length (which only a
+  // hand-made container can declare) runs on the sequential core.
+  const auto msg_bytes = static_cast<std::size_t>(message_bits / 8);
+  const int eff =
+      message_bits % 8 == 0 ? std::min(effective_shards(shards_, msg_bytes), workers_) : 1;
+  return eff > 1 ? core::decrypt_sharded_into(cipher, key_, msg_bytes, eff, exec_, out, params_)
+                 : dec_.decrypt_into(cipher, message_bits, out);
+}
+
+template <class Dest>
+std::size_t MhheaCipher::open_payload(const V2Opened& opened, Dest&& dest) {
+  const std::uint64_t bits = opened.header.message_bits;
+  const std::uint8_t tag = opened.header.compression;
+  if (tag == 0) return decrypt_blocks(opened.payload, bits, dest(bits));
+  // All structural rejections below run post-MAC and decrypt only into the
+  // instance scratch.
+  compress::Compressor& comp = compressor_for(tag);  // rejects unknown tags
+  if (bits % 8 != 0) {
+    throw std::invalid_argument("MhheaCipher: compressed envelope not byte-aligned");
+  }
+  const auto env_bytes = static_cast<std::size_t>(bits / 8);
+  if (z_open_buf_.size() < env_bytes) z_open_buf_.resize(env_bytes);
+  const std::span<std::uint8_t> env = std::span(z_open_buf_).first(env_bytes);
+  (void)decrypt_blocks(opened.payload, bits, env);
+  if (env.empty() || env[0] != tag) {
+    throw std::invalid_argument("MhheaCipher: envelope method does not match the header");
+  }
+  std::uint64_t raw_size = 0;
+  const std::size_t varint = compress::varint_decode(env.subspan(1), &raw_size);
+  const std::span<const std::uint8_t> stream = env.subspan(1 + varint);
+  // The declared size is MAC-covered, but cap it against the stream's best
+  // possible ratio anyway — a hard bound beats trusting arithmetic.
+  if (raw_size > comp.max_decoded_size(stream.size())) {
+    throw std::invalid_argument("MhheaCipher: envelope declares an impossible size");
+  }
+  return comp.decompress_into(stream, static_cast<std::size_t>(raw_size), dest(raw_size * 8));
+}
+
 std::size_t MhheaCipher::encrypt_into(std::span<const std::uint8_t> msg,
                                       std::span<std::uint8_t> out) {
   // Through the uniform interface every sealed_v2 message goes out under
   // nonce 0 — deterministic, like every other cipher in the sweep. Callers
   // that need distinct nonces drive seal_v2_into (crypto::Session does).
   if (framing_ == Framing::sealed_v2) return seal_v2_into(msg, 0, out);
-  std::span<std::uint8_t> payload = out;
-  if (framing_ == Framing::sealed) {
-    if (out.size() < core::FrameHeader::kSize) {
-      throw std::length_error("MhheaCipher::encrypt_into: output buffer too small");
-    }
-    payload = out.subspan(core::FrameHeader::kSize);
-  }
-  const int eff = std::min(effective_shards(shards_, msg.size()), workers_);
-  const std::size_t raw =
-      eff > 1 ? core::encrypt_sharded_into(msg, key_, *cover_proto_, eff, exec_,
-                                           payload, params_)
-              : enc_.encrypt_into(msg, payload);
-  if (framing_ == Framing::sealed) {
-    core::FrameHeader h;
-    h.params = params_;
-    h.message_bits = static_cast<std::uint64_t>(msg.size()) * 8;
-    core::frame_encode_header(h, out);
-    return core::FrameHeader::kSize + raw;
-  }
-  return raw;
+  return encrypt_blocks(msg, out);
 }
 
 std::size_t MhheaCipher::decrypt_into(std::span<const std::uint8_t> cipher,
                                       std::size_t msg_bytes, std::span<std::uint8_t> out) {
   const std::uint64_t message_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
-  if (framing_ == Framing::sealed_v2) {
-    // Authenticate first — on any tampering this throws before a single
-    // block is decrypted.
-    const V2Opened opened = open_v2_authenticate(cipher);
-    if (opened.header.compression != 0) {
-      // Compressed container: the header counts envelope bits, so the
-      // caller's declared length is checked against the envelope's raw size
-      // (decrypted into scratch — `out` stays untouched on mismatch).
-      const EnvelopeView env = decrypt_v2_envelope(opened);
-      if (env.raw_size != msg_bytes) {
-        throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
-      }
-      if (out.size() < msg_bytes) {
-        throw std::length_error("MhheaCipher::decrypt_into: output buffer too small");
-      }
-      return compressor_for(static_cast<std::uint8_t>(env.method))
-          .decompress_into(env.stream, env.raw_size, out.first(env.raw_size));
-    }
-    if (opened.header.message_bits != message_bits) {
+  if (framing_ == Framing::raw) return decrypt_blocks(cipher, message_bits, out);
+  // Authenticate first — on any tampering this throws before a single block
+  // is decrypted. A compressed container's length is its envelope's raw
+  // size, known only once the envelope is decrypted into scratch.
+  return open_payload(open_v2_authenticate(cipher), [&](std::uint64_t plain_bits) {
+    if (plain_bits != message_bits) {
       throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
     }
-    return decrypt_v2_payload(opened, out);
-  }
-  std::span<const std::uint8_t> payload = cipher;
-  if (framing_ == Framing::sealed) {
-    const core::FrameHeader h = core::frame_decode(cipher, &payload);
-    if (h.version != 1) {
-      // A v2 container parses structurally, but opening it here would skip
-      // MAC verification — cross-version confusion is rejected outright.
-      throw std::invalid_argument(
-          "MhheaCipher: v1 sealed cipher cannot open a v2 container");
+    if (out.size() < msg_bytes) {
+      throw std::length_error("MhheaCipher::decrypt_into: output buffer too small");
     }
-    if (h.params != params_) {
-      throw std::invalid_argument("MhheaCipher: sealed header params mismatch");
-    }
-    if (h.message_bits != message_bits) {
-      throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
-    }
-  }
-  const int eff = std::min(effective_shards(shards_, msg_bytes), workers_);
-  if (eff > 1) {
-    return core::decrypt_sharded_into(payload, key_, msg_bytes, eff, exec_, out,
-                                      params_);
-  }
-  return dec_.decrypt_into(payload, message_bits, out);
+    return out.first(msg_bytes);
+  });
 }
 
 std::size_t MhheaCipher::ciphertext_size(std::size_t msg_bytes) {
   if (framing_ == Framing::sealed_v2) return sealed_v2_size(msg_bytes, 0);
-  const std::size_t raw = static_cast<std::size_t>(
+  return static_cast<std::size_t>(
       enc_.one_shot_cipher_bytes(static_cast<std::uint64_t>(msg_bytes) * 8));
-  return raw + (framing_ == Framing::sealed ? core::FrameHeader::kSize : 0);
 }
 
 std::size_t MhheaCipher::max_ciphertext_size(std::size_t msg_bytes) const {
@@ -261,9 +257,8 @@ std::size_t MhheaCipher::max_ciphertext_size(std::size_t msg_bytes) const {
       blocks = bits / cycle_min_bits_ * L + L;
     }
   }
-  std::size_t overhead = 0;
-  if (framing_ == Framing::sealed) overhead = core::FrameHeader::kSize;
-  if (framing_ == Framing::sealed_v2) overhead = core::FrameHeader::kOverheadV2;
+  const std::size_t overhead =
+      framing_ == Framing::sealed_v2 ? core::FrameHeader::kOverheadV2 : 0;
   return static_cast<std::size_t>(blocks) * static_cast<std::size_t>(params_.block_bytes()) +
          overhead;
 }
@@ -279,17 +274,12 @@ std::size_t MhheaCipher::seal_v2_into(std::span<const std::uint8_t> msg, std::ui
   // to a compression-disabled seal).
   const SealBody body = make_seal_body(msg);
   set_nonce(nonce);
-  // Blocks land between the header and the trailer; encrypt_into's own
+  // Blocks land between the header and the trailer; the block encrypt's own
   // length_error covers a payload slice that cannot hold them.
-  std::span<std::uint8_t> payload = out.subspan(
-      core::FrameHeader::kSizeV2, out.size() - core::FrameHeader::kOverheadV2);
-  const int eff = std::min(effective_shards(shards_, body.bytes.size()), workers_);
-  const std::size_t raw =
-      eff > 1 ? core::encrypt_sharded_into(body.bytes, key_, *cover_proto_, eff, exec_,
-                                           payload, params_)
-              : enc_.encrypt_into(body.bytes, payload);
+  const std::size_t raw = encrypt_blocks(
+      body.bytes, out.subspan(core::FrameHeader::kSizeV2,
+                              out.size() - core::FrameHeader::kOverheadV2));
   core::FrameHeader h;
-  h.version = 2;
   h.nonce = nonce;
   h.params = params_;
   h.message_bits = static_cast<std::uint64_t>(body.bytes.size()) * 8;
@@ -316,9 +306,6 @@ MhheaCipher::V2Opened MhheaCipher::open_v2_authenticate(
   require_v2("open_v2_authenticate");
   std::span<const std::uint8_t> payload;
   const core::FrameHeader h = core::frame_decode(framed, &payload);
-  if (h.version != 2) {
-    throw std::invalid_argument("MhheaCipher: sealed-v2 open of a v1 container");
-  }
   if (h.params != params_) {
     throw std::invalid_argument("MhheaCipher: sealed header params mismatch");
   }
@@ -330,71 +317,25 @@ MhheaCipher::V2Opened MhheaCipher::open_v2_authenticate(
   return {h, payload};
 }
 
-std::size_t MhheaCipher::decrypt_v2_blocks(const V2Opened& opened,
-                                           std::span<std::uint8_t> out) {
-  const std::uint64_t bits = opened.header.message_bits;
-  if (bits % 8 == 0) {
-    const auto msg_bytes = static_cast<std::size_t>(bits / 8);
-    const int eff = std::min(effective_shards(shards_, msg_bytes), workers_);
-    if (eff > 1) {
-      return core::decrypt_sharded_into(opened.payload, key_, msg_bytes, eff, exec_,
-                                        out, params_);
-    }
-  }
-  return dec_.decrypt_into(opened.payload, bits, out);
-}
-
-MhheaCipher::EnvelopeView MhheaCipher::decrypt_v2_envelope(const V2Opened& opened) {
-  // All structural rejections here run post-MAC and decrypt only into the
-  // instance scratch — a caller's output buffer is never touched on failure.
-  const std::uint8_t tag = opened.header.compression;
-  compress::Compressor& comp = compressor_for(tag);  // rejects unknown tags
-  const std::uint64_t bits = opened.header.message_bits;
-  if (bits % 8 != 0) {
-    throw std::invalid_argument("MhheaCipher: compressed envelope not byte-aligned");
-  }
-  const auto env_bytes = static_cast<std::size_t>(bits / 8);
-  if (z_open_buf_.size() < env_bytes) z_open_buf_.resize(env_bytes);
-  const std::span<std::uint8_t> env = std::span(z_open_buf_).first(env_bytes);
-  (void)decrypt_v2_blocks(opened, env);
-  if (env.empty() || env[0] != tag) {
-    throw std::invalid_argument(
-        "MhheaCipher: envelope method does not match the header");
-  }
-  std::uint64_t raw_size = 0;
-  const std::size_t varint = compress::varint_decode(env.subspan(1), &raw_size);
-  const std::span<const std::uint8_t> stream = env.subspan(1 + varint);
-  // The declared size is MAC-covered, but cap it against the stream's best
-  // possible ratio anyway — a hard bound beats trusting arithmetic.
-  if (raw_size > comp.max_decoded_size(stream.size())) {
-    throw std::invalid_argument("MhheaCipher: envelope declares an impossible size");
-  }
-  return {static_cast<compress::Method>(tag), static_cast<std::size_t>(raw_size), stream};
-}
-
 std::size_t MhheaCipher::decrypt_v2_payload(const V2Opened& opened,
                                             std::span<std::uint8_t> out) {
   require_v2("decrypt_v2_payload");
-  if (opened.header.compression == 0) return decrypt_v2_blocks(opened, out);
-  const EnvelopeView env = decrypt_v2_envelope(opened);
-  if (out.size() < env.raw_size) {
-    throw std::length_error("MhheaCipher::decrypt_v2_payload: output buffer too small");
-  }
-  return compressor_for(static_cast<std::uint8_t>(env.method))
-      .decompress_into(env.stream, env.raw_size, out.first(env.raw_size));
+  return open_payload(opened, [&](std::uint64_t plain_bits) {
+    const auto n = static_cast<std::size_t>((plain_bits + 7) / 8);
+    if (out.size() < n) {
+      throw std::length_error("MhheaCipher::decrypt_v2_payload: output buffer too small");
+    }
+    return out.first(n);
+  });
 }
 
 std::vector<std::uint8_t> MhheaCipher::open_v2_alloc(const V2Opened& opened) {
   require_v2("open_v2_alloc");
-  if (opened.header.compression == 0) {
-    std::vector<std::uint8_t> msg((opened.header.message_bits + 7) / 8);
-    (void)decrypt_v2_blocks(opened, msg);
-    return msg;
-  }
-  const EnvelopeView env = decrypt_v2_envelope(opened);
-  std::vector<std::uint8_t> msg(env.raw_size);
-  (void)compressor_for(static_cast<std::uint8_t>(env.method))
-      .decompress_into(env.stream, env.raw_size, msg);
+  std::vector<std::uint8_t> msg;
+  (void)open_payload(opened, [&](std::uint64_t plain_bits) {
+    msg.resize(static_cast<std::size_t>((plain_bits + 7) / 8));
+    return std::span(msg);
+  });
   return msg;
 }
 

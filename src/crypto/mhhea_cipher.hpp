@@ -12,12 +12,7 @@
 // STATEFUL internally — share one instance per thread (the batch API
 // already builds one cipher per worker).
 //
-// Framing::sealed wraps every ciphertext in the self-describing
-// core::seal/open container (frame.hpp): a 16-byte header carrying params
-// and message length ahead of the blocks. That is the mode the bench uses
-// to measure the framed/hardware configuration end to end.
-//
-// Framing::sealed_v2 is the authenticated container (frame.hpp's v2 wire
+// Framing::sealed_v2 is the authenticated container (frame.hpp's wire
 // layout): a 24-byte header carrying an explicit nonce, encrypt-then-MAC
 // with a SipHash-2-4-128 trailer over header || ciphertext, and a per-nonce
 // cover seed derived by the V2KeySchedule so no two nonces share keystream.
@@ -49,7 +44,6 @@ class MhheaCipher final : public Cipher {
   /// Ciphertext layout produced by encrypt().
   enum class Framing {
     raw,        ///< bare ciphertext blocks (the paper's out-of-band-EOF mode)
-    sealed,     ///< core::seal container: 16-byte header + blocks
     sealed_v2,  ///< authenticated container: 24-byte header + blocks + MAC
   };
 
@@ -86,36 +80,31 @@ class MhheaCipher final : public Cipher {
   ~MhheaCipher() override;
 
   [[nodiscard]] std::string name() const override {
-    switch (framing_) {
-      case Framing::sealed: return "MHHEA-sealed";
-      case Framing::sealed_v2:
-        return compression_ == compress::Method::raw ? "MHHEA-sealed-v2"
-                                                     : "MHHEA-sealed-v2-z";
-      default: return "MHHEA";
-    }
+    if (framing_ == Framing::raw) return "MHHEA";
+    return compression_ == compress::Method::raw ? "MHHEA-sealed-v2" : "MHHEA-sealed-v2-z";
   }
   /// One-shot encryption straight into the caller's buffer: the core's
   /// final-sized block planner (no tail-replay bookkeeping) for shards == 1,
-  /// the sharded planner writing disjoint slices for shards > 1; sealed
-  /// framing writes its 16-byte header in place ahead of the blocks, and
-  /// sealed_v2 seals under nonce 0 (header + blocks + MAC trailer). The
-  /// warmed single-shard path performs zero heap allocations.
+  /// the sharded planner writing disjoint slices for shards > 1; sealed_v2
+  /// seals under nonce 0 (header + blocks + MAC trailer). The warmed
+  /// single-shard path performs zero heap allocations.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg,
                            std::span<std::uint8_t> out) override;
-  /// For sealed framings, `msg_bytes` must agree with the header's message
-  /// length (std::invalid_argument otherwise). sealed_v2 verifies the MAC in
-  /// constant time BEFORE any decryption — MacError (an invalid_argument) on
-  /// any tampered bit, so garbage plaintext is never produced.
+  /// Under sealed_v2, `msg_bytes` must agree with the container's plaintext
+  /// length (std::invalid_argument otherwise, `out` untouched), and the MAC
+  /// is verified in constant time BEFORE any decryption — MacError (an
+  /// invalid_argument) on any tampered bit, so garbage plaintext is never
+  /// produced.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
                            std::span<std::uint8_t> out) override;
   /// Exact, via a cover + scramble-width scan (~a third of an encryption);
-  /// includes the constant container overhead in the sealed framings.
+  /// includes the constant container overhead under sealed_v2.
   [[nodiscard]] std::size_t ciphertext_size(std::size_t msg_bytes) override;
   /// Cheap closed-form worst case from the key's per-pair minimum scramble
   /// widths (each pair embeds at least min(d+1, H-d+1) bits when uncapped).
   [[nodiscard]] std::size_t max_ciphertext_size(std::size_t msg_bytes) const override;
   /// Analytical expected expansion for this key (src/core/analysis.hpp);
-  /// excludes the constant container overhead in the sealed framings.
+  /// excludes the constant container overhead under sealed_v2.
   [[nodiscard]] double expansion() const override { return expansion_; }
 
   // --- sealed_v2 entry points (std::logic_error under other framings) ---
@@ -148,9 +137,9 @@ class MhheaCipher final : public Cipher {
     std::span<const std::uint8_t> payload;  // ciphertext blocks, MAC excluded
   };
   /// Structural parse + constant-time MAC verification, no decryption:
-  /// std::invalid_argument on malformation or a v1 container, MacError on tag
-  /// mismatch. What Session calls first so replay checks run on
-  /// authenticated nonces only.
+  /// std::invalid_argument on malformation (any version byte but 2 included)
+  /// or a params mismatch, MacError on tag mismatch. What Session calls
+  /// first so replay checks run on authenticated nonces only.
   [[nodiscard]] V2Opened open_v2_authenticate(std::span<const std::uint8_t> framed) const;
   /// Decrypt an authenticated container's payload into `out` (zero-padded to
   /// whole bytes), returning the plaintext bytes: ceil(message_bits/8) for an
@@ -190,18 +179,20 @@ class MhheaCipher final : public Cipher {
     std::uint8_t method = 0;
   };
   [[nodiscard]] SealBody make_seal_body(std::span<const std::uint8_t> msg);
-  /// Decrypted-and-parsed view of a compressed container's envelope (stream
-  /// points into z_open_buf_, valid until the next open on this instance).
-  struct EnvelopeView {
-    compress::Method method = compress::Method::raw;
-    std::size_t raw_size = 0;
-    std::span<const std::uint8_t> stream;
-  };
-  /// Decrypt a compressed container's envelope into z_open_buf_ and validate
-  /// its structure (tag vs header, varint, declared-size sanity cap).
-  [[nodiscard]] EnvelopeView decrypt_v2_envelope(const V2Opened& opened);
-  /// The uncompressed block-decrypt half of decrypt_v2_payload.
-  std::size_t decrypt_v2_blocks(const V2Opened& opened, std::span<std::uint8_t> out);
+  /// The one sharded-or-sequential choice per direction: the sharded
+  /// planner when the message is long enough to split across more than one
+  /// worker, the resettable sequential core otherwise.
+  std::size_t encrypt_blocks(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
+  std::size_t decrypt_blocks(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
+                             std::span<std::uint8_t> out);
+  /// The one open path of an authenticated container: decrypt the payload
+  /// (and decompress a compressed envelope, decrypted into z_open_buf_ and
+  /// validated first) into `dest(plain_bits)`, which returns the destination
+  /// span for that many plaintext bits — or throws to reject the length.
+  /// `dest` runs only after every structural check has passed, so a
+  /// rejected container never touches the caller's storage.
+  template <class Dest>
+  std::size_t open_payload(const V2Opened& opened, Dest&& dest);
   /// Point the encryptor core (and the shard prototype) at `nonce`'s derived
   /// cover seed. No-op when already there — consecutive same-nonce calls
   /// (size query then seal) pay one derivation, zero reseeds.

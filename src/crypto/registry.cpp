@@ -75,21 +75,11 @@ const CipherRegistry& CipherRegistry::builtin() {
                                            nonzero_seed(rng, cover_seed_bits(params)),
                                            params, MhheaCipher::Framing::raw, shards);
     });
-    // The framed/hardware configuration measured end to end through the
-    // core::seal/open container (16-byte self-describing header + blocks).
-    r.register_cipher("MHHEA-sealed",
-                      [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
-      util::Xoshiro256 rng(seed);
-      const auto params = core::BlockParams::hardware();
-      core::Key key = core::Key::random(rng, kRegistryKeyPairs, params);
-      return std::make_unique<MhheaCipher>(std::move(key),
-                                           nonzero_seed(rng, cover_seed_bits(params)),
-                                           params, MhheaCipher::Framing::sealed, shards);
-    });
-    // The authenticated container (24-byte nonce-carrying header + blocks +
-    // SipHash-128 trailer) over the same hardware configuration — sweeping
-    // it next to MHHEA-sealed is what prices the MAC into the bench. The
-    // sweep seed doubles as the V2 schedule master (see MhheaCipher).
+    // The framed/hardware configuration through the authenticated container
+    // (24-byte nonce-carrying header + blocks + SipHash-128 trailer) —
+    // sweeping it next to MHHEA is what prices framing and the MAC into the
+    // bench. The sweep seed doubles as the V2 schedule master (see
+    // MhheaCipher).
     r.register_cipher("MHHEA-sealed-v2",
                       [](std::uint64_t seed, int shards) -> std::unique_ptr<Cipher> {
       util::Xoshiro256 rng(seed);

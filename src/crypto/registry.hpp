@@ -46,9 +46,10 @@ class CipherRegistry {
   [[nodiscard]] std::vector<std::string> names() const;
   [[nodiscard]] std::size_t size() const noexcept { return factories_.size(); }
 
-  /// The built-in registry: MHHEA, MHHEA-sealed (framed/hardware params
-  /// through the core::seal container), HHEA and YAEA-S, all with
-  /// seed-derived random keys.
+  /// The built-in registry: MHHEA, MHHEA-sealed-v2 and MHHEA-sealed-v2-z
+  /// (framed/hardware params through the authenticated container, the
+  /// latter with LZSS compression), HHEA and YAEA-S, all with seed-derived
+  /// random keys.
   [[nodiscard]] static const CipherRegistry& builtin();
 
  private:

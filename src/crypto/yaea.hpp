@@ -2,7 +2,7 @@
 //
 // The original YAEA ("Yet Another Encryption Algorithm", Saeb/Zewail/Seif,
 // ICEENG 2002) is cited by the paper but its specification is not publicly
-// available, so — per the reproduction rules (DESIGN.md §2) — we substitute
+// available, so — as for any comparator without a public specification — we substitute
 // a cipher of the same architectural class: a compact, fast LFSR-based
 // stream cipher that XORs a keystream byte per cycle. We use the classic
 // Geffe construction: three maximal-length LFSRs (degrees 17, 19, 23 —

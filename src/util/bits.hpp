@@ -1,11 +1,16 @@
 // Bit-manipulation primitives shared by every layer of the MHHEA stack.
 //
-// Conventions used throughout this repository (normative, see DESIGN.md §3):
+// Conventions used throughout this repository (normative):
 //   * bit index 0 is the least-significant bit ("location zero refers to the
 //     least significant bit" — paper, §IV);
 //   * multi-bit fields are written `value[hi..lo]` with `lo` at the LSB;
 //   * rotations are defined on an explicit width so that 16-bit hardware
-//     rotates and 64-bit software values never get mixed up.
+//     rotates and 64-bit software values never get mixed up;
+//   * message bit streams over byte buffers are LSB-first: within a byte,
+//     bit 0 is consumed (and produced) first;
+//   * multi-byte words — hiding vectors, ciphertext blocks, header fields —
+//     are little-endian (byte[0] = bits 7..0), so the software bit stream is
+//     identical to the hardware's view of its 16-bit message cache.
 #pragma once
 
 #include <bit>

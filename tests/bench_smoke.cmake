@@ -29,8 +29,8 @@ string(JSON host_avx2 GET "${doc}" host cpu_avx2)
 if(NOT host_backend MATCHES "^(scalar|avx2)$")
   message(FATAL_ERROR "bench_smoke: host.backend is \"${host_backend}\", expected scalar or avx2")
 endif()
-# 6 ciphers x 3 sizes x 4 dir/api cells at threads=1 shards=1 on the random
-# corpus, plus the text-corpus sequential encrypt/decrypt columns.
+# 5 ciphers x 3 sizes x 4 dir/api cells at threads=1 shards=1 on the random
+# corpus (60), plus the text-corpus sequential encrypt/decrypt columns (30).
 if(n_results LESS 72)
   message(FATAL_ERROR "bench_smoke: expected >= 72 result cells, got ${n_results}")
 endif()
@@ -60,7 +60,7 @@ foreach(i RANGE ${last})
   list(APPEND corpora "${corpus}")
 endforeach()
 
-foreach(want MHHEA MHHEA-sealed MHHEA-sealed-v2 MHHEA-sealed-v2-z HHEA YAEA-S)
+foreach(want MHHEA MHHEA-sealed-v2 MHHEA-sealed-v2-z HHEA YAEA-S)
   if(NOT "${want}" IN_LIST seen)
     message(FATAL_ERROR "bench_smoke: registry cipher ${want} missing from results")
   endif()
@@ -82,7 +82,7 @@ endif()
 if(NOT shard_clamped STREQUAL "ON" AND NOT shard_clamped STREQUAL "true")
   message(FATAL_ERROR "bench_smoke: shard_speedup_clamped is \"${shard_clamped}\", expected true for a --shards 1 run")
 endif()
-foreach(want MHHEA MHHEA-sealed MHHEA-sealed-v2 MHHEA-sealed-v2-z HHEA YAEA-S)
+foreach(want MHHEA MHHEA-sealed-v2 MHHEA-sealed-v2-z HHEA YAEA-S)
   string(JSON batch_ratio ERROR_VARIABLE jerr GET "${doc}" batch_speedup "${want}")
   if(jerr)
     message(FATAL_ERROR "bench_smoke: batch_speedup missing cipher ${want} (pre-fix bug: empty {} on clamped hosts)")

@@ -347,7 +347,6 @@ TEST(CompressedSealedV2, FrameCodecCarriesTheMethodByte) {
   // codec cannot know future tags, so unknown methods pass the parse and
   // are rejected post-MAC by the cipher (tested above).
   core::FrameHeader h;
-  h.version = 2;
   h.params = core::BlockParams::hardware();
   h.message_bits = 0;
   h.nonce = 9;
@@ -369,11 +368,6 @@ TEST(CompressedSealedV2, FrameCodecCarriesTheMethodByte) {
   auto byte_only = buf;
   byte_only[5] &= static_cast<std::uint8_t>(~0x08);
   EXPECT_THROW((void)core::frame_decode(byte_only, nullptr), std::invalid_argument);
-
-  // A v1 header cannot carry one.
-  h.version = 1;
-  h.nonce = 0;
-  EXPECT_THROW(core::frame_encode_header(h, buf), std::invalid_argument);
 }
 
 TEST(CompressedSealedV2, RawFramingRejectsTheKnob) {

@@ -1,9 +1,11 @@
 // Tests of the analytical rate model against closed forms and Monte Carlo.
 //
-// Closed form used below (derived in DESIGN.md §6 and verified here): for a
-// pair with span d on the paper's geometry, averaging over a uniform
-// scramble field, E[width | d] = (8 + 16d - 2d^2) / 8, and averaging over
-// uniformly random pairs gives E[width] = 29/8 = 3.625.
+// Closed form used below (verified here): for a pair with span d on the
+// paper's geometry (H = 8), a uniform scramble field puts KN1 at each of the
+// 8 positions equally often; the 8 - d positions without a wrap give width
+// d + 1 and the d wrapping ones give H - d + 1, so E[width | d] =
+// (8 + 16d - 2d^2) / 8, and averaging over uniformly random pairs gives
+// E[width] = 29/8 = 3.625.
 #include "src/core/analysis.hpp"
 
 #include <gtest/gtest.h>

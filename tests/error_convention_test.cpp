@@ -164,9 +164,13 @@ TEST_F(SealedV2Errors, OpenAuthenticateMalformations) {
   expect_invalid_argument([&] { (void)cipher_.open_v2_authenticate(bad_magic); },
                           "open_v2_authenticate bad magic");
 
-  // A v1 container must be rejected structurally — opening it unauthenticated
-  // would defeat the format.
-  const auto v1 = core::seal(msg_, cipher_.key(), /*seed=*/5, cipher_.params());
+  // A retired version-1 container (16-byte header, blocks, no nonce or MAC)
+  // must be rejected structurally — opening it unauthenticated would defeat
+  // the format.
+  std::vector<std::uint8_t> v1(sealed.begin(), sealed.begin() + 16);
+  v1[4] = 1;
+  v1.insert(v1.end(), sealed.begin() + core::FrameHeader::kSizeV2,
+            sealed.end() - core::FrameHeader::kMacBytesV2);
   expect_invalid_argument([&] { (void)cipher_.open_v2_authenticate(v1); },
                           "open_v2_authenticate v1 container");
 }
@@ -195,10 +199,12 @@ TEST_F(SealedV2Errors, DecryptPayloadShortBuffer) {
 TEST(ErrorConvention, FrameCodec) {
   const core::Key key = core::Key::parse("1-6,2-5");
   const auto msg = test_message(32);
-  const auto framed = core::seal(msg, key, /*seed=*/3);
+  const auto framed = crypto::MhheaCipher(key, /*seed=*/3, core::BlockParams::paper(),
+                                          crypto::MhheaCipher::Framing::sealed_v2)
+                          .encrypt(msg);
 
   core::FrameHeader h{};
-  std::array<std::uint8_t, core::FrameHeader::kSize - 1> small{};
+  std::array<std::uint8_t, core::FrameHeader::kSizeV2 - 1> small{};
   expect_length_error([&] { core::frame_encode_header(h, small); },
                       "frame_encode_header short out");
 
@@ -206,15 +212,19 @@ TEST(ErrorConvention, FrameCodec) {
   expect_invalid_argument([&] { (void)core::frame_decode({}, &payload); },
                           "frame_decode empty");
   expect_invalid_argument(
-      [&] { (void)core::frame_decode(std::span(framed).first(core::FrameHeader::kSize - 1), &payload); },
+      [&] {
+        (void)core::frame_decode(std::span(framed).first(core::FrameHeader::kSizeV2 - 1),
+                                 &payload);
+      },
       "frame_decode short header");
 
   auto bad = framed;
   bad[0] ^= 0xff;
   expect_invalid_argument([&] { (void)core::frame_decode(bad, &payload); },
                           "frame_decode bad magic");
-  expect_invalid_argument([&] { (void)core::open(std::span(framed).first(framed.size() - 1), key); },
-                          "core::open truncated");
+  expect_invalid_argument(
+      [&] { (void)core::frame_decode(std::span(framed).first(framed.size() - 1), &payload); },
+      "frame_decode truncated");
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +286,7 @@ TEST(ErrorConvention, ConstructionValidation) {
         (void)crypto::MhheaCipher(core::Key::parse("1-6"),
                                   crypto::V2KeySchedule::derive(0x1ULL),
                                   core::BlockParams::paper(),
-                                  crypto::MhheaCipher::Framing::sealed);
+                                  crypto::MhheaCipher::Framing::raw);
       },
       "MhheaCipher schedule with non-v2 framing");
   expect_invalid_argument([&] { (void)crypto::V2KeySchedule::derive(std::span<const std::uint8_t>{}); },

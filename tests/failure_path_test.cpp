@@ -260,9 +260,16 @@ TEST(FramedBatchStrictness, TruncatedFinalFrameThrowsEverywhere) {
         std::invalid_argument)
         << "shards " << shards;
   }
-  crypto::MhheaCipher sealed(key, 0xACE1, params, crypto::MhheaCipher::Framing::sealed);
+  // Through the sealed adapter: drop the last block ahead of the MAC trailer
+  // and re-tag the container under the right MAC key, so the strict length
+  // check — not the MAC — is what rejects it.
+  crypto::MhheaCipher sealed(key, 0xACE1, params, crypto::MhheaCipher::Framing::sealed_v2);
   auto framed = sealed.encrypt(msg);
-  framed.resize(framed.size() - static_cast<std::size_t>(params.block_bytes()));
+  framed.resize(framed.size() - core::FrameHeader::kMacBytesV2 -
+                static_cast<std::size_t>(params.block_bytes()));
+  const crypto::MacTag tag =
+      crypto::siphash128(crypto::V2KeySchedule::derive(0xACE1).mac_key, framed);
+  framed.insert(framed.end(), tag.begin(), tag.end());
   EXPECT_THROW((void)sealed.decrypt(framed, msg.size()), std::invalid_argument);
 }
 

@@ -1,6 +1,6 @@
 // Sealed format v2 tamper matrix: every header byte, every MAC byte, sampled
-// ciphertext bits, truncation at every boundary, and v1/v2 cross-version
-// confusion — each rejected with a typed error before any decryption, never
+// ciphertext bits, truncation at every boundary, and a retired version-1
+// container — each rejected with a typed error before any decryption, never
 // surfacing garbage plaintext.
 #include <gtest/gtest.h>
 
@@ -59,7 +59,7 @@ TEST(SealedV2, RoundTripThroughCipherInterface) {
   ASSERT_EQ(fx.sealed.size(), fx.cipher.ciphertext_size(fx.msg.size()));
   ASSERT_GE(fx.sealed.size(), FrameHeader::kOverheadV2);
   const FrameHeader h = core::frame_decode(fx.sealed, nullptr);
-  EXPECT_EQ(h.version, 2);
+  EXPECT_EQ(fx.sealed[4], 2);  // the version byte
   EXPECT_EQ(h.nonce, 0u);
   EXPECT_EQ(h.message_bits, static_cast<std::uint64_t>(fx.msg.size()) * 8);
   EXPECT_EQ(fx.cipher.decrypt(fx.sealed, fx.msg.size()), fx.msg);
@@ -96,7 +96,7 @@ TEST(SealedV2, NonceTamperFailsTheMacSpecifically) {
   // Bytes 16..23 are structurally unconstrained, so a flipped nonce must be
   // caught by the MAC itself, not by header validation.
   V2Fixture fx;
-  for (std::size_t byte = FrameHeader::kSize; byte < FrameHeader::kSizeV2; ++byte) {
+  for (std::size_t byte = 16; byte < FrameHeader::kSizeV2; ++byte) {
     auto t = fx.sealed;
     t[byte] ^= 0x01;
     fx.expect_rejected<MacError>(t, "nonce byte " + std::to_string(byte));
@@ -152,21 +152,25 @@ TEST(SealedV2, TruncationAtEveryBoundaryIsRejected) {
 }
 
 TEST(SealedV2, CrossVersionConfusionIsRejected) {
+  // A hand-built version-1 container — the retired unauthenticated layout:
+  // the first 16 header bytes with version 1, then the blocks, no nonce and
+  // no MAC — over the fixture's own ciphertext. Opening it unauthenticated
+  // would defeat the format, so it must fail structurally, before any MAC
+  // or decryption work.
   V2Fixture fx;
-  MhheaCipher v1(fx.key, 0xBEEF, fx.params, MhheaCipher::Framing::sealed);
-  const auto sealed_v1 = v1.encrypt(fx.msg);
-  ASSERT_EQ(core::frame_decode(sealed_v1, nullptr).version, 1);
-  // A v1-sealed container fed to the v2 cipher: structural version mismatch.
-  fx.expect_rejected<std::invalid_argument>(sealed_v1, "v1 container, v2 cipher");
-  EXPECT_THROW((void)fx.cipher.open_v2_authenticate(sealed_v1), std::invalid_argument);
-  // A v2 container fed to the v1 cipher must not be opened unauthenticated.
-  std::vector<std::uint8_t> out(fx.msg.size(), 0xCD);
-  EXPECT_THROW((void)v1.decrypt_into(fx.sealed, fx.msg.size(), out),
-               std::invalid_argument);
-  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
-                          [](std::uint8_t b) { return b == 0xCD; }));
-  // And the keyless core::open refuses v2 outright.
-  EXPECT_THROW((void)core::open(fx.sealed, fx.key), std::invalid_argument);
+  std::vector<std::uint8_t> v1(fx.sealed.begin(), fx.sealed.begin() + 16);
+  v1[4] = 1;
+  v1.insert(v1.end(), fx.sealed.begin() + FrameHeader::kSizeV2,
+            fx.sealed.end() - FrameHeader::kMacBytesV2);
+  EXPECT_THROW((void)core::frame_decode(v1, nullptr), std::invalid_argument);
+  try {
+    (void)fx.cipher.open_v2_authenticate(v1);
+    ADD_FAILURE() << "v1 container authenticated";
+  } catch (const MacError&) {
+    ADD_FAILURE() << "rejected by the MAC, not by the structural parse";
+  } catch (const std::invalid_argument&) {
+  }
+  fx.expect_rejected<std::invalid_argument>(v1, "v1 container");
 }
 
 TEST(SealedV2, WrongScheduleFailsTheMac) {
