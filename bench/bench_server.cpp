@@ -12,9 +12,14 @@
 //      response, so server-side queueing and shedding delay both count, the
 //      way an outside observer would see them.
 //
-// Per run the harness reports goodput (kOk responses/s), shed rate
-// (kOverloaded, the retriable overload signal), error count, and
-// p50/p99/p999 latency. The ≥2x-saturation run is where the server's
+// Per run the harness reports goodput (kOk responses completed inside the
+// run window, per second), shed rate (kOverloaded, the retriable overload
+// signal), error count, and p50/p99/p999 latency. kOk responses that only
+// complete during the post-window drain are reported apart as `drained`:
+// past saturation they are the backlog, and counting them as goodput would
+// report the offered rate instead of the served one. Latency percentiles
+// cover every kOk response, drained ones included, so that backlog still
+// shows as queueing delay. The ≥2x-saturation run is where the server's
 // explicit shedding must engage: the acceptance gate checks it sheds
 // (nonzero kOverloaded) instead of crashing or queuing without bound.
 //
@@ -152,11 +157,12 @@ double percentile(std::vector<double>& sorted, double q) {
 struct RunResult {
   double target_qps = 0.0;
   std::uint64_t sent = 0;
-  std::uint64_t ok = 0;
+  std::uint64_t ok = 0;       // kOk completed inside the run window
+  std::uint64_t drained = 0;  // kOk completed during the post-window drain
   std::uint64_t shed = 0;
   std::uint64_t errors = 0;
   std::uint64_t lost = 0;  // no response (connection died / drain cutoff)
-  std::uint64_t wire_bytes = 0;  // kOk response bodies: sealed frames shipped
+  std::uint64_t wire_bytes = 0;  // in-window kOk bodies: sealed frames shipped
   double goodput_qps = 0.0;
   double shed_rate = 0.0;
   double expansion = 0.0;  // wire bytes per plaintext byte, post compression
@@ -189,6 +195,13 @@ class OpenLoopConn {
     ::close(fd_);
   }
 
+  /// Set the end of the run window: kOk responses completing after it
+  /// count as drained, not ok. Call before the first push_arrival.
+  void set_window_end(Clock::time_point end) {
+    std::lock_guard lock(mu_);
+    window_end_ = end;
+  }
+
   void push_arrival(Clock::time_point scheduled) {
     {
       std::lock_guard lock(mu_);
@@ -208,11 +221,12 @@ class OpenLoopConn {
   }
 
   std::uint64_t sent = 0;  // final counters, valid after drain()
-  std::uint64_t ok = 0;
+  std::uint64_t ok = 0;  // in-window kOk responses
+  std::uint64_t drained = 0;
   std::uint64_t shed = 0;
   std::uint64_t errors = 0;
-  std::uint64_t wire_bytes = 0;  // sealed container bytes across kOk bodies
-  std::vector<double> latencies_ms;
+  std::uint64_t wire_bytes = 0;  // sealed container bytes across in-window kOk bodies
+  std::vector<double> latencies_ms;  // every kOk response, drained ones included
 
  private:
   std::uint64_t pushed_count() const { return total_pushed_; }
@@ -262,8 +276,12 @@ class OpenLoopConn {
       std::lock_guard lock(mu_);
       switch (static_cast<Status>(resp.tag)) {
         case Status::kOk:
-          ok += 1;
-          wire_bytes += resp.body.size();
+          if (now <= window_end_) {
+            ok += 1;
+            wire_bytes += resp.body.size();
+          } else {
+            drained += 1;
+          }
           latencies_ms.push_back(ms);
           break;
         case Status::kOverloaded:
@@ -282,6 +300,7 @@ class OpenLoopConn {
 
   int fd_;
   std::vector<std::uint8_t> frame_;
+  Clock::time_point window_end_ = Clock::time_point::max();
   std::thread sender_;
   std::thread receiver_;
   std::mutex mu_;
@@ -369,6 +388,7 @@ RunResult run_open_loop(const Options& opt, double target_qps) {
   const auto t0 = Clock::now();
   const auto t_end = t0 + std::chrono::duration_cast<Clock::duration>(
                               std::chrono::duration<double>(opt.run_secs));
+  for (auto& c : conns) c->set_window_end(t_end);
   std::uint64_t scheduled = 0;
   auto next_arrival = t0;
   std::size_t rr = 0;
@@ -395,15 +415,17 @@ RunResult run_open_loop(const Options& opt, double target_qps) {
     const auto& cc = *c;
     r.sent += cc.sent;
     r.ok += cc.ok;
+    r.drained += cc.drained;
     r.shed += cc.shed;
     r.errors += cc.errors;
     r.wire_bytes += cc.wire_bytes;
     lat.insert(lat.end(), cc.latencies_ms.begin(), cc.latencies_ms.end());
   }
   conns.clear();
-  r.lost = scheduled >= (r.ok + r.shed + r.errors)
-               ? scheduled - (r.ok + r.shed + r.errors)
-               : 0;
+  // Every scheduled request is exactly one of ok, drained, shed, errors or
+  // lost.
+  const std::uint64_t responded = r.ok + r.drained + r.shed + r.errors;
+  r.lost = scheduled >= responded ? scheduled - responded : 0;
   const double secs = opt.run_secs;
   r.goodput_qps = secs > 0 ? static_cast<double>(r.ok) / secs : 0.0;
   r.expansion = r.ok > 0 ? static_cast<double>(r.wire_bytes) /
@@ -412,9 +434,8 @@ RunResult run_open_loop(const Options& opt, double target_qps) {
                          : 0.0;
   r.effective_wire_mb_per_s =
       secs > 0 ? static_cast<double>(r.wire_bytes) / secs / 1.0e6 : 0.0;
-  const std::uint64_t answered = r.ok + r.shed + r.errors;
-  r.shed_rate = answered > 0 ? static_cast<double>(r.shed) / static_cast<double>(answered)
-                             : 0.0;
+  r.shed_rate =
+      responded > 0 ? static_cast<double>(r.shed) / static_cast<double>(responded) : 0.0;
   std::sort(lat.begin(), lat.end());
   r.p50_ms = percentile(lat, 0.50);
   r.p99_ms = percentile(lat, 0.99);
@@ -500,7 +521,8 @@ int main(int argc, char** argv) {
               << "s...\n";
     runs.push_back(run_open_loop(opt, q));
     const RunResult& r = runs.back();
-    std::cerr << "  sent=" << r.sent << " ok=" << r.ok << " shed=" << r.shed
+    std::cerr << "  sent=" << r.sent << " ok=" << r.ok << " drained=" << r.drained
+              << " shed=" << r.shed
               << " err=" << r.errors << " lost=" << r.lost << " goodput="
               << r.goodput_qps << " p50=" << r.p50_ms << "ms p99=" << r.p99_ms
               << "ms p999=" << r.p999_ms << "ms\n";
@@ -521,7 +543,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
     os << "    {\"target_qps\": " << r.target_qps << ", \"sent\": " << r.sent
-       << ", \"ok\": " << r.ok << ", \"shed\": " << r.shed
+       << ", \"ok\": " << r.ok << ", \"drained\": " << r.drained
+       << ", \"shed\": " << r.shed
        << ", \"errors\": " << r.errors << ", \"lost\": " << r.lost
        << ", \"goodput_qps\": " << r.goodput_qps
        << ", \"wire_bytes\": " << r.wire_bytes

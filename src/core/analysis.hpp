@@ -1,9 +1,10 @@
 // Analytical model of MHHEA's rate and location statistics.
 //
-// MhheaCipher reports its expected expansion from it (Table 1's rate
-// model), and the location statistics quantify how well the location
-// scrambling spreads the hidden bits (the property that defeats the
-// constant chosen-plaintext attack, §II/§VI).
+// Its expected expansion is Table 1's rate model (MhheaCipher::expansion()
+// reads the same value off the walk's pair tables, pinned by a test), and
+// the location statistics quantify how well the location scrambling
+// spreads the hidden bits (the property that defeats the constant
+// chosen-plaintext attack, §II/§VI).
 #pragma once
 
 #include <array>

@@ -80,12 +80,13 @@ std::size_t detail::extract_message(std::span<const PairCtx> pairs, const BlockP
   return out_bytes;
 }
 
-Encryptor::Encryptor(Key key, std::unique_ptr<CoverSource> cover, BlockParams params)
+Encryptor::Encryptor(Key key, std::unique_ptr<CoverSource> cover, BlockParams params,
+                     Scheme scheme)
     : key_(std::move(key)), cover_(std::move(cover)), params_(params) {
   params_.validate();
   if (cover_ == nullptr) throw std::invalid_argument("Encryptor: null cover source");
   key_.require_fits(params_, "Encryptor");
-  pair_ctx_ = detail::make_pair_ctx(key_, params_);
+  pair_ctx_ = detail::pair_tables(key_, params_, scheme);
   cover_buf_.resize(kCoverChunk);
 }
 
@@ -117,11 +118,12 @@ void Encryptor::reseed(std::uint64_t seed) {
   cover_->reseed(seed);  // also rewinds onto the new seed
 }
 
-Decryptor::Decryptor(Key key, std::uint64_t /*message_bits*/, BlockParams params)
+Decryptor::Decryptor(Key key, std::uint64_t /*message_bits*/, BlockParams params,
+                     Scheme scheme)
     : params_(params) {
   params_.validate();
   key.require_fits(params_, "Decryptor");
-  pair_ctx_ = detail::make_pair_ctx(key, params_);
+  pair_ctx_ = detail::pair_tables(key, params_, scheme);
 }
 
 std::size_t Decryptor::decrypt_into(std::span<const std::uint8_t> cipher,
@@ -132,15 +134,16 @@ std::size_t Decryptor::decrypt_into(std::span<const std::uint8_t> cipher,
 }
 
 std::vector<std::uint8_t> encrypt(std::span<const std::uint8_t> msg, const Key& key,
-                                  std::uint64_t seed, BlockParams params) {
-  return encrypt_sharded(msg, key, LfsrCover(params.vector_bits, seed), 1, nullptr, params);
+                                  std::uint64_t seed, BlockParams params, Scheme scheme) {
+  return encrypt_sharded(msg, key, LfsrCover(params.vector_bits, seed), 1, nullptr, params,
+                         scheme);
 }
 
 std::vector<std::uint8_t> decrypt(std::span<const std::uint8_t> cipher, const Key& key,
-                                  std::size_t msg_bytes, BlockParams params) {
+                                  std::size_t msg_bytes, BlockParams params, Scheme scheme) {
   std::vector<std::uint8_t> msg(msg_bytes);
-  (void)Decryptor(key, 0, params).decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8,
-                                               msg);
+  (void)Decryptor(key, 0, params, scheme)
+      .decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, msg);
   return msg;
 }
 

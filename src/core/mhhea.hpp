@@ -1,5 +1,6 @@
 // The MHHEA encryptor / decryptor — the paper's primary contribution as a
-// clean software library.
+// clean software library — and, with Scheme::hhea, the HHEA baseline it
+// improves upon (walk.hpp).
 //
 // Encryption hides the message bit stream inside successive hiding-vector
 // blocks (see block.hpp for the per-block transform and params.hpp for the
@@ -43,7 +44,7 @@ class Encryptor {
   /// Takes ownership of the cover source (LFSR for encryption mode, buffer
   /// for steganography mode).
   Encryptor(Key key, std::unique_ptr<CoverSource> cover,
-            BlockParams params = BlockParams::paper());
+            BlockParams params = BlockParams::paper(), Scheme scheme = Scheme::mhhea);
 
   /// Encrypt the whole of `msg` into the caller's buffer and return the
   /// ciphertext bytes written. Zero heap allocations: the only buffer
@@ -85,7 +86,8 @@ class Decryptor {
  public:
   /// `message_bits` is unused: each decrypt_into call takes the length of
   /// its own message. The parameter stays for source compatibility.
-  Decryptor(Key key, std::uint64_t message_bits, BlockParams params = BlockParams::paper());
+  Decryptor(Key key, std::uint64_t message_bits, BlockParams params = BlockParams::paper(),
+            Scheme scheme = Scheme::mhhea);
 
   /// Decrypt the whole ciphertext of a `message_bits`-bit message straight
   /// into the caller's buffer (zero-padded to whole bytes) and return the
@@ -110,13 +112,15 @@ class Decryptor {
 /// one_shot_cipher_bytes and fills it with encrypt_into.
 [[nodiscard]] std::vector<std::uint8_t> encrypt(std::span<const std::uint8_t> msg,
                                                 const Key& key, std::uint64_t seed,
-                                                BlockParams params = BlockParams::paper());
+                                                BlockParams params = BlockParams::paper(),
+                                                Scheme scheme = Scheme::mhhea);
 
 /// Decrypt ciphertext produced by encrypt(); `msg_bytes` is the plaintext
 /// length. Throws std::invalid_argument on misaligned ciphertext, or if it
 /// is too short or carries blocks beyond the message end.
 [[nodiscard]] std::vector<std::uint8_t> decrypt(std::span<const std::uint8_t> cipher,
                                                 const Key& key, std::size_t msg_bytes,
-                                                BlockParams params = BlockParams::paper());
+                                                BlockParams params = BlockParams::paper(),
+                                                Scheme scheme = Scheme::mhhea);
 
 }  // namespace mhhea::core

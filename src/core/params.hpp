@@ -10,7 +10,6 @@
 // log2(N/2)-bit integers. N = 16 reproduces the paper exactly.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 
@@ -24,9 +23,10 @@ enum class FramePolicy {
   /// Paper pseudocode: the message bit index m streams continuously across
   /// blocks until EOF.
   continuous,
-  /// Hardware semantics: the message is processed in half-vector-sized
-  /// frames (16 bits for N=16, matching the Message Alignment buffer); the
-  /// last block of a frame embeds only the frame's remaining bits.
+  /// Hardware semantics: the message is processed in frames of N message
+  /// bits (16 bits for N=16, matching the Message Alignment buffer; the
+  /// final frame may be shorter); the last block of a frame embeds only the
+  /// frame's remaining bits.
   framed,
 };
 
@@ -52,17 +52,6 @@ struct BlockParams {
   [[nodiscard]] constexpr int max_key_value() const noexcept { return half() - 1; }
   /// Bytes per ciphertext block.
   [[nodiscard]] constexpr int block_bytes() const noexcept { return vector_bits / 8; }
-
-  /// Framed policy: the bit budget of a frame opened with `remaining`
-  /// message bits left — vector_bits, except the short final frame. One
-  /// frame always fits a 64-bit word, which is what lets the frame-batched
-  /// paths move a whole frame's message bits per pass. Shared by the
-  /// encryptor/decryptor cores, the sharded planners/workers and HHEA so
-  /// the frame walk cannot drift between them.
-  [[nodiscard]] constexpr int frame_budget(std::uint64_t remaining) const noexcept {
-    return static_cast<int>(std::min<std::uint64_t>(
-        remaining, static_cast<std::uint64_t>(vector_bits)));
-  }
 
   void validate() const {
     if (vector_bits != 16 && vector_bits != 32 && vector_bits != 64) {

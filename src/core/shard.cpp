@@ -12,8 +12,56 @@
 
 namespace mhhea::core {
 
-namespace detail {
+namespace {
 
+using detail::FrameWalk;
+using detail::PairCtx;
+using detail::kUnbounded;
+using Pairs = std::span<const PairCtx>;
+
+/// Cover vectors / ciphertext blocks a shard worker pulls per refill
+/// (mirrors the sequential cores' bounded look-ahead, which is likewise
+/// sized so LFSR covers engage the backend's multi-lane next_blocks path).
+constexpr std::size_t kShardFetchChunk = 2048;
+using CoverChunk = std::array<std::uint64_t, kShardFetchChunk>;
+
+/// The shared precondition check of every sharded entry point: valid
+/// params, key-vs-params fit, n_shards >= 1.
+void validate_sharded(const Key& key, int n_shards, const BlockParams& params,
+                      const char* who) {
+  params.validate();
+  key.require_fits(params, who);
+  if (n_shards < 1) {
+    throw std::invalid_argument(std::string(who) + ": n_shards must be >= 1");
+  }
+}
+
+/// A derived per-worker cover positioned at `block_begin` — the
+/// clone + reset + jump sequence every sharded path starts from.
+std::unique_ptr<CoverSource> cover_at(const CoverSource& proto, const BlockParams& params,
+                                      std::uint64_t block_begin) {
+  auto cover = proto.clone();
+  cover->reset();
+  cover->skip_blocks(params.vector_bits, block_begin);
+  return cover;
+}
+
+/// One shard of a message: a contiguous block range plus the message bits it
+/// carries. `max_blocks` is exact for every shard except the trailing
+/// continuous-policy one, where it is an upper bound (the final block lands
+/// somewhere inside the last capacity chunk).
+struct ShardRange {
+  std::uint64_t block_begin = 0;
+  std::uint64_t bit_begin = 0;
+  std::uint64_t n_bits = 0;
+  std::uint64_t max_blocks = 0;
+};
+
+/// The framed policy's shard bit ranges: an even split of whole frames
+/// (exactly vector_bits message bits each, short final frame aside), so
+/// every shard starts on a frame start — byte-aligned, with the frame
+/// budget freshly open. Sets bit_begin and n_bits; the caller's width walk
+/// pins block_begin and max_blocks (exact for every framed shard).
 std::vector<ShardRange> split_frames(const BlockParams& params, std::uint64_t total_bits,
                                      std::size_t n_shards) {
   const auto vb = static_cast<std::uint64_t>(params.vector_bits);
@@ -29,18 +77,6 @@ std::vector<ShardRange> split_frames(const BlockParams& params, std::uint64_t to
   }
   return ranges;
 }
-
-}  // namespace detail
-
-namespace {
-
-using detail::FrameWalk;
-using detail::PairCtx;
-using detail::ShardRange;
-using detail::cover_at;
-using detail::kUnbounded;
-using Pairs = std::span<const PairCtx>;
-using CoverChunk = std::array<std::uint64_t, detail::kShardFetchChunk>;
 
 /// The walk state of a shard's first block: its key pair, its bit budget,
 /// and (shards start on frame starts or the message start) no open frame.
@@ -157,7 +193,7 @@ template <int N>
 std::vector<ShardRange> plan_framed(const CoverSource& proto, Pairs pairs,
                                     const BlockParams& params, std::uint64_t total_bits,
                                     std::size_t n_shards, std::span<std::uint8_t> out) {
-  std::vector<ShardRange> ranges = detail::split_frames(params, total_bits, n_shards);
+  std::vector<ShardRange> ranges = split_frames(params, total_bits, n_shards);
   const auto cover = cover_at(proto, params, 0);
   const std::uint64_t room = out.size() / static_cast<std::size_t>(N / 8);
   CoverChunk buf;
@@ -200,8 +236,10 @@ void embed_in_place(const ShardRange& r, std::span<const std::uint8_t> msg, Pair
                         detail::Embed<N>{slots, detail::BitSource(msg, r.bit_begin)});
 }
 
-/// detail::encrypt_shard for one vector width (the continuous-policy
-/// worker).
+/// Continuous-policy worker: embed the shard's message bits over a cover
+/// clone jumped to its first block. Returns the blocks emitted (max_blocks,
+/// or fewer for the trailing shard, whose max_blocks is an upper bound);
+/// throws std::length_error past `capacity_blocks` slots.
 template <int N>
 std::uint64_t encrypt_range(const ShardRange& r, std::span<const std::uint8_t> msg,
                             Pairs pairs, const CoverSource& proto, const BlockParams& params,
@@ -227,12 +265,11 @@ std::uint64_t encrypt_range(const ShardRange& r, std::span<const std::uint8_t> m
 /// The whole sharded encrypt for one vector width: plan, then run the
 /// workers into `out`. Returns the ciphertext bytes written.
 template <int N>
-std::size_t run_encrypt_sharded(std::span<const std::uint8_t> msg, const Key& key,
+std::size_t run_encrypt_sharded(std::span<const std::uint8_t> msg, Pairs pairs,
                                 const CoverSource& cover, std::size_t n_shards,
                                 exec::Executor* ex, std::span<std::uint8_t> out,
                                 const BlockParams& params) {
   constexpr std::uint64_t bb = N / 8;
-  const std::vector<PairCtx> pairs = detail::make_pair_ctx(key, params);
   const auto total_bits = static_cast<std::uint64_t>(msg.size()) * 8;
   if (params.policy == FramePolicy::framed) {
     const std::vector<ShardRange> ranges =
@@ -267,7 +304,7 @@ template <int N>
 std::vector<ShardRange> plan_framed_decrypt(std::span<const std::uint8_t> cipher, Pairs pairs,
                                             const BlockParams& params,
                                             std::uint64_t total_bits, std::size_t n_shards) {
-  std::vector<ShardRange> ranges = detail::split_frames(params, total_bits, n_shards);
+  std::vector<ShardRange> ranges = split_frames(params, total_bits, n_shards);
   const std::uint64_t n_blocks = cipher.size() / static_cast<std::size_t>(N / 8);
   std::uint64_t block = 0;
   FrameWalk st;
@@ -394,36 +431,83 @@ void decrypt_continuous(std::span<const std::uint8_t> cipher, Pairs pairs,
   });
 }
 
-using detail::validate_sharded;
-
 }  // namespace
 
-std::uint64_t detail::encrypt_shard(const ShardRange& r, std::span<const std::uint8_t> msg,
-                                    std::span<const PairCtx> pairs, const CoverSource& proto,
-                                    const BlockParams& params, std::uint8_t* out,
-                                    std::uint64_t capacity_blocks) {
-  return with_width(params.vector_bits, [&]<int N>() {
-    return encrypt_range<N>(r, msg, pairs, proto, params, out, capacity_blocks);
+std::vector<std::uint8_t> encrypt_sharded(std::span<const std::uint8_t> msg, const Key& key,
+                                          const CoverSource& cover, int n_shards,
+                                          exec::Executor* ex, BlockParams params,
+                                          Scheme scheme) {
+  validate_sharded(key, n_shards, params, "encrypt_sharded");
+  if (msg.empty()) return {};
+  // Sized exactly by the sequential core's width walk; the single-shard
+  // path IS the sequential core.
+  auto c = cover.clone();
+  c->reset();
+  Encryptor enc(key, std::move(c), params, scheme);
+  std::vector<std::uint8_t> out(
+      static_cast<std::size_t>(enc.one_shot_cipher_bytes(static_cast<std::uint64_t>(msg.size()) * 8)));
+  if (n_shards == 1) {
+    (void)enc.encrypt_into(msg, out);
+  } else {
+    (void)encrypt_sharded_into(msg, key, cover, n_shards, ex, out, params, scheme);
+  }
+  return out;
+}
+
+std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& key,
+                                 const CoverSource& cover, int n_shards,
+                                 exec::Executor* ex, std::span<std::uint8_t> out,
+                                 BlockParams params, Scheme scheme) {
+  validate_sharded(key, n_shards, params, "encrypt_sharded_into");
+  if (msg.empty()) return 0;
+  if (n_shards == 1) {
+    auto c = cover.clone();
+    c->reset();
+    Encryptor enc(key, std::move(c), params, scheme);
+    return enc.encrypt_into(msg, out);
+  }
+  const std::vector<PairCtx> pairs = detail::pair_tables(key, params, scheme);
+  return detail::with_width(params.vector_bits, [&]<int N>() {
+    return run_encrypt_sharded<N>(msg, pairs, cover, static_cast<std::size_t>(n_shards), ex,
+                                  out, params);
   });
 }
 
-void detail::run_decrypt_sharded(std::span<const std::uint8_t> cipher, Pairs pairs,
-                                 std::size_t msg_bytes, int n_shards, exec::Executor* ex,
-                                 std::span<std::uint8_t> out, const BlockParams& params) {
+std::vector<std::uint8_t> decrypt_sharded(std::span<const std::uint8_t> cipher,
+                                          const Key& key, std::size_t msg_bytes,
+                                          int n_shards, exec::Executor* ex,
+                                          BlockParams params, Scheme scheme) {
+  std::vector<std::uint8_t> msg(msg_bytes);
+  (void)decrypt_sharded_into(cipher, key, msg_bytes, n_shards, ex, msg, params, scheme);
+  return msg;
+}
+
+std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key& key,
+                                 std::size_t msg_bytes, int n_shards,
+                                 exec::Executor* ex, std::span<std::uint8_t> out,
+                                 BlockParams params, Scheme scheme) {
+  validate_sharded(key, n_shards, params, "decrypt_sharded_into");
+  if (out.size() < msg_bytes) {
+    throw std::length_error("decrypt_sharded_into: output buffer too small");
+  }
+  const auto total_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
+  if (n_shards == 1) {
+    return Decryptor(key, total_bits, params, scheme).decrypt_into(cipher, total_bits, out);
+  }
   const auto bb = static_cast<std::size_t>(params.block_bytes());
   if (cipher.size() % bb != 0) {
     throw std::invalid_argument("decrypt_sharded: ciphertext not block-aligned");
   }
-  const auto total_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
   if (total_bits == 0) {
     if (!cipher.empty()) {
       throw std::invalid_argument(
           "decrypt_sharded: trailing ciphertext blocks after message end");
     }
-    return;
+    return 0;
   }
+  const std::vector<PairCtx> pairs = detail::pair_tables(key, params, scheme);
   const auto shards = static_cast<std::size_t>(n_shards);
-  with_width(params.vector_bits, [&]<int N>() {
+  detail::with_width(params.vector_bits, [&]<int N>() {
     if (params.policy != FramePolicy::framed) {
       decrypt_continuous<N>(cipher, pairs, params, total_bits, shards, ex, out);
       return;
@@ -438,69 +522,6 @@ void detail::run_decrypt_sharded(std::span<const std::uint8_t> cipher, Pairs pai
       extract_range_into<N>(cipher, ranges[s], pairs, params, slice_of(out, ranges[s]));
     });
   });
-}
-
-std::vector<std::uint8_t> encrypt_sharded(std::span<const std::uint8_t> msg, const Key& key,
-                                          const CoverSource& cover, int n_shards,
-                                          exec::Executor* ex, BlockParams params) {
-  validate_sharded(key, n_shards, params, "encrypt_sharded");
-  if (msg.empty()) return {};
-  // Sized exactly by the sequential core's width walk; the single-shard
-  // path IS the sequential core.
-  auto c = cover.clone();
-  c->reset();
-  Encryptor enc(key, std::move(c), params);
-  std::vector<std::uint8_t> out(
-      static_cast<std::size_t>(enc.one_shot_cipher_bytes(static_cast<std::uint64_t>(msg.size()) * 8)));
-  if (n_shards == 1) {
-    (void)enc.encrypt_into(msg, out);
-  } else {
-    (void)encrypt_sharded_into(msg, key, cover, n_shards, ex, out, params);
-  }
-  return out;
-}
-
-std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& key,
-                                 const CoverSource& cover, int n_shards,
-                                 exec::Executor* ex, std::span<std::uint8_t> out,
-                                 BlockParams params) {
-  validate_sharded(key, n_shards, params, "encrypt_sharded_into");
-  if (msg.empty()) return 0;
-  if (n_shards == 1) {
-    auto c = cover.clone();
-    c->reset();
-    Encryptor enc(key, std::move(c), params);
-    return enc.encrypt_into(msg, out);
-  }
-  return detail::with_width(params.vector_bits, [&]<int N>() {
-    return run_encrypt_sharded<N>(msg, key, cover, static_cast<std::size_t>(n_shards), ex, out,
-                                  params);
-  });
-}
-
-std::vector<std::uint8_t> decrypt_sharded(std::span<const std::uint8_t> cipher,
-                                          const Key& key, std::size_t msg_bytes,
-                                          int n_shards, exec::Executor* ex,
-                                          BlockParams params) {
-  std::vector<std::uint8_t> msg(msg_bytes);
-  (void)decrypt_sharded_into(cipher, key, msg_bytes, n_shards, ex, msg, params);
-  return msg;
-}
-
-std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key& key,
-                                 std::size_t msg_bytes, int n_shards,
-                                 exec::Executor* ex, std::span<std::uint8_t> out,
-                                 BlockParams params) {
-  validate_sharded(key, n_shards, params, "decrypt_sharded_into");
-  if (out.size() < msg_bytes) {
-    throw std::length_error("decrypt_sharded_into: output buffer too small");
-  }
-  if (n_shards == 1) {
-    Decryptor dec(key, static_cast<std::uint64_t>(msg_bytes) * 8, params);
-    return dec.decrypt_into(cipher, static_cast<std::uint64_t>(msg_bytes) * 8, out);
-  }
-  detail::run_decrypt_sharded(cipher, detail::make_pair_ctx(key, params), msg_bytes, n_shards,
-                              ex, out, params);
   return msg_bytes;
 }
 

@@ -1,7 +1,8 @@
-// Intra-message parallelism for the MHHEA core — the software analogue of
-// the paper's spatial parallelism (many hiding-vector operations in flight
-// per clock): a message is planned as independent block-range shards that
-// encrypt/decrypt concurrently and splice into bit-identical output.
+// Intra-message parallelism for both hiding ciphers (MHHEA and, with
+// Scheme::hhea, HHEA) — the software analogue of the paper's spatial
+// parallelism (many hiding-vector operations in flight per clock): a
+// message is planned as independent block-range shards that encrypt/decrypt
+// concurrently and splice into bit-identical output.
 //
 // Why shards can be independent at all: every ciphertext block occupies a
 // fixed block_bytes slot, block capacities depend only on the cover vector
@@ -33,10 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "src/core/cover.hpp"
@@ -46,80 +44,6 @@
 #include "src/exec/executor.hpp"
 
 namespace mhhea::core {
-
-namespace detail {
-
-/// Cover vectors / ciphertext blocks a shard worker pulls per refill
-/// (mirrors the sequential cores' bounded look-ahead, which is likewise
-/// sized so LFSR covers engage the backend's multi-lane next_blocks path).
-inline constexpr std::size_t kShardFetchChunk = 2048;
-
-/// The shared precondition check of every sharded entry point (MHHEA and
-/// HHEA, both forms): valid params, key-vs-params fit, n_shards >= 1.
-inline void validate_sharded(const Key& key, int n_shards, const BlockParams& params,
-                             const char* who) {
-  params.validate();
-  key.require_fits(params, who);
-  if (n_shards < 1) {
-    throw std::invalid_argument(std::string(who) + ": n_shards must be >= 1");
-  }
-}
-
-/// A derived per-worker cover positioned at `block_begin` — the
-/// clone + reset + jump sequence every sharded path starts from.
-inline std::unique_ptr<CoverSource> cover_at(const CoverSource& proto,
-                                             const BlockParams& params,
-                                             std::uint64_t block_begin) {
-  auto cover = proto.clone();
-  cover->reset();
-  cover->skip_blocks(params.vector_bits, block_begin);
-  return cover;
-}
-
-/// One shard of a message: a contiguous block range plus the message bits it
-/// carries. `max_blocks` is exact for every shard except the trailing
-/// continuous-policy one, where it is an upper bound (the final block lands
-/// somewhere inside the last capacity chunk).
-struct ShardRange {
-  std::uint64_t block_begin = 0;
-  std::uint64_t bit_begin = 0;
-  std::uint64_t n_bits = 0;
-  std::uint64_t max_blocks = 0;
-};
-
-/// The framed policy's shard bit ranges: an even split of whole frames
-/// (exactly vector_bits message bits each, short final frame aside), so
-/// every shard starts on a frame start — byte-aligned, with the frame
-/// budget freshly open. Sets bit_begin and n_bits; the caller's width walk
-/// pins block_begin and max_blocks (exact for every framed shard). Shared by
-/// the MHHEA and HHEA planners.
-[[nodiscard]] std::vector<ShardRange> split_frames(const BlockParams& params,
-                                                   std::uint64_t total_bits,
-                                                   std::size_t n_shards);
-
-/// One shard's embed over a cover clone jumped to its first block — the
-/// continuous-policy MHHEA worker and every HHEA worker: message bits
-/// [bit_begin, bit_begin + n_bits) into blocks serialized at out +
-/// block_begin * block_bytes. Returns the blocks emitted (max_blocks, or
-/// fewer for a trailing shard whose max_blocks is an upper bound); throws
-/// std::length_error past `capacity_blocks` slots.
-std::uint64_t encrypt_shard(const ShardRange& r, std::span<const std::uint8_t> msg,
-                            std::span<const PairCtx> pairs, const CoverSource& proto,
-                            const BlockParams& params, std::uint8_t* out,
-                            std::uint64_t capacity_blocks);
-
-/// The sharded decrypt driver over prebuilt pair tables — MHHEA's
-/// make_pair_ctx or HHEA's fixed-range tables: extract the `msg_bytes`-byte
-/// message of `cipher` into the first msg_bytes bytes of `out` (the caller
-/// checks that `out` is long enough). Strict like the sequential decrypt:
-/// std::invalid_argument on misaligned, truncated or trailing ciphertext.
-/// Every shard starts on a byte-aligned bit offset (see
-/// decrypt_sharded_into), so workers extract straight into their slices.
-void run_decrypt_sharded(std::span<const std::uint8_t> cipher, std::span<const PairCtx> pairs,
-                         std::size_t msg_bytes, int n_shards, exec::Executor* ex,
-                         std::span<std::uint8_t> out, const BlockParams& params);
-
-}  // namespace detail
 
 /// Sharded one-shot encryption, bit-identical to Encryptor::encrypt_into
 /// for every shard count (core::encrypt is its single-shard LFSR case).
@@ -131,7 +55,8 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, std::span<const P
 /// than requested on short messages.
 [[nodiscard]] std::vector<std::uint8_t> encrypt_sharded(
     std::span<const std::uint8_t> msg, const Key& key, const CoverSource& cover,
-    int n_shards, exec::Executor* ex, BlockParams params = BlockParams::paper());
+    int n_shards, exec::Executor* ex, BlockParams params = BlockParams::paper(),
+    Scheme scheme = Scheme::mhhea);
 
 /// encrypt_sharded into caller storage: every worker writes its disjoint
 /// block-range slice of `out` directly — no per-worker buffers, no splice,
@@ -142,14 +67,16 @@ void run_decrypt_sharded(std::span<const std::uint8_t> cipher, std::span<const P
 std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& key,
                                  const CoverSource& cover, int n_shards,
                                  exec::Executor* ex, std::span<std::uint8_t> out,
-                                 BlockParams params = BlockParams::paper());
+                                 BlockParams params = BlockParams::paper(),
+                                 Scheme scheme = Scheme::mhhea);
 
 /// Sharded decryption, bit-identical to core::decrypt including its strict
 /// contract: throws std::invalid_argument on misaligned buffers, truncated
 /// ciphertext, and trailing blocks past the message end.
 [[nodiscard]] std::vector<std::uint8_t> decrypt_sharded(
     std::span<const std::uint8_t> cipher, const Key& key, std::size_t msg_bytes,
-    int n_shards, exec::Executor* ex, BlockParams params = BlockParams::paper());
+    int n_shards, exec::Executor* ex, BlockParams params = BlockParams::paper(),
+    Scheme scheme = Scheme::mhhea);
 
 /// decrypt_sharded into caller storage (same strict contract; additionally
 /// std::length_error when `out` is shorter than `msg_bytes`). Framed-policy
@@ -162,6 +89,7 @@ std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& k
 std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key& key,
                                  std::size_t msg_bytes, int n_shards,
                                  exec::Executor* ex, std::span<std::uint8_t> out,
-                                 BlockParams params = BlockParams::paper());
+                                 BlockParams params = BlockParams::paper(),
+                                 Scheme scheme = Scheme::mhhea);
 
 }  // namespace mhhea::core

@@ -1,8 +1,8 @@
-// The MHHEA frame-walk kernel: the one loop every whole-message MHHEA pass
-// runs — one-shot encrypt and decrypt, the ciphertext sizer, the shard
-// planners' width walks and continuous-policy capacity scans, and the shard
-// workers. HHEA's one-shot and shard paths run it too, over fixed-range
-// tables (crypto/hhea.hpp).
+// The frame-walk kernel: the one loop every whole-message pass of both
+// hiding ciphers runs — one-shot encrypt and decrypt, the ciphertext sizer,
+// the shard planners' width walks and continuous-policy capacity scans, and
+// the shard workers. MHHEA and HHEA differ only in the pair tables a walk
+// is given (Scheme): HHEA's tables map every field value to a fixed range.
 //
 // The software analogue of the paper's improved datapath: everything that
 // depends only on the key is precomputed per pair, so the per-block work is
@@ -44,6 +44,23 @@ namespace mhhea::core {
 
 class CoverSource;
 
+/// Which hiding cipher a walk runs: the choice of pair tables, nothing else.
+enum class Scheme {
+  /// The paper's MHHEA: location and data scrambling (block.hpp).
+  mhhea,
+  /// The original Hybrid Hiding Encryption Algorithm [SHAAR03], the baseline
+  /// the paper improves upon. Block i uses pair (K1, K2) = key[i mod L] and
+  /// writes message bits directly (no XOR) into V[K1 .. K2]: no location
+  /// scrambling and no data scrambling, so every ciphertext bit outside the
+  /// key ranges is the cover's own bit and a constant plaintext shows up
+  /// verbatim at the key locations (the Hhea.LocationsAreFixedPerPair /
+  /// NoDataScrambling tests pin both) — which is why the paper added the two
+  /// scrambling steps. Every scramble-field value maps to the pair's fixed
+  /// range and the pattern is zero, so the MHHEA walks embed and extract
+  /// HHEA unchanged, with the same covers and framing.
+  hhea,
+};
+
 namespace detail {
 
 /// One range-table entry: the scrambled range's low end and its width.
@@ -54,7 +71,7 @@ struct RangeEntry {
 
 /// Per-pair constants of the cipher hot loops: the pair, its data-scramble
 /// pattern, and its range table — scramble_range(v, pair) for every value
-/// of v's scramble field. Shared by every MHHEA walk so they cannot drift.
+/// of v's scramble field. Shared by every walk so they cannot drift.
 struct PairCtx {
   KeyPair pair;
   int lo = 0;  // canonical K1: where the scramble field starts in V's high half
@@ -84,6 +101,23 @@ inline std::vector<PairCtx> make_pair_ctx(const Key& key, const BlockParams& par
     }
   }
   return ctx;
+}
+
+/// HHEA's tables: every field value maps to the pair's fixed range [K1, K2]
+/// (span + 1 bits wide) and the data pattern is zero.
+inline std::vector<PairCtx> fixed_range_ctx(const Key& key) {
+  std::vector<PairCtx> ctx(static_cast<std::size_t>(key.size()));
+  for (std::size_t i = 0; i < ctx.size(); ++i) {
+    ctx[i].pair = key.pair(static_cast<int>(i));
+    ctx[i].range.fill({ctx[i].pair.lo(), static_cast<std::uint8_t>(ctx[i].pair.span() + 1)});
+  }
+  return ctx;
+}
+
+/// The pair tables `scheme` walks with.
+inline std::vector<PairCtx> pair_tables(const Key& key, const BlockParams& params,
+                                        Scheme scheme) {
+  return scheme == Scheme::hhea ? fixed_range_ctx(key) : make_pair_ctx(key, params);
 }
 
 /// The unsigned integer of B bytes (B = 1, 2, 4 or 8).

@@ -4,7 +4,6 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <string>
 
 #include "src/exec/executor.hpp"
 
@@ -88,82 +87,6 @@ std::vector<std::vector<std::uint8_t>> decrypt_batch(
     out[i] = cipher.decrypt(ciphers[i], msg_bytes[i]);
   });
   return out;
-}
-
-namespace {
-
-/// Validate an arena layout: slot i is [offsets[i], next offset or arena
-/// end) — offsets must be non-decreasing and inside the arena so workers'
-/// slots are provably disjoint. Returns nothing; throws on malformation.
-void check_arena_offsets(std::span<const std::size_t> offsets, std::size_t arena_size,
-                         const char* who) {
-  for (std::size_t i = 0; i < offsets.size(); ++i) {
-    const bool ordered = i + 1 == offsets.size() || offsets[i] <= offsets[i + 1];
-    if (!ordered || offsets[i] > arena_size) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": offsets must be non-decreasing and inside the arena");
-    }
-  }
-}
-
-}  // namespace
-
-std::size_t encrypt_arena_layout(Cipher& sizer,
-                                 std::span<const std::vector<std::uint8_t>> msgs,
-                                 std::span<std::size_t> offsets) {
-  if (offsets.size() != msgs.size()) {
-    throw std::invalid_argument("encrypt_arena_layout: offsets/msgs length mismatch");
-  }
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    offsets[i] = total;
-    total += sizer.max_ciphertext_size(msgs[i].size());
-  }
-  return total;
-}
-
-void encrypt_batch_into(const CipherMaker& make_cipher,
-                        std::span<const std::vector<std::uint8_t>> msgs,
-                        std::span<const std::size_t> offsets, std::span<std::uint8_t> arena,
-                        std::span<std::size_t> sizes, int n_threads) {
-  if (offsets.size() != msgs.size() || sizes.size() != msgs.size()) {
-    throw std::invalid_argument("encrypt_batch_into: offsets/sizes/msgs length mismatch");
-  }
-  check_arena_offsets(offsets, arena.size(), "encrypt_batch_into");
-  run_batch(make_cipher, msgs.size(), n_threads, [&](Cipher& cipher, std::size_t i) {
-    const std::size_t end = i + 1 < offsets.size() ? offsets[i + 1] : arena.size();
-    sizes[i] = cipher.encrypt_into(msgs[i], arena.subspan(offsets[i], end - offsets[i]));
-  });
-}
-
-std::size_t decrypt_arena_layout(std::span<const std::size_t> msg_bytes,
-                                 std::span<std::size_t> offsets) {
-  if (offsets.size() != msg_bytes.size()) {
-    throw std::invalid_argument("decrypt_arena_layout: offsets/msg_bytes length mismatch");
-  }
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < msg_bytes.size(); ++i) {
-    offsets[i] = total;
-    total += msg_bytes[i];
-  }
-  return total;
-}
-
-void decrypt_batch_into(const CipherMaker& make_cipher,
-                        std::span<const std::vector<std::uint8_t>> ciphers,
-                        std::span<const std::size_t> msg_bytes,
-                        std::span<const std::size_t> offsets, std::span<std::uint8_t> arena,
-                        int n_threads) {
-  if (ciphers.size() != msg_bytes.size() || offsets.size() != ciphers.size()) {
-    throw std::invalid_argument(
-        "decrypt_batch_into: ciphers/msg_bytes/offsets length mismatch");
-  }
-  check_arena_offsets(offsets, arena.size(), "decrypt_batch_into");
-  run_batch(make_cipher, ciphers.size(), n_threads, [&](Cipher& cipher, std::size_t i) {
-    const std::size_t end = i + 1 < offsets.size() ? offsets[i + 1] : arena.size();
-    (void)cipher.decrypt_into(ciphers[i], msg_bytes[i],
-                              arena.subspan(offsets[i], end - offsets[i]));
-  });
 }
 
 }  // namespace mhhea::crypto

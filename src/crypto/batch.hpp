@@ -41,43 +41,4 @@ using CipherMaker = std::function<std::unique_ptr<Cipher>()>;
     const CipherMaker& make_cipher, std::span<const std::vector<std::uint8_t>> ciphers,
     std::span<const std::size_t> msg_bytes, int n_threads = 0);
 
-// ----------------------------------------------------------------------
-// Arena forms: the whole batch lands in one caller-provided buffer at
-// offsets precomputed from the cipher's size queries, each worker writing
-// its own disjoint slot — no per-message result vectors, so a server that
-// reuses the arena (and the offset/size scratch) across batches runs the
-// batch path without steady-state heap allocations beyond the worker
-// dispatch itself.
-
-/// Compute the encrypt arena layout: offsets[i] receives the byte offset of
-/// message i's slot, slots sized by `sizer.max_ciphertext_size` so the
-/// actual ciphertext always fits. Returns the total arena bytes required.
-/// Throws std::invalid_argument when offsets.size() != msgs.size().
-[[nodiscard]] std::size_t encrypt_arena_layout(
-    Cipher& sizer, std::span<const std::vector<std::uint8_t>> msgs,
-    std::span<std::size_t> offsets);
-
-/// Encrypt message i into arena[offsets[i] ...); sizes[i] receives its
-/// actual ciphertext byte count. `offsets` must be non-decreasing with slot
-/// ends inside the arena (encrypt_arena_layout produces exactly that);
-/// std::length_error when a slot cannot hold its ciphertext. Results are
-/// bit-identical to encrypt_batch.
-void encrypt_batch_into(const CipherMaker& make_cipher,
-                        std::span<const std::vector<std::uint8_t>> msgs,
-                        std::span<const std::size_t> offsets,
-                        std::span<std::uint8_t> arena, std::span<std::size_t> sizes,
-                        int n_threads = 0);
-
-/// Decrypt arena layout: plaintext sizes are exact, so slots are exclusive
-/// prefix sums of msg_bytes. Returns the total arena bytes required.
-[[nodiscard]] std::size_t decrypt_arena_layout(std::span<const std::size_t> msg_bytes,
-                                               std::span<std::size_t> offsets);
-
-/// Decrypt ciphertext i into arena[offsets[i], offsets[i] + msg_bytes[i]).
-void decrypt_batch_into(const CipherMaker& make_cipher,
-                        std::span<const std::vector<std::uint8_t>> ciphers,
-                        std::span<const std::size_t> msg_bytes,
-                        std::span<const std::size_t> offsets,
-                        std::span<std::uint8_t> arena, int n_threads = 0);
-
 }  // namespace mhhea::crypto

@@ -41,9 +41,10 @@ inline constexpr std::size_t kMinShardMsgBytes = 1024;
 /// warmed encrypt_into/decrypt_into loop is heap-allocation-free for every
 /// built-in cipher's single-shard path). The vector-returning encrypt() /
 /// decrypt() are thin wrappers kept for convenience. Buffer sizing:
-/// max_ciphertext_size() is a cheap upper bound good for arenas;
-/// ciphertext_size() is exact but may cost a planning pass (a cover +
-/// scramble-width scan for MHHEA — roughly a third of an encryption).
+/// max_ciphertext_size() is a cheap upper bound good for preallocation;
+/// ciphertext_size() is exact (unless the cipher compresses — see there)
+/// but may cost a planning pass (a cover + width scan for the hiding
+/// ciphers — roughly a third of an encryption).
 class Cipher {
  public:
   virtual ~Cipher() = default;
@@ -61,9 +62,13 @@ class Cipher {
   virtual std::size_t decrypt_into(std::span<const std::uint8_t> cipher,
                                    std::size_t msg_bytes,
                                    std::span<std::uint8_t> out) = 0;
-  /// Exact ciphertext bytes encrypt() would produce for an `msg_bytes`-byte
-  /// message. Closed-form for HHEA and YAEA-S; a cover-scan plan for MHHEA
-  /// (non-const so implementations may drive their reusable cores).
+  /// Ciphertext bytes encrypt() would produce for an `msg_bytes`-byte
+  /// message. Exact unless the cipher compresses (MHHEA-sealed-v2-z): the
+  /// output size then depends on the message content, so this is the size
+  /// of the uncompressed fallback — an upper bound, met exactly by
+  /// incompressible input. Closed-form for YAEA-S; a cover-scan plan for
+  /// the hiding ciphers (non-const so implementations may drive their
+  /// reusable cores).
   [[nodiscard]] virtual std::size_t ciphertext_size(std::size_t msg_bytes) = 0;
   /// Cheap upper bound on ciphertext_size(msg_bytes), derived from the same
   /// worst-case math as expansion() — what a caller sizes a reusable arena

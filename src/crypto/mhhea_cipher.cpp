@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/analysis.hpp"
 #include "src/core/cover.hpp"
 #include "src/core/frame.hpp"
 #include "src/core/shard.hpp"
@@ -12,46 +11,33 @@
 
 namespace mhhea::crypto {
 
-namespace {
-
-/// Worst-case uncapped embed width of a pair: the scrambled range is d+1
-/// wide without a wrap and H-d+1 wide with one (block.hpp), so every block
-/// of this pair carries at least the smaller of the two when no frame or
-/// message-end cap applies.
-std::uint64_t min_pair_width(const core::KeyPair& pair, const core::BlockParams& params) {
-  const int d = pair.span();
-  return static_cast<std::uint64_t>(std::min(d + 1, params.half() - d + 1));
-}
-
-std::uint64_t cycle_min_bits(const core::Key& key, const core::BlockParams& params) {
-  std::uint64_t sum = 0;
-  for (const core::KeyPair& p : key.pairs()) sum += min_pair_width(p, params);
-  return sum;
-}
-
-}  // namespace
-
 MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, core::BlockParams params,
                          Framing framing, int shards)
     : MhheaCipher(std::move(key), seed,
                   framing == Framing::sealed_v2 ? V2KeySchedule::derive(seed)
                                                 : V2KeySchedule{},
-                  params, framing, shards) {}
+                  params, framing, shards, core::Scheme::mhhea) {}
 
 MhheaCipher::MhheaCipher(core::Key key, const V2KeySchedule& schedule,
                          core::BlockParams params, Framing framing, int shards)
-    : MhheaCipher(std::move(key), 0, schedule, params, framing, shards) {
+    : MhheaCipher(std::move(key), 0, schedule, params, framing, shards, core::Scheme::mhhea) {
   if (framing != Framing::sealed_v2) {
     throw std::invalid_argument("MhheaCipher: a key schedule requires Framing::sealed_v2");
   }
 }
 
+MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, core::BlockParams params,
+                         int shards, core::Scheme scheme)
+    : MhheaCipher(std::move(key), seed, V2KeySchedule{}, params, Framing::raw, shards, scheme) {}
+
 MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule& schedule,
-                         core::BlockParams params, Framing framing, int shards)
+                         core::BlockParams params, Framing framing, int shards,
+                         core::Scheme scheme)
     : key_(std::move(key)),
       seed_(seed),
       params_(params),
       framing_(framing),
+      scheme_(scheme),
       shards_(exec::resolve_parallelism(shards, "MhheaCipher")),
       sched_(schedule),
       // Core construction validates params, seed and key-vs-params eagerly.
@@ -61,10 +47,24 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
            core::make_lfsr_cover(params_.vector_bits, framing == Framing::sealed_v2
                                                           ? v2_cover_seed(0)
                                                           : seed),
-           params_),
-      dec_(key_, 0, params_),
-      expansion_(core::expected_expansion(key_, params_)),
-      cycle_min_bits_(cycle_min_bits(key_, params_)) {
+           params_, scheme_),
+      dec_(key_, 0, params_, scheme_) {
+  // expansion() and max_ciphertext_size() read the walk's own tables: the
+  // mean width over every (pair, field) entry, and per pair the minimum.
+  const auto h = static_cast<std::size_t>(params_.half());
+  std::uint64_t width_sum = 0;
+  for (const core::detail::PairCtx& pc : core::detail::pair_tables(key_, params_, scheme_)) {
+    std::uint64_t min_width = pc.range[0].width;
+    for (std::size_t field = 0; field < h; ++field) {
+      width_sum += pc.range[field].width;
+      min_width = std::min<std::uint64_t>(min_width, pc.range[field].width);
+    }
+    cycle_min_bits_ += min_width;
+  }
+  const double mean_bits = static_cast<double>(width_sum) / static_cast<double>(h) /
+                           static_cast<double>(key_.size());
+  expansion_ = static_cast<double>(params_.vector_bits) / mean_bits;
+
   // The worker budget is clamped to hardware concurrency — sharding across
   // more workers than cores measures dispatch overhead, not parallelism (the
   // PR-4 bench recorded exactly that regression on a 1-core host). When the
@@ -163,7 +163,8 @@ void MhheaCipher::require_v2(const char* what) const {
 std::size_t MhheaCipher::encrypt_blocks(std::span<const std::uint8_t> msg,
                                         std::span<std::uint8_t> out) {
   const int eff = std::min(effective_shards(shards_, msg.size()), workers_);
-  return eff > 1 ? core::encrypt_sharded_into(msg, key_, *cover_proto_, eff, exec_, out, params_)
+  return eff > 1 ? core::encrypt_sharded_into(msg, key_, *cover_proto_, eff, exec_, out, params_,
+                                              scheme_)
                  : enc_.encrypt_into(msg, out);
 }
 
@@ -175,7 +176,8 @@ std::size_t MhheaCipher::decrypt_blocks(std::span<const std::uint8_t> cipher,
   const auto msg_bytes = static_cast<std::size_t>(message_bits / 8);
   const int eff =
       message_bits % 8 == 0 ? std::min(effective_shards(shards_, msg_bytes), workers_) : 1;
-  return eff > 1 ? core::decrypt_sharded_into(cipher, key_, msg_bytes, eff, exec_, out, params_)
+  return eff > 1 ? core::decrypt_sharded_into(cipher, key_, msg_bytes, eff, exec_, out,
+                                              params_, scheme_)
                  : dec_.decrypt_into(cipher, message_bits, out);
 }
 

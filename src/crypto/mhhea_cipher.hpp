@@ -1,6 +1,7 @@
-// Cipher adapter for the paper's MHHEA (src/core) so the hiding cipher is
-// sweepable through the uniform crypto::Cipher interface alongside HHEA and
-// YAEA-S (Table 1's comparison set).
+// Cipher adapters for the two hiding ciphers of src/core — the paper's MHHEA
+// and (HheaCipher, below) the HHEA baseline — so they are sweepable through
+// the uniform crypto::Cipher interface alongside YAEA-S (Table 1's
+// comparison set).
 //
 // One adapter instance = one (key, nonce, params, framing) configuration.
 // The instance keeps one resettable Encryptor/Decryptor core and rewinds it
@@ -25,6 +26,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/compress/compress.hpp"
@@ -39,7 +42,7 @@
 
 namespace mhhea::crypto {
 
-class MhheaCipher final : public Cipher {
+class MhheaCipher : public Cipher {
  public:
   /// Ciphertext layout produced by encrypt().
   enum class Framing {
@@ -97,14 +100,19 @@ class MhheaCipher final : public Cipher {
   /// produced.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
                            std::span<std::uint8_t> out) override;
-  /// Exact, via a cover + scramble-width scan (~a third of an encryption);
-  /// includes the constant container overhead under sealed_v2.
+  /// Via a cover + width scan (~a third of an encryption); includes the
+  /// constant container overhead under sealed_v2. Exact unless the cipher
+  /// compresses (MHHEA-sealed-v2-z): then it is the size of the
+  /// uncompressed fallback, an upper bound on what encrypt() writes.
   [[nodiscard]] std::size_t ciphertext_size(std::size_t msg_bytes) override;
-  /// Cheap closed-form worst case from the key's per-pair minimum scramble
-  /// widths (each pair embeds at least min(d+1, H-d+1) bits when uncapped).
+  /// Cheap closed-form worst case from the key's per-pair minimum table
+  /// widths (each pair embeds at least that many bits when uncapped:
+  /// min(d+1, H-d+1) for MHHEA, span+1 for HHEA).
   [[nodiscard]] std::size_t max_ciphertext_size(std::size_t msg_bytes) const override;
-  /// Analytical expected expansion for this key (src/core/analysis.hpp);
-  /// excludes the constant container overhead under sealed_v2.
+  /// Expected expansion for this key: vector_bits over the mean width of the
+  /// key's pair tables under a uniform scramble field — for MHHEA the
+  /// analytical core::expected_expansion, for HHEA vector_bits / mean(span+1).
+  /// Excludes the constant container overhead under sealed_v2.
   [[nodiscard]] double expansion() const override { return expansion_; }
 
   // --- sealed_v2 entry points (std::logic_error under other framings) ---
@@ -159,11 +167,16 @@ class MhheaCipher final : public Cipher {
   [[nodiscard]] Framing framing() const noexcept { return framing_; }
   [[nodiscard]] int shards() const noexcept { return shards_; }
 
+ protected:
+  /// Raw framing over `scheme`'s pair tables — what HheaCipher fixes.
+  MhheaCipher(core::Key key, std::uint64_t seed, core::BlockParams params, int shards,
+              core::Scheme scheme);
+
  private:
   /// Delegation target of the public constructors: `schedule` is live only
   /// under Framing::sealed_v2.
   MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule& schedule,
-              core::BlockParams params, Framing framing, int shards);
+              core::BlockParams params, Framing framing, int shards, core::Scheme scheme);
 
   /// Cover seed for sealed_v2 under `nonce` (other framings use seed_).
   [[nodiscard]] std::uint64_t v2_cover_seed(std::uint64_t nonce) const;
@@ -203,6 +216,7 @@ class MhheaCipher final : public Cipher {
   std::uint64_t seed_;  // [[mhhea::secret]] v2 schedule master; a nonce otherwise
   core::BlockParams params_;
   Framing framing_;
+  core::Scheme scheme_;
   int shards_;
   V2KeySchedule sched_;       // sealed_v2 only; zeroed otherwise
   std::uint64_t cur_nonce_ = 0;  // nonce enc_/cover_proto_ are seeded for
@@ -217,8 +231,8 @@ class MhheaCipher final : public Cipher {
   std::array<std::unique_ptr<compress::Compressor>, compress::kMethodCount> compressors_;
   std::vector<std::uint8_t> z_seal_buf_;
   std::vector<std::uint8_t> z_open_buf_;
-  double expansion_;
-  std::uint64_t cycle_min_bits_;  // sum of per-pair minimum widths (for the bound)
+  double expansion_ = 0.0;
+  std::uint64_t cycle_min_bits_ = 0;  // sum of per-pair minimum widths (for the bound)
   // Sharded-mode state (null when the shards knob or the host resolves to a
   // single worker — the budget is clamped to hardware concurrency, and with
   // one worker the plan runs inline on the sequential cores instead): the
@@ -227,6 +241,18 @@ class MhheaCipher final : public Cipher {
   std::unique_ptr<core::CoverSource> cover_proto_;
   exec::Executor* exec_ = nullptr;  // Executor::shared() when fan-out pays off
   int workers_ = 1;                 // shard clamp: min(shards_, hardware)
+};
+
+/// The HHEA baseline (core::Scheme::hhea) through the same adapter: raw
+/// framing, the same cores, size queries and shard clamp as MhheaCipher.
+/// Validates seed, params and key-vs-params eagerly (std::invalid_argument).
+class HheaCipher final : public MhheaCipher {
+ public:
+  HheaCipher(core::Key key, std::uint64_t seed,
+             core::BlockParams params = core::BlockParams::paper(), int shards = 1)
+      : MhheaCipher(std::move(key), seed, params, shards, core::Scheme::hhea) {}
+
+  [[nodiscard]] std::string name() const override { return "HHEA"; }
 };
 
 }  // namespace mhhea::crypto

@@ -7,7 +7,6 @@
 #include "src/compress/compress.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
-#include "src/crypto/hhea_cipher.hpp"
 #include "src/crypto/mhhea_cipher.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/bits.hpp"

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/analysis.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/crypto/batch.hpp"
 #include "src/crypto/cipher.hpp"
@@ -196,6 +197,28 @@ TEST(MhheaCipherAdapter, MatchesCoreOneShot) {
   EXPECT_EQ(cipher.encrypt(other), core::encrypt(other, key, 0xACE1, params));
   EXPECT_EQ(cipher.name(), "MHHEA");
   EXPECT_GE(cipher.expansion(), 2.0);
+}
+
+TEST(MhheaCipherAdapter, ExpansionReadsThePairTables) {
+  // expansion() is vector_bits over the mean width of the walk's own pair
+  // tables: the analytical model for MHHEA, the key's fixed widths for HHEA.
+  util::Xoshiro256 rng(0xE4A5);
+  for (const int n : {16, 32, 64}) {
+    for (const auto policy : {core::FramePolicy::continuous, core::FramePolicy::framed}) {
+      const core::BlockParams params{n, policy};
+      for (int trial = 0; trial < 8; ++trial) {
+        const core::Key key = core::Key::random(rng, 1 + static_cast<int>(rng.below(16)), params);
+        EXPECT_DOUBLE_EQ(MhheaCipher(key, 0xACE1, params).expansion(),
+                         core::expected_expansion(key, params))
+            << key.to_string() << " N=" << n;
+        double mean_width = 0.0;
+        for (const core::KeyPair& p : key.pairs()) mean_width += p.span() + 1;
+        mean_width /= key.size();
+        EXPECT_DOUBLE_EQ(HheaCipher(key, 0xACE1, params).expansion(), n / mean_width)
+            << key.to_string() << " N=" << n;
+      }
+    }
+  }
 }
 
 TEST(MhheaCipherAdapter, SealedRejectsLengthAndHeaderMismatch) {

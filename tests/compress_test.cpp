@@ -283,6 +283,25 @@ TEST(CompressedSealedV2, IncompressibleMessagesFallBackByteIdentically) {
   EXPECT_EQ(reg_z->encrypt(msg), reg_plain->encrypt(msg));
 }
 
+// Cipher::ciphertext_size is exact unless the cipher compresses; then it is
+// the uncompressed fallback's size — an upper bound that compressible text
+// stays under and incompressible input meets exactly.
+TEST(CompressedSealedV2, CiphertextSizeBoundsTextAndIsExactOnRandom) {
+  const auto& reg = crypto::CipherRegistry::builtin();
+  for (const std::string& name : reg.names()) {
+    auto cipher = reg.make(name, 0xFEED123, 1);
+    for (const std::size_t n : {0u, 1u, 96u, 1000u, 4096u, 16384u}) {
+      EXPECT_GE(cipher->ciphertext_size(n), cipher->encrypt(text_bytes(n, 0x517E + n)).size())
+          << name << " n=" << n;
+      EXPECT_EQ(cipher->ciphertext_size(n), cipher->encrypt(random_bytes(n, 0x5A4D + n)).size())
+          << name << " n=" << n;
+    }
+  }
+  // Where compression wins, the bound is strict.
+  auto z = reg.make("MHHEA-sealed-v2-z", 0xFEED123, 1);
+  EXPECT_GT(z->ciphertext_size(16384), z->encrypt(text_bytes(16384, 0x517E)).size());
+}
+
 TEST(CompressedSealedV2, TamperedCompressedFrameFailsMacWithOutputUntouched) {
   auto cipher = make_v2_cipher();
   cipher.set_compression(Method::lzss);

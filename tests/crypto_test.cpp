@@ -5,13 +5,15 @@
 #include <set>
 #include <stdexcept>
 
-#include "src/crypto/hhea.hpp"
+#include "src/core/mhhea.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/bits.hpp"
 #include "src/util/rng.hpp"
 
 namespace mhhea::crypto {
 namespace {
+
+constexpr core::Scheme kHhea = core::Scheme::hhea;
 
 std::vector<std::uint8_t> random_message(util::Xoshiro256& rng, std::size_t n) {
   std::vector<std::uint8_t> msg(n);
@@ -26,8 +28,8 @@ TEST(Hhea, RoundTripAcrossLengthsAndPolicies) {
     const core::Key key = core::Key::random(rng, 8);
     for (std::size_t len : {0u, 1u, 7u, 16u, 100u}) {
       const auto msg = random_message(rng, len);
-      const auto cipher = hhea_encrypt(msg, key, 0xACE1, params);
-      EXPECT_EQ(hhea_decrypt(cipher, key, len, params), msg) << len;
+      const auto cipher = core::encrypt(msg, key, 0xACE1, params, kHhea);
+      EXPECT_EQ(core::decrypt(cipher, key, len, params, kHhea), msg) << len;
     }
   }
 }
@@ -42,8 +44,9 @@ TEST(Hhea, LocationsAreFixedPerPair) {
   // Use a deterministic cover so pass-through bits are predictable.
   std::vector<std::uint64_t> cover_blocks(200);
   for (auto& b : cover_blocks) b = rng.below(0x10000);
-  HheaEncryptor enc(key, std::make_unique<core::BufferCover>(cover_blocks));
-  std::vector<std::uint8_t> ct(hhea_cipher_bytes(key, msg.size() * 8));
+  core::Encryptor enc(key, std::make_unique<core::BufferCover>(cover_blocks),
+                      core::BlockParams::paper(), kHhea);
+  std::vector<std::uint8_t> ct(enc.one_shot_cipher_bytes(msg.size() * 8));
   ASSERT_EQ(enc.encrypt_into(msg, ct), ct.size());
   for (std::size_t i = 0; i < ct.size() / 2; ++i) {
     const std::uint64_t diff = util::load_le(ct.data() + 2 * i, 2) ^ cover_blocks[i];
@@ -55,8 +58,9 @@ TEST(Hhea, NoDataScrambling) {
   // Message bits appear verbatim (not XORed) at the key locations.
   const core::Key key = core::Key::parse("0-7");
   const std::vector<std::uint8_t> zeros(16, 0x00);
-  HheaEncryptor enc(key, std::make_unique<core::CountingCover>(0xFF00));
-  std::vector<std::uint8_t> ct(hhea_cipher_bytes(key, zeros.size() * 8));
+  core::Encryptor enc(key, std::make_unique<core::CountingCover>(0xFF00),
+                      core::BlockParams::paper(), kHhea);
+  std::vector<std::uint8_t> ct(enc.one_shot_cipher_bytes(zeros.size() * 8));
   ASSERT_EQ(enc.encrypt_into(zeros, ct), ct.size());
   for (std::size_t i = 0; i < ct.size() / 2; ++i) {
     const std::uint64_t b = util::load_le(ct.data() + 2 * i, 2);
@@ -70,11 +74,12 @@ TEST(Hhea, ExpansionMatchesKeySpan) {
   util::Xoshiro256 rng(23);
   const core::Key key = core::Key::parse("0-7");
   const auto msg = random_message(rng, 128);
-  const auto cipher = hhea_encrypt(msg, key, 0xACE1);
+  const auto cipher = core::encrypt(msg, key, 0xACE1, core::BlockParams::paper(), kHhea);
   EXPECT_EQ(cipher.size(), msg.size() * 2);
   // Pair (0,0): 1 bit per block -> 16x expansion.
   const core::Key slow = core::Key::parse("0-0");
-  EXPECT_EQ(hhea_encrypt(msg, slow, 0xACE1).size(), msg.size() * 8 * 2);
+  EXPECT_EQ(core::encrypt(msg, slow, 0xACE1, core::BlockParams::paper(), kHhea).size(),
+            msg.size() * 8 * 2);
 }
 
 TEST(Geffe, KeystreamIsDeterministicAndBalanced) {

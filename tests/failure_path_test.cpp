@@ -16,8 +16,6 @@
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
 #include "src/core/shard.hpp"
-#include "src/crypto/hhea.hpp"
-#include "src/crypto/hhea_cipher.hpp"
 #include "src/crypto/mhhea_cipher.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/bits.hpp"
@@ -79,7 +77,8 @@ TEST(TruncatedCiphertext, MisalignedBufferThrows) {
   const core::Key key = core::Key::parse("0-3");
   const std::vector<std::uint8_t> odd(5, 0);  // not a multiple of block_bytes
   EXPECT_THROW((void)core::decrypt(odd, key, 1), std::invalid_argument);
-  EXPECT_THROW((void)crypto::hhea_decrypt(odd, key, 1), std::invalid_argument);
+  EXPECT_THROW((void)core::decrypt(odd, key, 1, kPaper, core::Scheme::hhea),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- trailing cipher
@@ -104,9 +103,10 @@ TEST(TrailingCiphertext, CoreDecryptRejectsExtraBlocks) {
 TEST(TrailingCiphertext, HheaDecryptRejectsExtraBlocks) {
   const core::Key key = core::Key::parse("0-3,2-5");
   const auto msg = some_message(32);
-  auto ct = crypto::hhea_encrypt(msg, key, 0xACE1);
+  auto ct = core::encrypt(msg, key, 0xACE1, kPaper, core::Scheme::hhea);
   ct.insert(ct.end(), {0xAA, 0x55});
-  EXPECT_THROW((void)crypto::hhea_decrypt(ct, key, msg.size()), std::invalid_argument);
+  EXPECT_THROW((void)core::decrypt(ct, key, msg.size(), kPaper, core::Scheme::hhea),
+               std::invalid_argument);
 }
 
 TEST(TrailingCiphertext, ZeroLengthMessageWithPayloadThrows) {
@@ -188,9 +188,9 @@ TEST(KeyParamsMismatch, WideKeyOnNarrowVectorThrowsEverywhere) {
   EXPECT_THROW(core::Encryptor(wide, core::make_lfsr_cover(16, 1), kPaper),
                std::invalid_argument);
   EXPECT_THROW(core::Decryptor(wide, 8, kPaper), std::invalid_argument);
-  EXPECT_THROW(crypto::HheaEncryptor(wide, core::make_lfsr_cover(16, 1), kPaper),
+  EXPECT_THROW(core::Encryptor(wide, core::make_lfsr_cover(16, 1), kPaper, core::Scheme::hhea),
                std::invalid_argument);
-  EXPECT_THROW(crypto::HheaDecryptor(wide, kPaper), std::invalid_argument);
+  EXPECT_THROW(core::Decryptor(wide, 8, kPaper, core::Scheme::hhea), std::invalid_argument);
   EXPECT_THROW(crypto::MhheaCipher(wide, 0xACE1, kPaper), std::invalid_argument);
   EXPECT_THROW(crypto::HheaCipher(wide, 0xACE1, kPaper), std::invalid_argument);
 }

@@ -1,8 +1,8 @@
 // The span-based zero-allocation cipher surface: encrypt_into/decrypt_into
 // bit-equivalence against the allocating APIs across every registry cipher,
 // the exact/upper-bound size queries, buffer failure paths, YAEA-S in-place
-// aliasing, the batch arena forms, and a counting-operator-new check that a
-// warmed encrypt_into loop is heap-allocation-free for MHHEA and YAEA-S.
+// aliasing, and a counting-operator-new check that a warmed encrypt_into
+// loop is heap-allocation-free for MHHEA and YAEA-S.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,10 +21,8 @@
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
 #include "src/core/shard.hpp"
-#include "src/crypto/batch.hpp"
 #include "src/crypto/cipher.hpp"
-#include "src/crypto/hhea.hpp"
-#include "src/crypto/hhea_cipher.hpp"
+#include "src/crypto/mhhea_cipher.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/rng.hpp"
@@ -68,6 +66,8 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 
 namespace mhhea::crypto {
 namespace {
+
+constexpr core::Scheme kHhea = core::Scheme::hhea;
 
 std::vector<std::uint8_t> random_message(util::Xoshiro256& rng, std::size_t n) {
   std::vector<std::uint8_t> msg(n);
@@ -188,63 +188,6 @@ TEST(YaeaAliasing, InPlaceRoundTrip) {
   }
 }
 
-// The batch arena forms produce byte-identical results to the allocating
-// batch APIs, writing every message into its precomputed disjoint slot.
-TEST(BatchArena, MatchesAllocatingBatch) {
-  util::Xoshiro256 rng(0xBA7C);
-  for (const auto& name : CipherRegistry::builtin().names()) {
-    const auto maker = [&] { return CipherRegistry::builtin().make(name, 0xACE1, 1); };
-    std::vector<std::vector<std::uint8_t>> msgs;
-    std::vector<std::size_t> msg_bytes;
-    for (const std::size_t len : {std::size_t{0}, std::size_t{13}, std::size_t{256},
-                                  std::size_t{1024}, std::size_t{4000}}) {
-      msgs.push_back(random_message(rng, len));
-      msg_bytes.push_back(len);
-    }
-    const auto expected = encrypt_batch(maker, msgs, 2);
-
-    auto sizer = maker();
-    std::vector<std::size_t> offsets(msgs.size());
-    std::vector<std::size_t> sizes(msgs.size());
-    std::vector<std::uint8_t> arena(encrypt_arena_layout(*sizer, msgs, offsets));
-    encrypt_batch_into(maker, msgs, offsets, arena, sizes, 2);
-    std::vector<std::vector<std::uint8_t>> cts;
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      ASSERT_EQ(sizes[i], expected[i].size()) << name << " msg " << i;
-      cts.emplace_back(arena.begin() + static_cast<long>(offsets[i]),
-                       arena.begin() + static_cast<long>(offsets[i] + sizes[i]));
-      EXPECT_EQ(cts.back(), expected[i]) << name << " msg " << i;
-    }
-
-    std::vector<std::size_t> dec_offsets(msgs.size());
-    std::vector<std::uint8_t> dec_arena(decrypt_arena_layout(msg_bytes, dec_offsets));
-    decrypt_batch_into(maker, cts, msg_bytes, dec_offsets, dec_arena, 2);
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      EXPECT_TRUE(std::equal(msgs[i].begin(), msgs[i].end(),
-                             dec_arena.begin() + static_cast<long>(dec_offsets[i])))
-          << name << " msg " << i;
-    }
-  }
-}
-
-TEST(BatchArena, LayoutValidation) {
-  const auto maker = [] { return CipherRegistry::builtin().make("YAEA-S", 0xACE1, 1); };
-  const std::vector<std::vector<std::uint8_t>> msgs = {{1, 2, 3}, {4, 5}};
-  std::vector<std::size_t> offsets(1);  // wrong length
-  auto sizer = maker();
-  EXPECT_THROW((void)encrypt_arena_layout(*sizer, msgs, offsets), std::invalid_argument);
-  // Decreasing offsets must be rejected (slots would overlap).
-  std::vector<std::size_t> bad = {3, 0};
-  std::vector<std::uint8_t> arena(8);
-  std::vector<std::size_t> sizes(2);
-  EXPECT_THROW(encrypt_batch_into(maker, msgs, bad, arena, sizes, 1),
-               std::invalid_argument);
-  // A slot too small for its ciphertext fails loudly.
-  std::vector<std::size_t> tight = {0, 1};
-  EXPECT_THROW(encrypt_batch_into(maker, msgs, tight, arena, sizes, 1),
-               std::length_error);
-}
-
 // Core-level sharded `_into` equivalence with an explicit pool, so the
 // parallel planners/workers run regardless of host core count (the adapters
 // clamp their shard count to hardware concurrency).
@@ -317,21 +260,22 @@ TEST(ShardedInto, HheaShardedIntoMatchesSequential) {
     for (const std::size_t len :
          {std::size_t{0}, std::size_t{257}, std::size_t{5000}, std::size_t{16384}}) {
       const auto msg = random_message(rng, len);
-      const auto expected = crypto::hhea_encrypt(msg, key, 0xACE1, params);
-      ASSERT_EQ(crypto::hhea_cipher_bytes(key, static_cast<std::uint64_t>(len) * 8, params),
+      const auto expected = core::encrypt(msg, key, 0xACE1, params, kHhea);
+      core::Encryptor sizer(key, core::make_lfsr_cover(params.vector_bits, 0xACE1), params,
+                            kHhea);
+      ASSERT_EQ(sizer.one_shot_cipher_bytes(static_cast<std::uint64_t>(len) * 8),
                 expected.size())
           << "len=" << len;
       for (const int shards : {2, 8}) {
         std::vector<std::uint8_t> ct(expected.size(), 0xEE);
-        ASSERT_EQ(crypto::hhea_encrypt_sharded_into(msg, key, cover, shards, &pool, ct,
-                                                    params),
+        ASSERT_EQ(core::encrypt_sharded_into(msg, key, cover, shards, &pool, ct, params, kHhea),
                   expected.size())
             << "len=" << len << " shards=" << shards;
         ASSERT_EQ(ct, expected) << "len=" << len << " shards=" << shards;
         std::vector<std::uint8_t> back(len, 0xEE);
-        ASSERT_EQ(crypto::hhea_decrypt_sharded_into(expected, key, len, shards, &pool,
-                                                    back, params),
-                  len)
+        ASSERT_EQ(
+            core::decrypt_sharded_into(expected, key, len, shards, &pool, back, params, kHhea),
+            len)
             << "len=" << len << " shards=" << shards;
         ASSERT_EQ(back, msg) << "len=" << len << " shards=" << shards;
       }
@@ -363,9 +307,8 @@ TEST(ZeroAllocation, WarmedEncryptIntoLoop) {
   }
 }
 
-// HheaCipher size queries run over the width cycle cached at construction —
-// repeated calls must stay allocation-free (they used to rebuild the cycle's
-// prefix table per call).
+// HheaCipher size queries run the resident encryptor's width walk over its
+// cached tables and cover buffer — repeated calls must stay allocation-free.
 TEST(ZeroAllocation, HheaSizeQueriesUseCachedCycle) {
   util::Xoshiro256 rng(0x51CE);
   for (const auto params : {core::BlockParams::paper(), core::BlockParams::hardware()}) {

@@ -13,7 +13,6 @@
 #include "src/core/key.hpp"
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
-#include "src/crypto/hhea.hpp"
 #include "src/crypto/mhhea_cipher.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/hex.hpp"
@@ -88,7 +87,9 @@ class KnownAnswer : public ::testing::TestWithParam<const char*> {};
 
 std::vector<std::uint8_t> kat_encrypt(const KatFile& kat,
                                       const std::vector<std::uint8_t>& msg) {
-  if (kat.algorithm == "hhea") return crypto::hhea_encrypt(msg, kat.key, kat.seed, kat.params);
+  if (kat.algorithm == "hhea") {
+    return core::encrypt(msg, kat.key, kat.seed, kat.params, core::Scheme::hhea);
+  }
   if (kat.algorithm == "yaea") return crypto::Yaea(kat.geffe).encrypt(msg);
   if (kat.algorithm == "sealed_v2") {
     // Through the uniform interface every container is sealed under nonce 0;
@@ -115,7 +116,7 @@ std::vector<std::uint8_t> kat_decrypt(const KatFile& kat,
                                       const std::vector<std::uint8_t>& cipher,
                                       std::size_t msg_bytes) {
   if (kat.algorithm == "hhea") {
-    return crypto::hhea_decrypt(cipher, kat.key, msg_bytes, kat.params);
+    return core::decrypt(cipher, kat.key, msg_bytes, kat.params, core::Scheme::hhea);
   }
   if (kat.algorithm == "yaea") return crypto::Yaea(kat.geffe).decrypt(cipher, msg_bytes);
   if (kat.algorithm == "sealed_v2") {

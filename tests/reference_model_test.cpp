@@ -23,8 +23,6 @@
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
 #include "src/core/shard.hpp"
-#include "src/crypto/hhea.hpp"
-#include "src/crypto/hhea_cipher.hpp"
 #include "src/crypto/mhhea_cipher.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/yaea.hpp"
@@ -556,6 +554,7 @@ TEST(ReferenceSealed, AdapterMatchesNaiveContainerAtEveryShardCount) {
 // HHEA vs the naive fixed-range walk.
 
 TEST(ReferenceHhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
+  constexpr core::Scheme kHhea = core::Scheme::hhea;
   for (const bool framed : {false, true}) {
     const core::BlockParams params{16, framed ? core::FramePolicy::framed
                                               : core::FramePolicy::continuous};
@@ -568,16 +567,14 @@ TEST(ReferenceHhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
       const std::vector<std::uint8_t> msg = random_message(rng, size);
       const std::vector<std::uint8_t> want =
           ref::hhea_encrypt(msg, raw, seed, params.vector_bits, framed);
-      EXPECT_EQ(crypto::hhea_encrypt(msg, key, seed, params), want)
+      EXPECT_EQ(core::encrypt(msg, key, seed, params, kHhea), want)
           << "size " << size << " framed " << framed;
-      EXPECT_EQ(crypto::hhea_decrypt(want, key, size, params), msg)
+      EXPECT_EQ(core::decrypt(want, key, size, params, kHhea), msg)
           << "size " << size << " framed " << framed;
       for (const int shards : kShardCounts) {
-        EXPECT_EQ(crypto::hhea_encrypt_sharded(msg, key, proto, shards, &pool, params),
-                  want)
+        EXPECT_EQ(core::encrypt_sharded(msg, key, proto, shards, &pool, params, kHhea), want)
             << "size " << size << " framed " << framed << " shards " << shards;
-        EXPECT_EQ(crypto::hhea_decrypt_sharded(want, key, size, shards, &pool, params),
-                  msg)
+        EXPECT_EQ(core::decrypt_sharded(want, key, size, shards, &pool, params, kHhea), msg)
             << "size " << size << " framed " << framed << " shards " << shards;
       }
     }

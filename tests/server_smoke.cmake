@@ -1,7 +1,8 @@
 # server_smoke ctest: the daemon and the open-loop load generator end to end.
 # mhhead is started on a UNIX domain socket, bench_server fires a short
 # Poisson burst at fixed rates, and the emitted JSON must report nonzero
-# goodput plus every latency-percentile key — so a daemon that stops
+# goodput plus every latency-percentile key and the `drained` count (kOk
+# replies that completed after the run window) — so a daemon that stops
 # answering, or a harness that stops measuring, fails `ctest` rather than
 # only the CI artifact step.
 #
@@ -86,7 +87,7 @@ foreach(i RANGE ${last})
   if(NOT goodput GREATER 0)
     message(FATAL_ERROR "server_smoke: run ${i} goodput_qps is ${goodput}, expected > 0")
   endif()
-  foreach(key p50_ms p99_ms p999_ms mean_ms max_ms shed_rate)
+  foreach(key p50_ms p99_ms p999_ms mean_ms max_ms shed_rate drained)
     string(JSON val ERROR_VARIABLE jerr GET "${doc}" runs ${i} ${key})
     if(jerr)
       message(FATAL_ERROR "server_smoke: run ${i} is missing ${key}")

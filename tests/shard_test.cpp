@@ -15,7 +15,6 @@
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
 #include "src/core/shard.hpp"
-#include "src/crypto/hhea.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/util/rng.hpp"
@@ -204,6 +203,8 @@ TEST(ShardStego, BufferCoverDrainsExactlyLikeSequential) {
 
 // ---------------------------------------------------------- HHEA equivalence
 
+constexpr core::Scheme kHhea = core::Scheme::hhea;
+
 TEST(ShardHhea, MatchesSequentialBothPolicies) {
   util::Xoshiro256 rng(0x44EA);
   exec::Executor pool(4);
@@ -222,12 +223,12 @@ TEST(ShardHhea, MatchesSequentialBothPolicies) {
       const core::LfsrCover cover(params.vector_bits, 0xACE1);
       for (const std::size_t len : lens) {
         const auto msg = random_message(rng, len);
-        const auto expected = crypto::hhea_encrypt(msg, key, 0xACE1, params);
+        const auto expected = core::encrypt(msg, key, 0xACE1, params, kHhea);
         for (int shards = 1; shards <= 8; ++shards) {
-          EXPECT_EQ(crypto::hhea_encrypt_sharded(msg, key, cover, shards, &pool, params),
+          EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, &pool, params, kHhea),
                     expected)
               << "len=" << len << " shards=" << shards;
-          EXPECT_EQ(crypto::hhea_decrypt_sharded(expected, key, len, shards, &pool, params),
+          EXPECT_EQ(core::decrypt_sharded(expected, key, len, shards, &pool, params, kHhea),
                     msg)
               << "len=" << len << " shards=" << shards;
         }
@@ -242,13 +243,14 @@ TEST(ShardHhea, StrictContractUnderSharding) {
   const core::Key key = core::Key::random(rng, 4, params);
   exec::Executor pool(2);
   const auto msg = random_message(rng, 120);
-  auto ct = crypto::hhea_encrypt(msg, key, 0xACE1, params);
+  auto ct = core::encrypt(msg, key, 0xACE1, params, kHhea);
   const auto bb = static_cast<std::size_t>(params.block_bytes());
   std::vector<std::uint8_t> shorter(ct.begin(), ct.end() - bb);
-  EXPECT_THROW((void)crypto::hhea_decrypt_sharded(shorter, key, msg.size(), 4, &pool, params),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)core::decrypt_sharded(shorter, key, msg.size(), 4, &pool, params, kHhea),
+      std::invalid_argument);
   ct.insert(ct.end(), bb, 0x00);
-  EXPECT_THROW((void)crypto::hhea_decrypt_sharded(ct, key, msg.size(), 4, &pool, params),
+  EXPECT_THROW((void)core::decrypt_sharded(ct, key, msg.size(), 4, &pool, params, kHhea),
                std::invalid_argument);
 }
 
