@@ -6,13 +6,15 @@
 //
 // Method: for each (cipher, msg_bytes, column) cell, process a batch of
 // independent messages (total plaintext ~ kTargetBatchBytes) repeatedly;
-// each repetition is one RunningStats sample of MB/s (plaintext MB/s for
-// both directions, so encrypt and decrypt rows are directly comparable).
+// each repetition is one sample of MB/s (plaintext MB/s for both
+// directions, so encrypt and decrypt rows are directly comparable).
 // Sequential columns measure four cells each — dir in {encrypt, decrypt} x
 // api in {alloc, into} — so the allocating-vs-in-place overhead and the
 // decrypt datapath are both visible; the thread and shard columns sweep
-// encrypt/alloc only. The JSON records mean/max/stddev throughput, the
-// measured expansion factor, and the per-block latency. A decrypt
+// encrypt/alloc only. The JSON records the median throughput with its
+// quartiles (a shared host bursts; the median and the quartile spread say
+// what a mean or max hides), the measured expansion factor, and the median
+// per-block latency. A decrypt
 // round-trip of the first message guards against benchmarking a broken
 // configuration.
 //
@@ -115,9 +117,7 @@ struct CellResult {
   Corpus corpus = Corpus::random;
   std::size_t batch_size = 0;
   std::size_t reps = 0;
-  double mb_per_s_mean = 0.0;
-  double mb_per_s_max = 0.0;
-  double mb_per_s_stddev = 0.0;
+  mhhea::util::Quartiles mb_per_s;
   double expansion = 0.0;
   double ns_per_block = 0.0;
 };
@@ -206,8 +206,8 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
   }
 
   std::vector<CellResult> cells(columns.size());
-  std::vector<mhhea::util::RunningStats> mbps(columns.size());
-  std::vector<mhhea::util::RunningStats> nspb(columns.size());
+  std::vector<std::vector<double>> mbps(columns.size());
+  std::vector<std::vector<double>> nspb(columns.size());
   // Pre-built cipher per threads=1 column: cipher construction (which for a
   // sharded cipher spawns and later joins its worker pool) must not sit
   // inside the timed window, or the shard columns carry a fixed per-rep cost
@@ -280,18 +280,16 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
       }
       const auto t1 = Clock::now();
       const double secs = std::chrono::duration<double>(t1 - t0).count();
-      mbps[t].add(plain_mb / secs);
-      nspb[t].add(secs * 1.0e9 * block_bytes / static_cast<double>(cipher_bytes_total));
+      mbps[t].push_back(plain_mb / secs);
+      nspb[t].push_back(secs * 1.0e9 * block_bytes / static_cast<double>(cipher_bytes_total));
       cells[t].expansion =
           static_cast<double>(cipher_bytes_total) /
           (static_cast<double>(msg_bytes) * static_cast<double>(batch_size));
     }
   }
   for (std::size_t t = 0; t < columns.size(); ++t) {
-    cells[t].mb_per_s_mean = mbps[t].mean();
-    cells[t].mb_per_s_max = mbps[t].max();
-    cells[t].mb_per_s_stddev = mbps[t].stddev();
-    cells[t].ns_per_block = nspb[t].mean();
+    cells[t].mb_per_s = mhhea::util::quartiles(mbps[t]);
+    cells[t].ns_per_block = mhhea::util::quartiles(nspb[t]).median;
   }
   return cells;
 }
@@ -336,96 +334,118 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
      << (mhhea::backend::cpu_has_avx2() ? "true" : "false") << ", \"avx2_compiled\": "
      << (mhhea::backend::avx2_compiled() ? "true" : "false")
      << ", \"hardware_concurrency\": " << std::thread::hardware_concurrency() << "},\n";
-  // Aggregate batch scaling per cipher: total best-rep throughput across
-  // message sizes at max_threads over the same at one thread (both at
-  // shards=1). When the thread sweep clamped to a single column (1-core
-  // host), each cipher reports the exact single-thread ratio 1.0 and the
-  // sibling "batch_speedup_clamped" flag is true — downstream tooling gets
-  // every cipher key on every host instead of a silently empty object.
-  os << "  \"batch_speedup\": {";
+  // Speedups are ratios of median-throughput totals across message sizes,
+  // each with its quartile spread beside it under "<name>_spread": the
+  // ratio of the numerator's lower-quartile total to the denominator's
+  // upper-quartile total, and the other way round.
+  struct Totals {
+    double q25 = 0.0, median = 0.0, q75 = 0.0;
+    void add(const mhhea::util::Quartiles& q) {
+      q25 += q.q25;
+      median += q.median;
+      q75 += q.q75;
+    }
+  };
+  struct Ratio {
+    double median = 1.0, lo = 1.0, hi = 1.0;
+  };
+  const auto ratio_of = [](const Totals& num, const Totals& den) {
+    Ratio r;
+    r.median = den.median > 0.0 ? num.median / den.median : 0.0;
+    r.lo = den.q75 > 0.0 ? num.q25 / den.q75 : 0.0;
+    r.hi = den.q25 > 0.0 ? num.q75 / den.q25 : 0.0;
+    return r;
+  };
+  const auto write_ratios = [&](const char* key, const std::map<std::string, Ratio>& ratios) {
+    os << "  \"" << key << "\": {";
+    bool first = true;
+    for (const auto& [name, r] : ratios) {
+      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << r.median;
+      first = false;
+    }
+    os << "},\n  \"" << key << "_spread\": {";
+    first = true;
+    for (const auto& [name, r] : ratios) {
+      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": {\"lo\": " << r.lo
+         << ", \"hi\": " << r.hi << "}";
+      first = false;
+    }
+    os << "},\n";
+  };
+  // Aggregate batch scaling per cipher: throughput across message sizes at
+  // max_threads over the same at one thread (both at shards=1). When the
+  // thread sweep clamped to a single column (1-core host), each cipher
+  // reports the exact single-thread ratio 1.0 and the sibling
+  // "batch_speedup_clamped" flag is true — downstream tooling gets every
+  // cipher key on every host instead of a silently empty object.
   {
-    std::map<std::string, std::array<double, 2>> sums;
+    std::map<std::string, std::array<Totals, 2>> sums;
     for (const auto& c : cells) {
       if (c.shards != 1 || c.dir != Dir::encrypt || c.api != Api::alloc ||
           c.corpus != Corpus::random)
         continue;
-      sums[c.cipher][c.threads == 1 ? 0 : 1] += c.mb_per_s_max;
+      sums[c.cipher][c.threads == 1 ? 0 : 1].add(c.mb_per_s);
     }
-    bool first = true;
+    std::map<std::string, Ratio> ratios;
     for (const auto& [name, s] : sums) {
-      const double ratio =
-          max_threads > 1 ? (s[0] > 0.0 ? s[1] / s[0] : 0.0) : 1.0;
-      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << ratio;
-      first = false;
+      ratios[name] = max_threads > 1 ? ratio_of(s[1], s[0]) : Ratio{};
     }
+    write_ratios("batch_speedup", ratios);
   }
-  os << "},\n";
   os << "  \"batch_speedup_clamped\": " << (max_threads > 1 ? "false" : "true")
      << ",\n";
-  // Aggregate intra-message scaling per cipher: for each shard count, total
-  // best-rep throughput over the shards=1 total across the SAME message
-  // sizes, at threads=1; report the best count's ratio. A (size, shards)
-  // cell only counts when size >= shards * kMinShardMsgBytes — below that
-  // the adapters' per-shard minimum clamps the effective count, so the cell
+  // Aggregate intra-message scaling per cipher: for each shard count,
+  // throughput over the shards=1 throughput across the SAME message sizes,
+  // at threads=1; report the best count's ratio. A (size, shards) cell only
+  // counts when size >= shards * kMinShardMsgBytes — below that the
+  // adapters' per-shard minimum clamps the effective count, so the cell
   // times a partly or fully sequential path and would dilute the metric
   // toward 1. Same single-column treatment as batch_speedup: a clamped sweep
   // reports 1.0 per cipher plus "shard_speedup_clamped": true.
-  os << "  \"shard_speedup\": {";
-  if (max_shards > 1) {
-    // cipher -> shards -> msg_bytes -> best-rep MB/s (threads=1 cells only)
-    std::map<std::string, std::map<int, std::map<std::size_t, double>>> grid;
+  {
+    // cipher -> shards -> msg_bytes -> quartiles (threads=1 cells only)
+    std::map<std::string, std::map<int, std::map<std::size_t, mhhea::util::Quartiles>>> grid;
     for (const auto& c : cells) {
       if (c.threads == 1 && c.dir == Dir::encrypt && c.api == Api::alloc &&
           c.corpus == Corpus::random) {
-        grid[c.cipher][c.shards][c.msg_bytes] = c.mb_per_s_max;
+        grid[c.cipher][c.shards][c.msg_bytes] = c.mb_per_s;
       }
     }
-    bool first = true;
+    std::map<std::string, Ratio> ratios;
     for (const auto& [name, by_shards] : grid) {
-      double best = 0.0;
+      Ratio best{0.0, 0.0, 0.0};
       const auto base_it = by_shards.find(1);
       for (const auto& [shards, by_size] : by_shards) {
         if (shards == 1 || base_it == by_shards.end()) continue;
-        double num = 0.0;
-        double den = 0.0;
-        for (const auto& [size, mbps] : by_size) {
+        Totals num, den;
+        for (const auto& [size, q] : by_size) {
           if (size < static_cast<std::size_t>(shards) * mhhea::crypto::kMinShardMsgBytes)
             continue;
           const auto b = base_it->second.find(size);
           if (b == base_it->second.end()) continue;
-          num += mbps;
-          den += b->second;
+          num.add(q);
+          den.add(b->second);
         }
-        if (den > 0.0) best = std::max(best, num / den);
+        if (den.median > 0.0) {
+          const Ratio r = ratio_of(num, den);
+          if (r.median > best.median) best = r;
+        }
       }
-      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << best;
-      first = false;
+      ratios[name] = max_shards > 1 ? best : Ratio{};
     }
-  } else {
-    std::map<std::string, bool> names;
-    for (const auto& c : cells) {
-      if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
-          c.api == Api::alloc && c.corpus == Corpus::random)
-        names[c.cipher] = true;
-    }
-    bool first = true;
-    for (const auto& [name, unused] : names) {
-      (void)unused;
-      os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": 1";
-      first = false;
-    }
+    write_ratios("shard_speedup", ratios);
   }
-  os << "},\n";
   os << "  \"shard_speedup_clamped\": " << (max_shards > 1 ? "false" : "true") << ",\n";
-  // Per-cipher decrypt throughput (sequential alloc column, mean across
-  // sizes): the decrypt counterpart of the headline encrypt rows.
+  // Per-cipher decrypt throughput (sequential alloc column, mean of the
+  // cell medians across sizes): the decrypt counterpart of the headline
+  // encrypt rows.
   os << "  \"decrypt_mb_per_s\": {";
   {
     std::map<std::string, std::array<double, 2>> sums;  // {total, count}
     for (const auto& c : cells) {
       if (c.threads == 1 && c.shards == 1 && c.dir == Dir::decrypt &&
           c.api == Api::alloc && c.corpus == Corpus::random) {
-        sums[c.cipher][0] += c.mb_per_s_mean;
+        sums[c.cipher][0] += c.mb_per_s.median;
         sums[c.cipher][1] += 1.0;
       }
     }
@@ -437,7 +457,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     }
   }
   os << "},\n";
-  // In-place over allocating encrypt throughput (sequential column, best-rep
+  // In-place over allocating encrypt throughput (sequential column, median
   // totals across sizes): what the span-based API buys over the vector one.
   os << "  \"into_speedup\": {";
   {
@@ -445,7 +465,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     for (const auto& c : cells) {
       if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
           c.corpus == Corpus::random) {
-        sums[c.cipher][c.api == Api::alloc ? 0 : 1] += c.mb_per_s_max;
+        sums[c.cipher][c.api == Api::alloc ? 0 : 1] += c.mb_per_s.median;
       }
     }
     bool first = true;
@@ -457,16 +477,16 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   }
   os << "},\n";
   // Authenticated-container cost: MHHEA-sealed-v2 over raw MHHEA
-  // throughput (sequential encrypt cells, best-rep totals across sizes and
+  // throughput (sequential encrypt cells, median totals across sizes and
   // both API forms). The ratio prices the header, the MAC and the framed
   // hardware configuration together; 1.0 would make all three free.
   os << "  \"mac_overhead\": {";
   {
-    std::map<std::string, double> sums;  // cipher -> total best-rep MB/s
+    std::map<std::string, double> sums;  // cipher -> total median MB/s
     for (const auto& c : cells) {
       if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
           c.corpus == Corpus::random) {
-        sums[c.cipher] += c.mb_per_s_max;
+        sums[c.cipher] += c.mb_per_s.median;
       }
     }
     const auto raw = sums.find("MHHEA");
@@ -514,7 +534,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
       if (c.threads == 1 && c.shards == 1 && c.dir == Dir::encrypt &&
           c.api == Api::alloc) {
         auto& slot = sums[c.cipher][c.corpus == Corpus::random ? 0 : 1];
-        slot[0] += c.mb_per_s_mean * c.expansion;
+        slot[0] += c.mb_per_s.median * c.expansion;
         slot[1] += 1.0;
       }
     }
@@ -536,9 +556,9 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
        << c.msg_bytes << ", \"threads\": " << c.threads << ", \"shards\": " << c.shards
        << ", \"dir\": \"" << dir_name(c.dir) << "\", \"api\": \"" << api_name(c.api)
        << "\", \"corpus\": \"" << corpus_name(c.corpus) << "\", \"batch_size\": "
-       << c.batch_size << ", \"reps\": " << c.reps << ", \"mb_per_s_mean\": "
-       << c.mb_per_s_mean << ", \"mb_per_s_max\": " << c.mb_per_s_max
-       << ", \"mb_per_s_stddev\": " << c.mb_per_s_stddev << ", \"expansion\": "
+       << c.batch_size << ", \"reps\": " << c.reps << ", \"mb_per_s_median\": "
+       << c.mb_per_s.median << ", \"mb_per_s_q25\": " << c.mb_per_s.q25
+       << ", \"mb_per_s_q75\": " << c.mb_per_s.q75 << ", \"expansion\": "
        << c.expansion << ", \"ns_per_block\": " << c.ns_per_block << "}"
        << (i + 1 < cells.size() ? "," : "") << "\n";
   }
@@ -646,8 +666,8 @@ int main(int argc, char** argv) try {
                     << dir_name(cell.dir) << "/" << api_name(cell.api) << " corpus="
                     << corpus_name(cell.corpus) << " batch="
                     << cell.batch_size << ": "
-                    << cell.mb_per_s_mean << " MB/s (max " << cell.mb_per_s_max
-                    << ", sd " << cell.mb_per_s_stddev << "), expansion "
+                    << cell.mb_per_s.median << " MB/s median (quartiles "
+                    << cell.mb_per_s.q25 << ".." << cell.mb_per_s.q75 << "), expansion "
                     << cell.expansion << ", " << cell.ns_per_block << " ns/block\n";
           cells.push_back(std::move(cell));
         }

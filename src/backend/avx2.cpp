@@ -2,7 +2,9 @@
 // vertically in lockstep. Table applications become vpgatherdd lookups into
 // the same LinearMapTables the scalar engine reads — identical XOR algebra,
 // different evaluation width — so the engines are bit-identical by
-// construction.
+// construction. The apply kernels evaluate core/block.hpp's per-block
+// embed/extract formula eight blocks wide (see below), handing ragged tails
+// to the shared scalar kernels.
 //
 // This is the only TU compiled with -mavx2 (see CMakeLists.txt); nothing
 // here executes unless dispatch's runtime cpuid check admitted the engine,
@@ -16,6 +18,8 @@
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <cstring>
 
 namespace mhhea::backend {
 namespace {
@@ -93,6 +97,131 @@ inline __m256i combine(__m256i a, __m256i b, __m256i c) noexcept {
   return _mm256_or_si256(_mm256_and_si256(a, b), _mm256_andnot_si256(a, c));
 }
 
+// ------------------------------------------------------------ apply kernels
+//
+// Eight blocks per step for N = 16/32 (one 32-bit lane per block: widths
+// are <= 16, so a 4-byte message gather shifted by up to 7 bits still holds
+// them), four for N = 64 (64-bit lanes: widths reach 32). Each step is the
+// per-block formula of core/block.hpp evaluated vertically: gather the
+// message word at offset / 8, shift right by offset % 8, XOR the pattern,
+// shift to kn1, and blend under the range mask. A step whose gather would
+// read past the message span runs the scalar kernel for the rest of the
+// batch (offsets only grow, so that is the batch's tail).
+
+inline __m256i load_u8x8(const std::uint8_t* p) noexcept {
+  return _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+}
+inline __m256i load_u8x4_64(const std::uint8_t* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(v)));
+}
+inline __m256i load_u32x8(const std::uint32_t* p) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline __m128i load_u32x4(const std::uint32_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// (1 << w) - 1 per lane.
+inline __m256i low_mask32(__m256i w) noexcept {
+  const __m256i one = _mm256_set1_epi32(1);
+  return _mm256_sub_epi32(_mm256_sllv_epi32(one, w), one);
+}
+inline __m256i low_mask64(__m256i w) noexcept {
+  const __m256i one = _mm256_set1_epi64x(1);
+  return _mm256_sub_epi64(_mm256_sllv_epi64(one, w), one);
+}
+
+/// The low 32 bits of eight 64-bit cover words, one per 32-bit lane.
+inline __m256i narrow_covers(const std::uint64_t* c) noexcept {
+  const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  const __m256i lo = _mm256_permutevar8x32_epi32(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c)), even);
+  const __m256i hi = _mm256_permutevar8x32_epi32(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 4)), even);
+  return _mm256_permute2x128_si256(lo, hi, 0x20);
+}
+
+template <int N>
+void embed_blocks_avx2(const ApplyBatch& b, const std::uint64_t* covers,
+                       std::span<const std::uint8_t> msg, std::uint8_t* out) noexcept {
+  constexpr std::size_t kStep = N == 64 ? 4 : 8;
+  constexpr std::size_t kRead = N == 64 ? 8 : 4;  // bytes one gather lane reads
+  const auto* base = msg.data();
+  std::size_t i = 0;
+  for (; i + kStep <= b.n; i += kStep) {
+    if (b.offset[i + kStep - 1] / 8 + kRead > msg.size()) break;
+    if constexpr (N == 64) {
+      const __m128i off = load_u32x4(&b.offset[i]);
+      const __m256i word = _mm256_i32gather_epi64(reinterpret_cast<const long long*>(base),
+                                                  _mm_srli_epi32(off, 3), 1);
+      const __m256i bits = _mm256_srlv_epi64(
+          word, _mm256_cvtepu32_epi64(_mm_and_si128(off, _mm_set1_epi32(7))));
+      const __m256i kn1 = load_u8x4_64(&b.kn1[i]);
+      const __m256i m = _mm256_sllv_epi64(low_mask64(load_u8x4_64(&b.width[i])), kn1);
+      const __m256i pat = _mm256_cvtepu32_epi64(load_u32x4(&b.pattern[i]));
+      const __m256i ins = _mm256_and_si256(_mm256_sllv_epi64(_mm256_xor_si256(bits, pat), kn1), m);
+      const __m256i cov = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(covers + i));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * 8),
+                          _mm256_or_si256(_mm256_andnot_si256(m, cov), ins));
+    } else {
+      const __m256i off = load_u32x8(&b.offset[i]);
+      const __m256i word = _mm256_i32gather_epi32(reinterpret_cast<const int*>(base),
+                                                  _mm256_srli_epi32(off, 3), 1);
+      const __m256i bits = _mm256_srlv_epi32(word, _mm256_and_si256(off, _mm256_set1_epi32(7)));
+      const __m256i kn1 = load_u8x8(&b.kn1[i]);
+      const __m256i m = _mm256_sllv_epi32(low_mask32(load_u8x8(&b.width[i])), kn1);
+      const __m256i ins = _mm256_and_si256(
+          _mm256_sllv_epi32(_mm256_xor_si256(bits, load_u32x8(&b.pattern[i])), kn1), m);
+      const __m256i v = _mm256_or_si256(_mm256_andnot_si256(m, narrow_covers(covers + i)), ins);
+      if constexpr (N == 16) {
+        // Values fit 16 bits, so the saturating pack is exact; it packs
+        // within 128-bit halves, and the permute gathers both halves' words.
+        const __m256i packed = _mm256_permute4x64_epi64(_mm256_packus_epi32(v, v), 0x08);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i * 2),
+                         _mm256_castsi256_si128(packed));
+      } else {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * 4), v);
+      }
+    }
+  }
+  detail::embed_blocks_scalar<N>(b, covers, msg, out, i);
+}
+
+template <int N>
+void extract_blocks_avx2(const ApplyBatch& b, const std::uint8_t* blocks,
+                         std::uint32_t* bits) noexcept {
+  constexpr std::size_t kStep = N == 64 ? 4 : 8;
+  std::size_t i = 0;
+  for (; i + kStep <= b.n; i += kStep) {
+    if constexpr (N == 64) {
+      const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blocks + i * 8));
+      const __m256i x = _mm256_and_si256(
+          _mm256_xor_si256(_mm256_srlv_epi64(v, load_u8x4_64(&b.kn1[i])),
+                           _mm256_cvtepu32_epi64(load_u32x4(&b.pattern[i]))),
+          low_mask64(load_u8x4_64(&b.width[i])));
+      const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(bits + i),
+                       _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(x, even)));
+    } else {
+      __m256i v;
+      if constexpr (N == 16) {
+        v = _mm256_cvtepu16_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + i * 2)));
+      } else {
+        v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blocks + i * 4));
+      }
+      const __m256i x = _mm256_and_si256(
+          _mm256_xor_si256(_mm256_srlv_epi32(v, load_u8x8(&b.kn1[i])),
+                           load_u32x8(&b.pattern[i])),
+          low_mask32(load_u8x8(&b.width[i])));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(bits + i), x);
+    }
+  }
+  detail::extract_blocks_scalar<N>(b, blocks, bits, i);
+}
+
 class Avx2Backend final : public Backend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "avx2"; }
@@ -147,6 +276,18 @@ class Avx2Backend final : public Backend {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(a), sa);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(b), sb);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(c), sc);
+  }
+
+  void embed_blocks(int vector_bits, const ApplyBatch& b, const std::uint64_t* covers,
+                    std::span<const std::uint8_t> msg, std::uint8_t* out) const override {
+    util::with_vector_bits(vector_bits,
+                             [&]<int N>() { embed_blocks_avx2<N>(b, covers, msg, out); });
+  }
+
+  void extract_blocks(int vector_bits, const ApplyBatch& b, const std::uint8_t* blocks,
+                      std::uint32_t* bits) const override {
+    util::with_vector_bits(vector_bits,
+                             [&]<int N>() { extract_blocks_avx2<N>(b, blocks, bits); });
   }
 };
 

@@ -18,19 +18,26 @@
 // Call sites routed through the seam: Lfsr::next_blocks (hiding-vector
 // blocks; LfsrCover::next_blocks and the MHHEA cover refill ride on it),
 // GeffeKeystream::next_bytes / xor_bytes (the YAEA-S datapath, which the
-// sharded and batch forms feed per worker), and Lfsr::step_bits'
-// whole-degree runs (via next_block's leap tables).
+// sharded and batch forms feed per worker), Lfsr::step_bits' whole-degree
+// runs (via next_block's leap tables), and the apply stage of the MHHEA/HHEA
+// chunk pipeline (core/shard.hpp): embed_blocks / extract_blocks over a
+// scheduled batch whose every block already knows its range, width, data
+// pattern and message bit offset, so nothing is carried from block to block
+// and eight blocks go per AVX2 instruction. The per-block formula is the
+// one of core/block.hpp, which the scalar kernels call directly.
 //
 // Engine selection happens once, at first use: cpuid picks the widest
 // supported engine, and the MHHEA_BACKEND environment variable
 // ({auto, scalar, avx2}) or an explicit set_active() call forces one —
 // forcing an engine the host cannot run falls back to scalar rather than
 // faulting. Future engines (NEON, GPU, a batch server offload) plug in as
-// new Backend implementations behind the same two kernels.
+// new Backend implementations behind the same kernels.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "src/backend/tables.hpp"
@@ -50,6 +57,23 @@ inline constexpr std::size_t kLfsrLaneBlocks = 256;
 /// 64-bit keystream units each lane produces per geffe_units() pass
 /// (128 units = 1 KiB of keystream per lane, 8 KiB per full AVX2 pass).
 inline constexpr std::size_t kGeffeLaneUnits = 128;
+
+/// Blocks per apply batch (see ApplyBatch).
+inline constexpr std::size_t kApplyBatch = 256;
+
+/// One scheduled batch of hiding-vector blocks for the apply kernels, laid
+/// out per field so a vector engine loads eight blocks' worth at once. Block
+/// i carries width[i] message bits that start at bit offset[i] of the
+/// batch's message span (LSB-first from its byte 0), XORed with pattern[i]
+/// and placed at bits [kn1[i], kn1[i] + width[i]) of the block. Widths are
+/// at most 32 (N/2), as are the patterns' significant bits.
+struct ApplyBatch {
+  std::size_t n = 0;
+  std::array<std::uint8_t, kApplyBatch> kn1{};
+  std::array<std::uint8_t, kApplyBatch> width{};
+  std::array<std::uint32_t, kApplyBatch> pattern{};
+  std::array<std::uint32_t, kApplyBatch> offset{};
+};
 
 /// The three Geffe component registers' maps, borrowed from the owning
 /// GeffeKeystream (which keeps them alive): per register, the degree-step
@@ -94,6 +118,17 @@ class Backend {
                            std::uint32_t* b, std::uint32_t* c,
                            std::size_t n_lanes, const std::uint8_t* in,
                            std::uint8_t* out, std::size_t per_lane) const = 0;
+
+  /// Embed a batch: block i of `out` (vector_bits / 8 little-endian bytes
+  /// per block) becomes covers[i] with its message bits embedded. `msg`
+  /// holds every bit the batch reads; nothing past it is read.
+  virtual void embed_blocks(int vector_bits, const ApplyBatch& b, const std::uint64_t* covers,
+                            std::span<const std::uint8_t> msg, std::uint8_t* out) const = 0;
+
+  /// Extract a batch: block i of `blocks` yields its width[i] message bits,
+  /// LSB-aligned in bits[i] (offset[] is not read).
+  virtual void extract_blocks(int vector_bits, const ApplyBatch& b, const std::uint8_t* blocks,
+                              std::uint32_t* bits) const = 0;
 };
 
 /// The engine every routed call site uses. Resolved once on first call:

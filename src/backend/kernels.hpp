@@ -5,11 +5,15 @@
 // needs a second scalar implementation to keep in sync.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "src/backend/backend.hpp"
 #include "src/backend/tables.hpp"
+#include "src/core/block.hpp"
 #include "src/util/bits.hpp"
 
 namespace mhhea::backend::detail {
@@ -80,6 +84,64 @@ inline void geffe_units_scalar(const GeffeKernel& k, std::uint32_t* a,
       if (in != nullptr) z ^= util::load_le(in + off, 8);
       util::store_le(out + off, z, 8);
     }
+  }
+}
+
+/// Up to 64 bits of `msg` from bit `pos` on (LSB-first); bytes past the
+/// end read as zero. One unaligned 8-byte load away from the tail.
+inline std::uint64_t peek_bits(std::span<const std::uint8_t> msg, std::uint64_t pos) noexcept {
+  const auto byte = static_cast<std::size_t>(pos / 8);
+  std::uint64_t v = 0;
+  if (byte + 8 <= msg.size() && std::endian::native == std::endian::little) {
+    std::memcpy(&v, msg.data() + byte, 8);
+  } else {
+    for (std::size_t i = byte; i < msg.size() && i < byte + 8; ++i) {
+      v |= std::uint64_t{msg[i]} << (8 * (i - byte));
+    }
+  }
+  return v >> (pos % 8);
+}
+
+/// Block i of N-bit serialized blocks, little-endian, as one move.
+template <int N>
+inline std::uint64_t load_block(const std::uint8_t* blocks, std::size_t i) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    util::UintOf<N / 8> w;
+    std::memcpy(&w, blocks + i * (N / 8), N / 8);
+    return w;
+  } else {
+    return util::load_le(blocks + i * (N / 8), N / 8);
+  }
+}
+template <int N>
+inline void store_block(std::uint8_t* blocks, std::size_t i, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto w = static_cast<util::UintOf<N / 8>>(v);
+    std::memcpy(blocks + i * (N / 8), &w, N / 8);
+  } else {
+    util::store_le(blocks + i * (N / 8), v, N / 8);
+  }
+}
+
+/// Blocks [from, b.n) of Backend::embed_blocks, one at a time.
+template <int N>
+inline void embed_blocks_scalar(const ApplyBatch& b, const std::uint64_t* covers,
+                                std::span<const std::uint8_t> msg, std::uint8_t* out,
+                                std::size_t from = 0) noexcept {
+  for (std::size_t i = from; i < b.n; ++i) {
+    const std::uint64_t v = core::embed_bits_with_pattern(
+        covers[i], b.kn1[i], b.pattern[i], peek_bits(msg, b.offset[i]), b.width[i]);
+    store_block<N>(out, i, v);
+  }
+}
+
+/// Blocks [from, b.n) of Backend::extract_blocks, one at a time.
+template <int N>
+inline void extract_blocks_scalar(const ApplyBatch& b, const std::uint8_t* blocks,
+                                  std::uint32_t* bits, std::size_t from = 0) noexcept {
+  for (std::size_t i = from; i < b.n; ++i) {
+    bits[i] = static_cast<std::uint32_t>(core::extract_bits_with_pattern(
+        load_block<N>(blocks, i), b.kn1[i], b.pattern[i], b.width[i]));
   }
 }
 

@@ -1,7 +1,7 @@
-// The scalar engine: today's leap-table chains (extracted from the PR-2/PR-4
-// paths in lfsr.cpp and yaea.cpp) behind the Backend interface. One lane —
-// the engine of record on hosts without SIMD, and the remainder engine the
-// vector backends defer to.
+// The scalar engine: the leap-table chains (extracted from the PR-2/PR-4
+// paths in lfsr.cpp and yaea.cpp) and the block-at-a-time apply kernels
+// behind the Backend interface. One lane — the engine of record on hosts
+// without SIMD, and the remainder engine the vector backends defer to.
 
 #include "src/backend/backend.hpp"
 #include "src/backend/kernels.hpp"
@@ -25,6 +25,20 @@ class ScalarBackend final : public Backend {
                    const std::uint8_t* in, std::uint8_t* out,
                    std::size_t per_lane) const override {
     detail::geffe_units_scalar(k, a, b, c, n_lanes, in, out, per_lane);
+  }
+
+  void embed_blocks(int vector_bits, const ApplyBatch& b, const std::uint64_t* covers,
+                    std::span<const std::uint8_t> msg, std::uint8_t* out) const override {
+    util::with_vector_bits(vector_bits, [&]<int N>() {
+      detail::embed_blocks_scalar<N>(b, covers, msg, out);
+    });
+  }
+
+  void extract_blocks(int vector_bits, const ApplyBatch& b, const std::uint8_t* blocks,
+                      std::uint32_t* bits) const override {
+    util::with_vector_bits(vector_bits, [&]<int N>() {
+      detail::extract_blocks_scalar<N>(b, blocks, bits);
+    });
   }
 };
 

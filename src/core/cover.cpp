@@ -1,10 +1,9 @@
 #include "src/core/cover.hpp"
 
-#include <algorithm>
 #include <array>
 #include <stdexcept>
 
-#include "src/util/bits.hpp"
+#include "src/backend/backend.hpp"
 
 namespace mhhea::core {
 
@@ -13,33 +12,11 @@ lfsr::Lfsr make_lfsr_for(int bits, std::uint64_t seed) {
   const int degree = bits >= 64 ? 32 : bits;
   return lfsr::Lfsr(lfsr::primitive_polynomial(degree), seed);
 }
+
+void check_width(int bits, int expected) {
+  if (bits != expected) throw std::invalid_argument("LfsrCover: block width mismatch");
+}
 }  // namespace
-
-void CoverSource::skip_blocks(int bits, std::uint64_t n) {
-  // Discard through next_blocks rather than next_block so finite sources
-  // honoring its partial-fill contract exhaust quietly: skipping past the
-  // end is documented as a non-error.
-  std::array<std::uint64_t, 64> scratch;
-  while (n > 0) {
-    const auto want =
-        static_cast<std::size_t>(std::min<std::uint64_t>(scratch.size(), n));
-    const std::size_t got = next_blocks(bits, std::span(scratch.data(), want));
-    if (got == 0) return;
-    n -= got;
-  }
-}
-
-std::unique_ptr<CoverSource> CoverSource::clone() const {
-  throw std::logic_error("CoverSource: this source is not clonable");
-}
-
-void CoverSource::reset() {
-  throw std::logic_error("CoverSource: this source is not resettable");
-}
-
-void CoverSource::reseed(std::uint64_t /*seed*/) {
-  throw std::logic_error("CoverSource: this source is not reseedable");
-}
 
 LfsrCover::LfsrCover(int bits, std::uint64_t seed)
     : lfsr_(make_lfsr_for(bits, seed)), bits_(bits), seed_(seed) {
@@ -49,7 +26,7 @@ LfsrCover::LfsrCover(int bits, std::uint64_t seed)
 }
 
 std::uint64_t LfsrCover::next_block(int bits) {
-  if (bits != bits_) throw std::invalid_argument("LfsrCover: block width mismatch");
+  check_width(bits, bits_);
   if (bits_ == 64) {
     const std::uint64_t lo = lfsr_.next_block();
     const std::uint64_t hi = lfsr_.next_block();
@@ -59,7 +36,7 @@ std::uint64_t LfsrCover::next_block(int bits) {
 }
 
 std::size_t LfsrCover::next_blocks(int bits, std::span<std::uint64_t> out) {
-  if (bits != bits_) throw std::invalid_argument("LfsrCover: block width mismatch");
+  check_width(bits, bits_);
   if (bits_ == 64) {
     // Delegate the two-register composition to next_block — one source of
     // truth for the 64-bit layout (this is the cold configuration).
@@ -71,15 +48,11 @@ std::size_t LfsrCover::next_blocks(int bits, std::span<std::uint64_t> out) {
 }
 
 void LfsrCover::skip_blocks(int bits, std::uint64_t n) {
-  if (bits != bits_) throw std::invalid_argument("LfsrCover: block width mismatch");
+  check_width(bits, bits_);
   // Every cover block consumes exactly `bits_` register steps: the degree
   // matches the width for 16/32, and the 64-bit composition draws two
   // 32-step blocks from its degree-32 register.
   lfsr_.jump(n * static_cast<std::uint64_t>(bits_));
-}
-
-std::unique_ptr<CoverSource> LfsrCover::clone() const {
-  return std::make_unique<LfsrCover>(*this);
 }
 
 void LfsrCover::reset() { lfsr_.set_state(seed_); }
@@ -90,45 +63,18 @@ void LfsrCover::reseed(std::uint64_t seed) {
   lfsr_.set_state(seed_);
 }
 
-BufferCover::BufferCover(std::vector<std::uint64_t> blocks)
-    : blocks_(std::make_shared<const std::vector<std::uint64_t>>(std::move(blocks))) {}
-
-BufferCover BufferCover::from_bytes16(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint64_t> blocks;
-  blocks.reserve((bytes.size() + 1) / 2);
-  for (std::size_t i = 0; i < bytes.size(); i += 2) {
-    std::uint64_t w = bytes[i];
-    if (i + 1 < bytes.size()) w |= static_cast<std::uint64_t>(bytes[i + 1]) << 8;
-    blocks.push_back(w);
-  }
-  return BufferCover(std::move(blocks));
+void LfsrCover::warm() {
+  if (warm_) return;
+  const std::uint64_t state = lfsr_.state();
+  // A span long enough for the multi-lane path builds the leap and lane
+  // tables; a jump builds the step matrix.
+  std::array<std::uint64_t, 2 * backend::kLfsrLaneBlocks> scratch;
+  (void)next_blocks(bits_, scratch);
+  skip_blocks(bits_, 1);
+  lfsr_.set_state(state);
+  warm_ = true;
 }
 
-std::uint64_t BufferCover::next_block(int bits) {
-  if (pos_ >= blocks_->size()) {
-    throw std::runtime_error("BufferCover: cover data exhausted");
-  }
-  return (*blocks_)[pos_++] & util::mask64(bits);
-}
-
-void BufferCover::skip_blocks(int /*bits*/, std::uint64_t n) {
-  pos_ = n >= remaining() ? blocks_->size() : pos_ + static_cast<std::size_t>(n);
-}
-
-std::size_t BufferCover::next_blocks(int bits, std::span<std::uint64_t> out) {
-  const std::size_t n = std::min(out.size(), remaining());
-  const std::uint64_t mask = util::mask64(bits);
-  for (std::size_t i = 0; i < n; ++i) out[i] = (*blocks_)[pos_ + i] & mask;
-  pos_ += n;
-  return n;
-}
-
-std::uint64_t CountingCover::next_block(int bits) {
-  return (next_++) & util::mask64(bits);
-}
-
-std::unique_ptr<CoverSource> make_lfsr_cover(int bits, std::uint64_t seed) {
-  return std::make_unique<LfsrCover>(bits, seed);
-}
+LfsrCover make_lfsr_cover(int bits, std::uint64_t seed) { return LfsrCover(bits, seed); }
 
 }  // namespace mhhea::core

@@ -11,19 +11,18 @@
 //
 // Decryption needs only the key and the plaintext bit length: the scrambled
 // locations are recomputed from each ciphertext block's unmodified high
-// half. In particular the encryptor's LFSR seed (or cover data) is NOT
-// required — it acts as a nonce.
+// half. In particular the encryptor's LFSR seed is NOT required — it acts
+// as a nonce.
 //
-// Every encrypt and decrypt runs the table-driven frame-walk kernel of
-// walk.hpp, mirroring the FPGA's whole-vector-per-clock datapath: cover
-// vectors are prefetched in chunks through CoverSource::next_blocks, and
-// each block costs one range-table lookup and one masked word operation.
-// Both cores are reusable across messages, so adapters amortize
-// construction.
+// Every encrypt, decrypt and size query runs the chunk pipeline of
+// shard.hpp with one shard (the sharded entry points run it with more):
+// cover vectors come from the LFSR in bounded refills, each block costs one
+// range-table lookup in the schedule step, and the backend's apply kernels
+// embed or extract eight blocks per AVX2 instruction. Both cores are
+// reusable across messages, so adapters amortize construction.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -32,50 +31,46 @@
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
 #include "src/core/walk.hpp"
+#include "src/exec/executor.hpp"
 
 namespace mhhea::core {
 
 /// Whole-message encryptor: the message length is known up front, so every
 /// block is planned and emitted final-sized straight into the caller's
 /// buffer. One instance encrypts one message at a time and keeps its key
-/// tables and cover prefetch buffer across messages.
+/// tables and cover across messages.
 class Encryptor {
  public:
-  /// Takes ownership of the cover source (LFSR for encryption mode, buffer
-  /// for steganography mode).
-  Encryptor(Key key, std::unique_ptr<CoverSource> cover,
-            BlockParams params = BlockParams::paper(), Scheme scheme = Scheme::mhhea);
+  /// Every message is encrypted from the cover's seed. The cover's tables
+  /// are built here, so the per-call copies share them.
+  Encryptor(Key key, LfsrCover cover, BlockParams params = BlockParams::paper(),
+            Scheme scheme = Scheme::mhhea);
 
   /// Encrypt the whole of `msg` into the caller's buffer and return the
-  /// ciphertext bytes written. Zero heap allocations: the only buffer
-  /// touched besides `out` is the resident cover prefetch chunk. Throws
+  /// ciphertext bytes written. Zero heap allocations. Throws
   /// std::length_error if `out` cannot hold the ciphertext (bytes already
-  /// written are unspecified) and std::runtime_error if the cover runs
-  /// dry. Implies reset().
+  /// written are unspecified).
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
+  /// The same bytes with the pipeline cut for `n_shards` workers on `ex`
+  /// (shard.hpp; null runs the chunks inline).
+  std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out,
+                           int n_shards, exec::Executor* ex);
   /// Exact ciphertext bytes encrypt_into would produce for an `n_bits`-bit
-  /// message: its walk with the embed left out (cover generation plus a
-  /// width walk — cheap enough to size a buffer, not free). Implies reset().
-  [[nodiscard]] std::uint64_t one_shot_cipher_bytes(std::uint64_t n_bits);
-  /// Rewind the cover source to its start. Requires a resettable cover
-  /// (std::logic_error otherwise — see CoverSource::reset).
-  void reset();
-  /// Re-seed the cover source and rewind onto the new seed — the per-nonce
-  /// entry point of the sealed-v2 session (one derived seed per message
-  /// keeps the long-lived core from ever reusing cover keystream). Requires
-  /// a reseedable cover (std::logic_error otherwise — see
-  /// CoverSource::reseed).
+  /// message: the pipeline with the embed left out (cover generation plus
+  /// the schedule step — cheap enough to size a buffer, not free).
+  [[nodiscard]] std::uint64_t one_shot_cipher_bytes(std::uint64_t n_bits) const;
+  /// Re-seed the cover — the per-nonce entry point of the sealed-v2 session
+  /// (one derived seed per message keeps the long-lived core from ever
+  /// reusing cover keystream).
   void reseed(std::uint64_t seed);
-
   [[nodiscard]] const BlockParams& params() const noexcept { return params_; }
   [[nodiscard]] const Key& key() const noexcept { return key_; }
 
  private:
   Key key_;
-  std::unique_ptr<CoverSource> cover_;
+  LfsrCover cover_;
   BlockParams params_;
   std::vector<detail::PairCtx> pair_ctx_;
-  std::vector<std::uint64_t> cover_buf_;  // prefetched hiding vectors
 };
 
 /// Whole-message decryptor. The message bit length must be known
@@ -98,6 +93,9 @@ class Decryptor {
   /// unspecified). Zero heap allocations.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
                            std::span<std::uint8_t> out) const;
+  /// The same with the pipeline cut for `n_shards` workers on `ex`.
+  std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
+                           std::span<std::uint8_t> out, int n_shards, exec::Executor* ex) const;
 
  private:
   BlockParams params_;
@@ -108,8 +106,8 @@ class Decryptor {
 // One-shot helpers (the quickstart API).
 
 /// Encrypt `msg` with an LFSR cover seeded by `seed` (non-zero nonce): the
-/// single-shard encrypt_sharded (shard.hpp), which sizes the ciphertext with
-/// one_shot_cipher_bytes and fills it with encrypt_into.
+/// single-shard encrypt_sharded (shard.hpp), which sizes the ciphertext and
+/// then fills it.
 [[nodiscard]] std::vector<std::uint8_t> encrypt(std::span<const std::uint8_t> msg,
                                                 const Key& key, std::uint64_t seed,
                                                 BlockParams params = BlockParams::paper(),

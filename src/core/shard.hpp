@@ -1,35 +1,34 @@
-// Intra-message parallelism for both hiding ciphers (MHHEA and, with
-// Scheme::hhea, HHEA) — the software analogue of the paper's spatial
-// parallelism (many hiding-vector operations in flight per clock): a
-// message is planned as independent block-range shards that encrypt/decrypt
-// concurrently and splice into bit-identical output.
+// The one pipeline every whole-message pass of both hiding ciphers runs
+// (MHHEA and, with Scheme::hhea, HHEA): sequential and sharded encrypt and
+// decrypt, and the ciphertext sizers. It is the software form of the
+// paper's improved datapath, where the locating logic does not wait on the
+// data path and bits are replaced in parallel.
 //
-// Why shards can be independent at all: every ciphertext block occupies a
-// fixed block_bytes slot, block capacities depend only on the cover vector
-// and the cyclic key pair (never on message data), and the cover stream is
-// random-access (CoverSource::skip_blocks over the O(log n) Lfsr::jump). So
-// once the message bit offset and cover of a shard's first block are known,
-// the shard works entirely within its own slice of the output.
-//
-// Finding those offsets is the plan phase. Every walk below — plan, scan
-// and worker — is the table-driven frame-walk kernel of walk.hpp:
-//   * framed policy, encrypt — the frame budget feeds back into per-block
-//     widths, so one serial walk generates the cover stream once, writes
-//     each cover vector into its ciphertext slot of the caller's buffer and
-//     pins the block index at each shard's first frame. Workers then embed
-//     in place over those slots: no cover clone, no jump, no second cover
-//     generation.
-//   * framed policy, decrypt — the same serial width walk, over the
-//     ciphertext blocks' unmodified high halves (it doubles as the strict
-//     length validation); frame starts are byte-aligned, so workers extract
-//     straight into their slices of the caller's output.
-//   * continuous policy — capacities are scanned in parallel chunks (each
-//     chunk worker jumps a cover clone to its block range and sums widths);
-//     a prefix walk over chunk capacities yields shard boundaries, and each
-//     worker clones and jumps its own cover. Decryption runs the same shape
-//     of pre-scan over the ciphertext blocks and snaps shard boundaries to
-//     byte-aligned bit offsets, so every worker extracts straight into its
-//     disjoint slice of the caller's output span.
+// Why it can run in parallel at all: every ciphertext block occupies a
+// fixed block_bytes slot, a block's range and width depend only on its key
+// pair, its cover vector and the frame budget, and the frame budget depends
+// only on the message bit offset (frames are vector_bits wide from the
+// message start). None of it depends on message data. A message is cut
+// into block chunks, and each chunk goes through up to three steps:
+//   1. plan (parallel) — the chunk computes its widths on its own: on
+//      encrypt from an LfsrCover copy jumped to the chunk's first block, on
+//      decrypt from the ciphertext blocks' unmodified high halves. From them
+//      it builds a transfer function (walk.hpp's ChunkPlanner): for every
+//      entry frame phase, the message bits the chunk takes. Under the
+//      continuous policy that is a width sum.
+//   2. compose (serial) — one step per chunk turns the previous chunk's
+//      exit into this chunk's entry bit, and finds the chunk the message
+//      ends in.
+//   3. apply (parallel) — the chunk walks from its entry bit: the schedule
+//      step (walk.hpp) fixes every block's range, width and bit offset, and
+//      the backend's embed/extract kernels (scalar or AVX2) move the bits.
+// A chunk whose entry is already known when it is claimed skips the plan
+// and walks at once. Chunks outnumber shards; the calling thread and the
+// executor helpers claim them in order and compose as soon as plans land
+// (the scheduler is pipeline.hpp; this file holds what a chunk does),
+// so a thread left alone walks the whole message sequentially and a helper
+// that wakes late finds the work done. With one shard the whole message is
+// one chunk. Plan scratch is one transfer table per chunk.
 #pragma once
 
 #include <cstddef>
@@ -46,27 +45,23 @@
 namespace mhhea::core {
 
 /// Sharded one-shot encryption, bit-identical to Encryptor::encrypt_into
-/// for every shard count (core::encrypt is its single-shard LFSR case).
-/// `cover` is a prototype the walks derive their own covers from via
-/// clone() + reset() (+ skip_blocks for continuous-policy workers), so the
-/// source must be clonable and resettable (LfsrCover and BufferCover are).
-/// `ex` may be null — shards then run inline on the calling thread, same
-/// bytes, no parallelism. `n_shards` >= 1; the planner may use fewer shards
-/// than requested on short messages.
+/// for every shard count (core::encrypt is its single-shard case). The
+/// cover is used from its seed (a copy is rewound; `cover` itself is not
+/// touched). `ex` may be null — chunks then run inline on the calling
+/// thread, same bytes, no parallelism. `n_shards` >= 1.
 [[nodiscard]] std::vector<std::uint8_t> encrypt_sharded(
-    std::span<const std::uint8_t> msg, const Key& key, const CoverSource& cover,
-    int n_shards, exec::Executor* ex, BlockParams params = BlockParams::paper(),
+    std::span<const std::uint8_t> msg, const Key& key, const LfsrCover& cover, int n_shards,
+    exec::Executor* ex, BlockParams params = BlockParams::paper(),
     Scheme scheme = Scheme::mhhea);
 
-/// encrypt_sharded into caller storage: every worker writes its disjoint
-/// block-range slice of `out` directly — no per-worker buffers, no splice,
-/// no allocation for the ciphertext itself (the plan scratch remains).
-/// Nothing past the returned ciphertext end is written. Returns the
-/// ciphertext bytes written; throws std::length_error when `out` cannot
-/// hold them (partial contents are then unspecified).
+/// encrypt_sharded into caller storage: every chunk writes its disjoint
+/// block range of `out` directly. Nothing past the returned ciphertext end
+/// is written. Returns the ciphertext bytes written; throws
+/// std::length_error when `out` cannot hold them (partial contents are then
+/// unspecified).
 std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& key,
-                                 const CoverSource& cover, int n_shards,
-                                 exec::Executor* ex, std::span<std::uint8_t> out,
+                                 const LfsrCover& cover, int n_shards, exec::Executor* ex,
+                                 std::span<std::uint8_t> out,
                                  BlockParams params = BlockParams::paper(),
                                  Scheme scheme = Scheme::mhhea);
 
@@ -79,17 +74,43 @@ std::size_t encrypt_sharded_into(std::span<const std::uint8_t> msg, const Key& k
     Scheme scheme = Scheme::mhhea);
 
 /// decrypt_sharded into caller storage (same strict contract; additionally
-/// std::length_error when `out` is shorter than `msg_bytes`). Framed-policy
-/// shards start on frame boundaries — whole multiples of vector_bits bits,
-/// hence byte-aligned — so each worker writes its slice of `out` directly.
-/// Continuous-policy decryption first runs a parallel capacity pre-scan over
-/// the ciphertext blocks and snaps shard boundaries to byte-aligned bit
-/// offsets, so its workers likewise write disjoint slices of `out` with no
-/// per-worker buffers and no splice. Returns `msg_bytes`.
+/// std::length_error when `out` is shorter than `msg_bytes`). Each chunk
+/// writes its own whole bytes of `out`. Returns `msg_bytes`.
 std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key& key,
-                                 std::size_t msg_bytes, int n_shards,
-                                 exec::Executor* ex, std::span<std::uint8_t> out,
+                                 std::size_t msg_bytes, int n_shards, exec::Executor* ex,
+                                 std::span<std::uint8_t> out,
                                  BlockParams params = BlockParams::paper(),
                                  Scheme scheme = Scheme::mhhea);
+
+namespace detail {
+
+/// The pipeline's encrypt: the first `message_bits` bits of `msg` under
+/// `pairs`, covers from `cover`'s seed, into `out`. Returns the ciphertext
+/// bytes; throws std::length_error ("<who>: output buffer too small").
+/// `chunk_blocks` > 0 forces the chunk size and plans every chunk (tests
+/// cut chunks mid-frame with it); 0 picks it from `n_shards`.
+std::uint64_t encrypt_chunked(std::span<const PairCtx> pairs, const BlockParams& params,
+                              const LfsrCover& cover, std::span<const std::uint8_t> msg,
+                              std::uint64_t message_bits, std::span<std::uint8_t> out,
+                              int n_shards, exec::Executor* ex, std::uint64_t chunk_blocks,
+                              const char* who);
+
+/// The exact ciphertext bytes encrypt_chunked writes: the single-shard
+/// pipeline with the embed left out (cover generation plus the schedule
+/// step — cheap enough to size a buffer, not free).
+std::uint64_t cipher_bytes(std::span<const PairCtx> pairs, const BlockParams& params,
+                           const LfsrCover& cover, std::uint64_t message_bits);
+
+/// The pipeline's decrypt: the `message_bits`-bit message of `cipher` into
+/// `out` (zero-padded to whole bytes). Returns ceil(message_bits / 8);
+/// throws std::invalid_argument on misaligned, truncated or trailing
+/// ciphertext and std::length_error when `out` is too small (messages
+/// prefixed with `who`). `chunk_blocks` as for encrypt_chunked.
+std::size_t decrypt_chunked(std::span<const PairCtx> pairs, const BlockParams& params,
+                            std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
+                            std::span<std::uint8_t> out, int n_shards, exec::Executor* ex,
+                            std::uint64_t chunk_blocks, const char* who);
+
+}  // namespace detail
 
 }  // namespace mhhea::core

@@ -1,25 +1,32 @@
-// The frame-walk kernel: the one loop every whole-message pass of both
-// hiding ciphers runs — one-shot encrypt and decrypt, the ciphertext sizer,
-// the shard planners' width walks and continuous-policy capacity scans, and
-// the shard workers. MHHEA and HHEA differ only in the pair tables a walk
-// is given (Scheme): HHEA's tables map every field value to a fixed range.
+// The block kernels of the chunk pipeline (shard.hpp) — every
+// whole-message pass of both hiding ciphers runs them: one-shot and sharded
+// encrypt and decrypt, and the ciphertext sizers. MHHEA and HHEA differ
+// only in the pair tables the kernels are given (Scheme): HHEA's tables map
+// every field value to a fixed range.
 //
 // The software analogue of the paper's improved datapath: everything that
 // depends only on the key is precomputed per pair, so the per-block work is
 // one table lookup and one masked word operation, with no key- or
-// data-dependent branches in the loop. make_pair_ctx tabulates
+// data-dependent branches in the loops. make_pair_ctx tabulates
 // scramble_range (block.hpp, the normative reference) for every value of
 // the loc_bits-wide scramble field — 8 entries per pair at the paper's
-// N=16, 32 at N=64 — so a block step is:
-//
-//   field -> {kn1, width}; w = min(width, frame budget); embed or extract w
-//   bits at kn1 with the pair's pattern; a spent frame reopens by select.
-//
-// Message bits stream through BitSource/BitSink as one contiguous bit run
-// (the frame budget only caps per-block widths), so the framed policy needs
-// no nested per-frame loop: continuous is the framed walk with an unbounded
-// frame. The walk is templated on the vector width N and dispatched once
-// per call (with_width), so block loads and stores are 2/4/8-byte moves.
+// N=16, 32 at N=64. Everything that depends only on the key and the cover
+// is then worked out apart from the message bits, like the paper's
+// locating logic that does not wait on the data path:
+//   * plan — ChunkPlanner turns a chunk's block widths into its transfer
+//     function: for every entry frame phase, the message bits the chunk
+//     takes (N u8 lanes stepped together), so chunks plan independently;
+//   * schedule — for a chunk whose entry bit is known, schedule() fixes
+//     every block's range low end, capped width, pattern and message bit
+//     offset into a backend::ApplyBatch: field -> {kn1, width};
+//     w = min(width, frame budget); a spent frame reopens by select;
+//   * apply — the backend's embed_blocks/extract_blocks kernels move the
+//     bits of a whole batch (eight blocks per AVX2 instruction), and
+//     BitSink packs extracted bits into the message.
+// Message bits form one contiguous bit run (the frame budget only caps
+// per-block widths), so the framed policy needs no nested per-frame loop.
+// The kernels are templated on the vector width N, dispatched once per call
+// (util::with_vector_bits), so block loads and stores are 2/4/8-byte moves.
 #pragma once
 
 #include <algorithm>
@@ -28,21 +35,17 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <limits>
 #include <span>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "src/backend/backend.hpp"
+#include "src/backend/kernels.hpp"
 #include "src/core/block.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
 #include "src/util/bits.hpp"
 
 namespace mhhea::core {
-
-class CoverSource;
 
 /// Which hiding cipher a walk runs: the choice of pair tables, nothing else.
 enum class Scheme {
@@ -120,141 +123,179 @@ inline std::vector<PairCtx> pair_tables(const Key& key, const BlockParams& param
   return scheme == Scheme::hhea ? fixed_range_ctx(key) : make_pair_ctx(key, params);
 }
 
-/// The unsigned integer of B bytes (B = 1, 2, 4 or 8).
-template <int B>
-using UintOf = std::conditional_t<
-    B == 1, std::uint8_t,
-    std::conditional_t<B == 2, std::uint16_t,
-                       std::conditional_t<B == 4, std::uint32_t, std::uint64_t>>>;
-
 /// The table lookup for block `v`: read the loc_bits-wide field at K1 of
 /// V's high half (wrapping within it: a rotate of the N/2-bit half) and
 /// index the pair's range table.
 template <int N>
 [[nodiscard]] inline RangeEntry range_of(const PairCtx& pc, std::uint64_t v) noexcept {
-  const auto high = static_cast<UintOf<N / 16>>(v >> (N / 2));
+  const auto high = static_cast<util::UintOf<N / 16>>(v >> (N / 2));
   return pc.range[static_cast<std::size_t>(std::rotr(high, pc.lo) & (N / 2 - 1))];
 }
 
-/// B-byte little-endian load and store as one move (the byte loops of
-/// util::load_le/store_le are not reliably merged into one in the hot
-/// loop); big-endian hosts keep the byte loops.
-template <int B>
-[[nodiscard]] inline std::uint64_t load_bytes(const std::uint8_t* p) noexcept {
-  if constexpr (std::endian::native == std::endian::little) {
-    UintOf<B> w;
-    std::memcpy(&w, p, B);
-    return w;
-  } else {
-    return util::load_le(p, B);
-  }
-}
-template <int B>
-inline void store_bytes(std::uint8_t* p, std::uint64_t v) noexcept {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto w = static_cast<UintOf<B>>(v);
-    std::memcpy(p, &w, B);
-  } else {
-    util::store_le(p, v, B);
-  }
-}
-
-/// Serialized block access: block_bytes() little-endian bytes per block.
+/// Serialized block access: block_bytes() little-endian bytes per block, as
+/// one move (the byte loops of util::load_le are not reliably merged into
+/// one in the hot loops).
 template <int N>
 [[nodiscard]] inline std::uint64_t load_block(const std::uint8_t* blocks, std::size_t i) noexcept {
-  return load_bytes<N / 8>(blocks + i * (N / 8));
+  return backend::detail::load_block<N>(blocks, i);
 }
-/// Cover vectors as a CoverSource hands them out.
+/// Cover vectors as LfsrCover::next_blocks hands them out.
 template <int N>
 [[nodiscard]] inline std::uint64_t load_block(const std::uint64_t* words, std::size_t i) noexcept {
   return words[i];
 }
-template <int N>
-inline void store_block(std::uint8_t* blocks, std::size_t i, std::uint64_t v) noexcept {
-  store_bytes<N / 8>(blocks + i * (N / 8), v);
-}
 
-/// Run `f.template operator()<N>()` for the runtime vector width — the one
-/// dispatch per call that lets every walk inside run width-specialized.
-template <class F>
-decltype(auto) with_width(int vector_bits, F&& f) {
-  switch (vector_bits) {
-    case 16:
-      return std::forward<F>(f).template operator()<16>();
-    case 32:
-      return std::forward<F>(f).template operator()<32>();
-    default:
-      return std::forward<F>(f).template operator()<64>();
+/// Where a walk stands at a block edge: the block index and the message
+/// bits placed before it — the whole walk state. Under the framed policy
+/// frames are vector_bits wide and start at multiples of vector_bits from
+/// the message start, so the open frame's budget at bit b is N - b mod N
+/// (the message end caps it further); under the continuous policy only the
+/// message end caps a block. Nothing else is carried from block to block.
+struct Cursor {
+  std::uint64_t block = 0;
+  std::uint64_t bit = 0;
+};
+
+/// Schedule step of the apply stage: for up to `n` blocks from `blocks`
+/// (serialized bytes or cover words, block `at.block` first), stopping once
+/// `end` message bits are placed, write each block's range low end, capped
+/// width, pattern and message bit offset into `batch` and advance `at`.
+/// Offsets count from bit 8 * (at.bit / 8), so the batch's message span
+/// starts at byte at.bit / 8. Returns the blocks scheduled (batch.n).
+///
+/// The loop-carried state is the open frame's budget, so its update is kept
+/// to a compare and a select: a block that spends the frame reopens the
+/// next one at once. While two or more frames remain the next frame is
+/// known to be full, so the message end stays off the budget's dependency
+/// chain; only the last two frames pay for sizing the short final frame.
+template <int N, bool Framed, class Block>
+std::size_t schedule(std::span<const PairCtx> pairs, Cursor& at, std::uint64_t end,
+                     const Block* blocks, std::size_t n, backend::ApplyBatch& batch) noexcept {
+  assert(n <= backend::kApplyBatch);
+  const PairCtx* const first = pairs.data();
+  const PairCtx* const last = first + pairs.size() - 1;
+  const PairCtx* pc = first + at.block % pairs.size();
+  const std::uint64_t base = at.bit & ~std::uint64_t{7};
+  std::uint64_t bit = at.bit;
+  std::uint64_t budget = end - bit;
+  if constexpr (Framed) budget = std::min<std::uint64_t>(budget, N - (bit & (N - 1)));
+  std::size_t i = 0;
+  const auto step = [&]<bool kTail>() {
+    const RangeEntry r = range_of<N>(*pc, load_block<N>(blocks, i));
+    const bool spent = r.width >= budget;
+    const std::uint64_t w = spent ? budget : r.width;
+    batch.kn1[i] = r.kn1;
+    batch.width[i] = static_cast<std::uint8_t>(w);
+    batch.pattern[i] = static_cast<std::uint32_t>(pc->pattern);
+    batch.offset[i] = static_cast<std::uint32_t>(bit - base);
+    bit += w;
+    if constexpr (Framed) {
+      const std::uint64_t next = kTail ? std::min<std::uint64_t>(end - bit, N) : N;
+      budget = spent ? next : budget - r.width;
+    } else {
+      budget -= w;  // continuous: the budget is what is left of the message
+    }
+    pc = pc == last ? first : pc + 1;
+  };
+  if constexpr (Framed) {
+    for (; i < n && end - bit >= 2 * N; ++i) step.template operator()<false>();
   }
+  for (; i < n && bit < end; ++i) step.template operator()<true>();
+  batch.n = i;
+  at = {at.block + i, bit};
+  return i;
 }
 
-/// A frame budget / bit count no walk reaches: the continuous policy's
-/// frame size, and the message length of an uncapped capacity scan (whose
-/// width sum is then kUnbounded - remaining).
-inline constexpr std::uint64_t kUnbounded = std::numeric_limits<std::uint64_t>::max();
+/// A block chunk's transfer function, the plan stage's output: bits[p] is
+/// the message bits the chunk's blocks take when the chunk is entered at
+/// frame phase p (message bit mod N) and the message does not end inside
+/// it. Under the continuous policy there is no phase and bits[0] is the
+/// plain width sum.
+struct Transfer {
+  std::array<std::uint64_t, 64> bits{};
+};
 
-/// Message bits per frame: vector_bits under the framed policy, unbounded
-/// under the continuous one (only the message end caps a block).
-[[nodiscard]] constexpr std::uint64_t frame_bits(const BlockParams& params) noexcept {
-  return params.policy == FramePolicy::framed ? static_cast<std::uint64_t>(params.vector_bits)
-                                              : kUnbounded;
-}
-
-/// Fill `buf` with the next cover vectors of `cover` that a walk with
-/// `remaining_bits` message bits left is certain to consume (each block
-/// carries at most N/2 bits), at most buf.size(), and return how many it
-/// produced. Never fetching more keeps finite covers drained exactly as
-/// block-at-a-time consumption would, and makes a chunk-granular
-/// output-space check exact. Throws std::runtime_error ("<who>: cover
-/// source exhausted") when it produced none. Defined in mhhea.cpp.
-std::size_t next_covers(CoverSource& cover, const BlockParams& params,
-                        std::uint64_t remaining_bits, std::span<std::uint64_t> buf,
-                        const char* who);
-
-/// The one-shot encrypt walk: covers fetched through `buf`, the whole of
-/// `msg` embedded into consecutive blocks of `out`. Returns the ciphertext
-/// bytes; throws std::length_error when `out` cannot hold them and
-/// std::runtime_error when `cover` runs dry (messages prefixed with `who`).
-/// Defined in mhhea.cpp.
-std::size_t embed_message(std::span<const PairCtx> pairs, const BlockParams& params,
-                          CoverSource& cover, std::span<std::uint64_t> buf,
-                          std::span<const std::uint8_t> msg, std::span<std::uint8_t> out,
-                          const char* who);
-
-/// The one-shot decrypt walk: the `message_bits`-bit message of `cipher`
-/// into `out` (zero-padded to whole bytes). Returns ceil(message_bits / 8);
-/// throws std::invalid_argument on misaligned, truncated or trailing
-/// ciphertext and std::length_error when `out` is too small. Defined in
-/// mhhea.cpp.
-std::size_t extract_message(std::span<const PairCtx> pairs, const BlockParams& params,
-                            std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
-                            std::span<std::uint8_t> out, const char* who);
-
-/// Message bits in, LSB-first from any bit offset. peek() returns at least
-/// 32 upcoming bits (fewer only at the message end, where the walk's bit
-/// budget never asks for more than remain) as one unaligned 8-byte load:
-/// the only loop-carried state is the bit position.
-class BitSource {
+/// The plan stage over one chunk, fed its blocks in order: every entry
+/// phase at once, so no chunk waits for the one before it. Framed chunks
+/// track one frame budget per entry phase — N lanes of u8 stepped together,
+/// a compare, a select and a subtract per block — and count the frames each
+/// lane closes; continuous chunks just sum widths.
+template <int N, bool Framed>
+class ChunkPlanner {
  public:
-  BitSource(std::span<const std::uint8_t> bytes, std::uint64_t bit_begin) noexcept
-      : base_(bytes.data()),
-        size_(bytes.size()),
-        pos_(bit_begin),
-        fast_end_(bytes.size() >= 8 ? (bytes.size() - 7) * 8 : 0) {}
-  [[nodiscard]] std::uint64_t peek() const noexcept {
-    const std::size_t byte = static_cast<std::size_t>(pos_ / 8);
-    if (pos_ < fast_end_) return load_bytes<8>(base_ + byte) >> (pos_ % 8);
-    std::uint64_t v = 0;  // the last 8 bytes: gather what is left
-    for (std::size_t i = byte; i < size_; ++i) v |= std::uint64_t{base_[i]} << (8 * (i - byte));
-    return v >> (pos_ % 8);
+  /// `first_block`: the chunk's first block index (picks its key pair).
+  ChunkPlanner(std::span<const PairCtx> pairs, std::uint64_t first_block) noexcept
+      : first_(pairs.data()),
+        last_(pairs.data() + pairs.size() - 1),
+        pc_(pairs.data() + first_block % pairs.size()) {
+    if constexpr (Framed) {
+      // Lane p enters at phase p: N - p bits left in its frame.
+      const U8x16 phase = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+      for (int v = 0; v < kVecs; ++v) {
+        budget_[v] = kFull - (phase + static_cast<std::uint8_t>(16 * v));
+      }
+    }
   }
-  void skip(int w) noexcept { pos_ += static_cast<std::uint64_t>(w); }
+
+  /// The next `n` blocks of the chunk.
+  template <class Block>
+  void feed(const Block* blocks, std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint8_t w = range_of<N>(*pc_, load_block<N>(blocks, i)).width;
+      pc_ = pc_ == last_ ? first_ : pc_ + 1;
+      if constexpr (Framed) {
+        const U8x16 wv = U8x16{} + w;
+        for (int v = 0; v < kVecs; ++v) {
+          // A lane whose budget the block meets or exceeds closes its frame
+          // (and reopens a full one); the others spend the block's width.
+          const auto spent = reinterpret_cast<U8x16>(budget_[v] <= wv);
+          budget_[v] = ((budget_[v] - wv) & ~spent) | (kFull & spent);
+          closes_[v] -= spent;
+        }
+        if (++pending_ == 255) flush();  // u8 close counts stay exact
+      } else {
+        sum_ += w;
+      }
+    }
+  }
+
+  /// The chunk's transfer function (call once, after the last feed).
+  [[nodiscard]] Transfer finish() noexcept {
+    Transfer t;
+    if constexpr (Framed) {
+      flush();
+      for (int p = 0; p < N; ++p) {
+        // Each closed frame took N bits; the rest is the entry budget
+        // minus the exit budget.
+        t.bits[static_cast<std::size_t>(p)] =
+            closed_[static_cast<std::size_t>(p)] * N + static_cast<std::uint64_t>(N - p) -
+            budget_[p / 16][p % 16];
+      }
+    } else {
+      t.bits[0] = sum_;
+    }
+    return t;
+  }
 
  private:
-  const std::uint8_t* base_;
-  std::size_t size_;
-  std::uint64_t pos_;
-  std::uint64_t fast_end_;  // bit positions below this have 8 readable bytes
+  using U8x16 = std::uint8_t __attribute__((vector_size(16)));
+  static constexpr int kVecs = N / 16;
+  static constexpr U8x16 kFull = U8x16{} + static_cast<std::uint8_t>(N);
+
+  void flush() noexcept {
+    for (int p = 0; p < N; ++p) closed_[static_cast<std::size_t>(p)] += closes_[p / 16][p % 16];
+    for (U8x16& c : closes_) c = U8x16{};
+    pending_ = 0;
+  }
+
+  const PairCtx* first_;
+  const PairCtx* last_;
+  const PairCtx* pc_;
+  U8x16 budget_[kVecs] = {};
+  U8x16 closes_[kVecs] = {};
+  std::array<std::uint64_t, N> closed_{};
+  int pending_ = 0;
+  std::uint64_t sum_ = 0;
 };
 
 /// Message bits out, LSB-first from the start of `out`, zero-padding the
@@ -271,7 +312,7 @@ class BitSink {
     // data-dependent branch). Within the last 7 bytes the bits wait for
     // flush() instead.
     if (end_ - p_ >= 8) {
-      store_bytes<8>(p_, acc_);
+      backend::detail::store_block<64>(p_, 0, acc_);
       p_ += n_ / 8;
       acc_ >>= n_ & ~7u;
       n_ &= 7;
@@ -285,85 +326,6 @@ class BitSink {
   std::uint64_t acc_ = 0;
   unsigned n_ = 0;  // pending bits in acc_
 };
-
-/// Where a walk stands; carried across calls so a walk resumes exactly at a
-/// chunk or shard edge.
-struct FrameWalk {
-  std::size_t pair = 0;         // key pair of the next block (block index mod L)
-  std::uint64_t remaining = 0;  // message bits still to place
-  std::uint64_t budget = 0;     // bits left in the open frame; 0: none open yet
-};
-
-/// The walk's three passes. Each sees block i of the call with its vector,
-/// scrambled range and capped width. Passes carry their message cursor by
-/// value: walk() works on a local copy (so the cursor lives in registers,
-/// not behind a pointer the block stores might alias) and writes it back.
-struct Measure {
-  void operator()(std::size_t, std::uint64_t, int, std::uint64_t, int) const noexcept {}
-};
-
-/// Embed message bits and store the ciphertext block into slot i of `out`
-/// (which may be the block source itself: in-place covers).
-template <int N>
-struct Embed {
-  std::uint8_t* out;
-  BitSource msg;
-  void operator()(std::size_t i, std::uint64_t v, int kn1, std::uint64_t pattern,
-                  int w) noexcept {
-    store_block<N>(out, i, embed_bits_with_pattern(v, kn1, pattern, msg.peek(), w));
-    msg.skip(w);
-  }
-};
-
-/// Extract each block's message bits into `sink`.
-struct Extract {
-  BitSink sink;
-  void operator()(std::size_t, std::uint64_t v, int kn1, std::uint64_t pattern,
-                  int w) noexcept {
-    sink.put(extract_bits_with_pattern(v, kn1, pattern, w), w);
-  }
-};
-
-/// The kernel: walk up to `n_blocks` blocks from `blocks` (serialized bytes
-/// or cover words), stopping early once st.remaining reaches 0. Returns the
-/// blocks walked. `frame` is frame_bits(params) (or kUnbounded for an
-/// uncapped capacity scan).
-///
-/// The frame budget is the loop-carried state, so its update is kept to a
-/// compare and two selects: a block that spends the open frame reopens the
-/// next one at once (no nested per-frame loop, no data-dependent branch).
-/// While two or more frames remain the next frame is known to be full, so
-/// the remaining count stays off the budget's dependency chain; only the
-/// last two frames pay for sizing the short final frame.
-template <int N, class Block, class Pass>
-std::size_t walk(std::span<const PairCtx> pairs, std::uint64_t frame, FrameWalk& st,
-                 const Block* blocks, std::size_t n_blocks, Pass&& pass_state) {
-  std::remove_cvref_t<Pass> pass = pass_state;
-  const PairCtx* const first = pairs.data();
-  const PairCtx* const last = first + pairs.size() - 1;
-  const PairCtx* pair = first + st.pair;
-  std::uint64_t remaining = st.remaining;
-  std::uint64_t budget = st.budget != 0 ? st.budget : std::min(remaining, frame);
-  std::size_t i = 0;
-  const auto step = [&]<bool kTail>() {
-    const std::uint64_t v = load_block<N>(blocks, i);
-    const PairCtx& pc = *pair;
-    pair = pair == last ? first : pair + 1;
-    const RangeEntry r = range_of<N>(pc, v);
-    const bool spent = r.width >= budget;
-    const std::uint64_t w = spent ? budget : r.width;
-    pass(i, v, r.kn1, pc.pattern, static_cast<int>(w));
-    remaining -= w;
-    const std::uint64_t next = kTail ? std::min(remaining, frame) : frame;
-    budget = spent ? next : budget - r.width;
-  };
-  const std::uint64_t two_frames = frame > kUnbounded / 2 ? kUnbounded : 2 * frame;
-  for (; i < n_blocks && remaining >= two_frames; ++i) step.template operator()<false>();
-  for (; i < n_blocks && remaining > 0; ++i) step.template operator()<true>();
-  st = {static_cast<std::size_t>(pair - first), remaining, budget};
-  pass_state = pass;
-  return i;
-}
 
 }  // namespace detail
 }  // namespace mhhea::core

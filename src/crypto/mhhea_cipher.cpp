@@ -6,7 +6,6 @@
 
 #include "src/core/cover.hpp"
 #include "src/core/frame.hpp"
-#include "src/core/shard.hpp"
 #include "src/util/secret.hpp"
 
 namespace mhhea::crypto {
@@ -44,9 +43,8 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
       // sealed_v2 seeds the cover for nonce 0 from the schedule (cur_nonce_
       // starts at 0 to match); the raw seed is then only schedule input.
       enc_(key_,
-           core::make_lfsr_cover(params_.vector_bits, framing == Framing::sealed_v2
-                                                          ? v2_cover_seed(0)
-                                                          : seed),
+           core::LfsrCover(params_.vector_bits,
+                           framing == Framing::sealed_v2 ? v2_cover_seed(0) : seed),
            params_, scheme_),
       dec_(key_, 0, params_, scheme_) {
   // expansion() and max_ciphertext_size() read the walk's own tables: the
@@ -69,19 +67,10 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
   // more workers than cores measures dispatch overhead, not parallelism (the
   // PR-4 bench recorded exactly that regression on a 1-core host). When the
   // clamp resolves to a single worker no executor handle exists at all and
-  // every message runs the sequential resettable cores inline. Fan-out goes
-  // to the process-wide executor, so constructing a cipher spawns nothing.
+  // every message runs the single-shard pipeline inline. Fan-out goes to the
+  // process-wide executor, so constructing a cipher spawns nothing.
   workers_ = std::min(shards_, exec::resolve_parallelism(0, "MhheaCipher"));
-  if (shards_ > 1 && workers_ > 1) {
-    cover_proto_ = core::make_lfsr_cover(
-        params_.vector_bits, framing_ == Framing::sealed_v2 ? v2_cover_seed(0) : seed_);
-    // Warm the LFSR's lazily built leap tables and jump matrix once, so
-    // every shard worker's clone shares them instead of rebuilding per call.
-    (void)cover_proto_->next_block(params_.vector_bits);
-    cover_proto_->skip_blocks(params_.vector_bits, 1);
-    cover_proto_->reset();
-    exec_ = &exec::Executor::shared();
-  }
+  if (shards_ > 1 && workers_ > 1) exec_ = &exec::Executor::shared();
 }
 
 namespace {
@@ -147,9 +136,7 @@ std::uint64_t MhheaCipher::v2_cover_seed(std::uint64_t nonce) const {
 
 void MhheaCipher::set_nonce(std::uint64_t nonce) {
   if (nonce == cur_nonce_) return;
-  const std::uint64_t s = v2_cover_seed(nonce);
-  enc_.reseed(s);
-  if (cover_proto_) cover_proto_->reseed(s);
+  enc_.reseed(v2_cover_seed(nonce));
   cur_nonce_ = nonce;
 }
 
@@ -163,22 +150,15 @@ void MhheaCipher::require_v2(const char* what) const {
 std::size_t MhheaCipher::encrypt_blocks(std::span<const std::uint8_t> msg,
                                         std::span<std::uint8_t> out) {
   const int eff = std::min(effective_shards(shards_, msg.size()), workers_);
-  return eff > 1 ? core::encrypt_sharded_into(msg, key_, *cover_proto_, eff, exec_, out, params_,
-                                              scheme_)
-                 : enc_.encrypt_into(msg, out);
+  return enc_.encrypt_into(msg, out, eff, eff > 1 ? exec_ : nullptr);
 }
 
 std::size_t MhheaCipher::decrypt_blocks(std::span<const std::uint8_t> cipher,
                                         std::uint64_t message_bits,
                                         std::span<std::uint8_t> out) {
-  // The sharded planner splits whole bytes; a sub-byte length (which only a
-  // hand-made container can declare) runs on the sequential core.
-  const auto msg_bytes = static_cast<std::size_t>(message_bits / 8);
-  const int eff =
-      message_bits % 8 == 0 ? std::min(effective_shards(shards_, msg_bytes), workers_) : 1;
-  return eff > 1 ? core::decrypt_sharded_into(cipher, key_, msg_bytes, eff, exec_, out,
-                                              params_, scheme_)
-                 : dec_.decrypt_into(cipher, message_bits, out);
+  const int eff = std::min(
+      effective_shards(shards_, static_cast<std::size_t>(message_bits / 8)), workers_);
+  return dec_.decrypt_into(cipher, message_bits, out, eff, eff > 1 ? exec_ : nullptr);
 }
 
 template <class Dest>

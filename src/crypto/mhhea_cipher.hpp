@@ -4,14 +4,14 @@
 // comparison set).
 //
 // One adapter instance = one (key, nonce, params, framing) configuration.
-// The instance keeps one resettable Encryptor/Decryptor core and rewinds it
-// per call instead of constructing a fresh engine each time — per-message
-// setup (cover construction, key range tables, LFSR leap tables, the cover
-// prefetch buffer) is paid once. Calls remain deterministic and independent: the
-// cover source is re-seeded on every reset, so encrypt() is a pure function
-// of the configuration and the message. The reusable core makes calls
-// STATEFUL internally — share one instance per thread (the batch API
-// already builds one cipher per worker).
+// The instance keeps one Encryptor/Decryptor core instead of constructing a
+// fresh engine per call — per-message setup (cover construction, key range
+// tables, LFSR leap and jump tables) is paid once. Calls remain
+// deterministic and independent: every encrypt starts from the cover's
+// seed, so encrypt() is a pure function of the configuration and the
+// message. The reusable core makes calls STATEFUL internally (the
+// sealed-v2 nonce reseeds it) — share one instance per thread (the batch
+// API already builds one cipher per worker).
 //
 // Framing::sealed_v2 is the authenticated container (frame.hpp's wire
 // layout): a 24-byte header carrying an explicit nonce, encrypt-then-MAC
@@ -56,11 +56,11 @@ class MhheaCipher : public Cipher {
   /// mid-benchmark.
   ///
   /// `shards` > 1 turns on intra-message parallelism (core/shard.hpp): each
-  /// message is planned as that many block-range shards encrypted/decrypted
-  /// concurrently on an internal thread pool, bit-identical to the
-  /// single-shard path. 0 picks hardware concurrency; negative counts throw
-  /// std::invalid_argument. shards == 1 (the default) runs the sequential
-  /// resettable cores with zero added overhead.
+  /// message's block chunks are planned and applied by up to that many
+  /// threads of the shared executor, bit-identical to the single-shard
+  /// path. 0 picks hardware concurrency; negative counts throw
+  /// std::invalid_argument. shards == 1 (the default) runs the single-shard
+  /// pipeline with zero added overhead.
   /// For Framing::sealed_v2 the `seed` doubles as the schedule master: the
   /// V2KeySchedule expands it into MAC and seed-derivation subkeys, and the
   /// cover is seeded for nonce 0 (the seed's low bits are not used directly,
@@ -87,10 +87,10 @@ class MhheaCipher : public Cipher {
     return compression_ == compress::Method::raw ? "MHHEA-sealed-v2" : "MHHEA-sealed-v2-z";
   }
   /// One-shot encryption straight into the caller's buffer: the core's
-  /// final-sized block planner (no tail-replay bookkeeping) for shards == 1,
-  /// the sharded planner writing disjoint slices for shards > 1; sealed_v2
-  /// seals under nonce 0 (header + blocks + MAC trailer). The warmed
-  /// single-shard path performs zero heap allocations.
+  /// chunk pipeline, one chunk for shards == 1 and disjoint block ranges in
+  /// parallel for shards > 1; sealed_v2 seals under nonce 0 (header +
+  /// blocks + MAC trailer). The warmed single-shard path performs zero heap
+  /// allocations.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg,
                            std::span<std::uint8_t> out) override;
   /// Under sealed_v2, `msg_bytes` must agree with the container's plaintext
@@ -100,7 +100,7 @@ class MhheaCipher : public Cipher {
   /// produced.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
                            std::span<std::uint8_t> out) override;
-  /// Via a cover + width scan (~a third of an encryption); includes the
+  /// Via the pipeline without the embed (~half an encryption); includes the
   /// constant container overhead under sealed_v2. Exact unless the cipher
   /// compresses (MHHEA-sealed-v2-z): then it is the size of the
   /// uncompressed fallback, an upper bound on what encrypt() writes.
@@ -192,9 +192,9 @@ class MhheaCipher : public Cipher {
     std::uint8_t method = 0;
   };
   [[nodiscard]] SealBody make_seal_body(std::span<const std::uint8_t> msg);
-  /// The one sharded-or-sequential choice per direction: the sharded
-  /// planner when the message is long enough to split across more than one
-  /// worker, the resettable sequential core otherwise.
+  /// The one sharded-or-sequential choice per direction: the core's
+  /// pipeline cut for several workers when the message is long enough to
+  /// split, one chunk otherwise.
   std::size_t encrypt_blocks(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
   std::size_t decrypt_blocks(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
                              std::span<std::uint8_t> out);
@@ -206,9 +206,9 @@ class MhheaCipher : public Cipher {
   /// rejected container never touches the caller's storage.
   template <class Dest>
   std::size_t open_payload(const V2Opened& opened, Dest&& dest);
-  /// Point the encryptor core (and the shard prototype) at `nonce`'s derived
-  /// cover seed. No-op when already there — consecutive same-nonce calls
-  /// (size query then seal) pay one derivation, zero reseeds.
+  /// Point the encryptor core at `nonce`'s derived cover seed. No-op when
+  /// already there — consecutive same-nonce calls (size query then seal)
+  /// pay one derivation, zero reseeds.
   void set_nonce(std::uint64_t nonce);
   void require_v2(const char* what) const;
 
@@ -219,7 +219,7 @@ class MhheaCipher : public Cipher {
   core::Scheme scheme_;
   int shards_;
   V2KeySchedule sched_;       // sealed_v2 only; zeroed otherwise
-  std::uint64_t cur_nonce_ = 0;  // nonce enc_/cover_proto_ are seeded for
+  std::uint64_t cur_nonce_ = 0;  // nonce enc_ is seeded for
   core::Encryptor enc_;  // reusable core, reset per encrypt()
   core::Decryptor dec_;  // reusable core, shared by every decrypt()
   // Compression pre-stage (sealed_v2 only): the outbound method knob, the
@@ -234,11 +234,9 @@ class MhheaCipher : public Cipher {
   double expansion_ = 0.0;
   std::uint64_t cycle_min_bits_ = 0;  // sum of per-pair minimum widths (for the bound)
   // Sharded-mode state (null when the shards knob or the host resolves to a
-  // single worker — the budget is clamped to hardware concurrency, and with
-  // one worker the plan runs inline on the sequential cores instead): the
-  // cover prototype each shard worker clones and jumps, and a handle to the
-  // process-wide work-stealing executor the fan-out runs on.
-  std::unique_ptr<core::CoverSource> cover_proto_;
+  // single worker — the budget is clamped to hardware concurrency): a handle
+  // to the process-wide work-stealing executor the chunks fan out on. The
+  // chunks copy enc_'s cover.
   exec::Executor* exec_ = nullptr;  // Executor::shared() when fan-out pays off
   int workers_ = 1;                 // shard clamp: min(shards_, hardware)
 };

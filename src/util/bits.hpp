@@ -17,8 +17,31 @@
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 
 namespace mhhea::util {
+
+/// The unsigned integer of B bytes (B = 1, 2, 4 or 8).
+template <int B>
+using UintOf = std::conditional_t<
+    B == 1, std::uint8_t,
+    std::conditional_t<B == 2, std::uint16_t,
+                       std::conditional_t<B == 4, std::uint32_t, std::uint64_t>>>;
+
+/// Run `f.template operator()<N>()` for a runtime hiding-vector width of 16,
+/// 32 or 64 — the one dispatch per call that lets the block loops inside run
+/// width-specialized.
+template <class F>
+decltype(auto) with_vector_bits(int vector_bits, F&& f) {
+  switch (vector_bits) {
+    case 16:
+      return std::forward<F>(f).template operator()<16>();
+    case 32:
+      return std::forward<F>(f).template operator()<32>();
+    default:
+      return std::forward<F>(f).template operator()<64>();
+  }
+}
 
 /// A mask with the low `n` bits set. `n` may be 0..64.
 [[nodiscard]] constexpr std::uint64_t mask64(int n) noexcept {

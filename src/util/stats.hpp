@@ -1,8 +1,10 @@
-// Running moments for the benchmark reports (bench_ciphers' per-cell
-// MB/s and ns/byte samples).
+// Sample statistics for the benchmark reports: running moments, and the
+// median and quartiles bench_ciphers reports per cell (robust to the
+// bursts of a shared host, where a mean or max is not).
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace mhhea::util {
 
@@ -25,5 +27,14 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
+
+/// The lower quartile, median and upper quartile of a sample (linear
+/// interpolation between order statistics); all zero for an empty sample.
+struct Quartiles {
+  double q25 = 0.0;
+  double median = 0.0;
+  double q75 = 0.0;
+};
+[[nodiscard]] Quartiles quartiles(std::vector<double> samples);
 
 }  // namespace mhhea::util

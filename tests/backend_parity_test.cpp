@@ -1,13 +1,15 @@
 // Backend seam tests: dispatch rules (cpuid gating, MHHEA_BACKEND override,
 // graceful fallback), and differential parity between the forced scalar and
 // SIMD engines — raw Lfsr block generation, the Geffe keystream (bulk,
-// fused-XOR, serial interleaving), every registry cipher across sizes and
-// shard counts with cross-backend encrypt/decrypt, and the byte-aligned
-// continuous sharded decrypt on an explicit pool. SIMD-side cases skip
+// fused-XOR, serial interleaving), the MHHEA/HHEA apply kernels (embed and
+// extract, byte for byte), every registry cipher across sizes and shard
+// counts with cross-backend encrypt/decrypt, and the continuous sharded
+// decrypt on an explicit pool. SIMD-side cases skip
 // cleanly when the host (or build) has no AVX2 engine, so the suite is
 // green on any runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -139,6 +141,73 @@ TEST(BackendParity, LfsrNextBlocksMatchesSerialOnBothEngines) {
   }
 }
 
+// ------------------------------------------------------------ apply kernels
+
+/// A well-formed random apply batch of `n` blocks for N-bit vectors: widths
+/// 0..N/2 with kn1 + width <= N/2, patterns of N/2 bits, and offsets that
+/// run on from bit `first` (0..7) of the message span.
+backend::ApplyBatch random_batch(util::Xoshiro256& rng, int n_bits, std::size_t n,
+                                 std::uint32_t first) {
+  const auto h = static_cast<std::uint64_t>(n_bits / 2);
+  backend::ApplyBatch b;
+  b.n = n;
+  std::uint32_t off = first;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto w = static_cast<std::uint8_t>(rng.below(h + 1));
+    b.width[i] = w;
+    b.kn1[i] = static_cast<std::uint8_t>(rng.below(h - w + 1));
+    b.pattern[i] = static_cast<std::uint32_t>(rng.next() & ((std::uint64_t{1} << h) - 1));
+    b.offset[i] = off;
+    off += w;
+  }
+  return b;
+}
+
+TEST(BackendParity, ApplyKernelsMatchScalarByteForByte) {
+  if (!avx2_usable()) GTEST_SKIP() << "no avx2 engine on this host/build";
+  const backend::Backend& scalar = *backend::by_name("scalar");
+  const backend::Backend& avx2 = *backend::by_name("avx2");
+  util::Xoshiro256 rng(0xA991);
+  // Sizes straddle the 8- and 4-block vector steps and leave ragged tails.
+  const std::size_t sizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 33, 100, 255, 256};
+  for (const int n_bits : {16, 32, 64}) {
+    const auto bb = static_cast<std::size_t>(n_bits / 8);
+    for (const std::size_t n : sizes) {
+      for (const std::uint32_t first : {0u, 3u, 7u}) {
+        const backend::ApplyBatch b = random_batch(rng, n_bits, n, first);
+        std::vector<std::uint64_t> covers(n);
+        for (auto& c : covers) c = rng.next() & (n_bits == 64 ? ~0ull : (1ull << n_bits) - 1);
+        // The message span ends right after the batch's last bit, so the
+        // vector engine's gathers meet the span end and must fall back.
+        const std::uint32_t end_bit = n > 0 ? b.offset[n - 1] + b.width[n - 1] : first;
+        const auto msg = random_message(rng, (end_bit + 7) / 8);
+        std::vector<std::uint8_t> out_s(n * bb + 8, 0xEE);
+        std::vector<std::uint8_t> out_a(n * bb + 8, 0xEE);
+        scalar.embed_blocks(n_bits, b, covers.data(), msg, out_s.data());
+        avx2.embed_blocks(n_bits, b, covers.data(), msg, out_a.data());
+        EXPECT_EQ(out_a, out_s) << "embed N=" << n_bits << " n=" << n << " first=" << first;
+        // Nothing past the batch's blocks is written.
+        EXPECT_TRUE(std::all_of(out_a.end() - 8, out_a.end(),
+                                [](std::uint8_t x) { return x == 0xEE; }));
+        std::vector<std::uint32_t> bits_s(n, 0xDEAD);
+        std::vector<std::uint32_t> bits_a(n, 0xBEEF);
+        scalar.extract_blocks(n_bits, b, out_s.data(), bits_s.data());
+        avx2.extract_blocks(n_bits, b, out_s.data(), bits_a.data());
+        EXPECT_EQ(bits_a, bits_s) << "extract N=" << n_bits << " n=" << n << " first=" << first;
+        // And extract inverts embed: block i yields its message bits.
+        for (std::size_t i = 0; i < n; ++i) {
+          std::uint64_t want = 0;
+          for (int t = 0; t < b.width[i]; ++t) {
+            const std::uint32_t pos = b.offset[i] + static_cast<std::uint32_t>(t);
+            want |= static_cast<std::uint64_t>((msg[pos / 8] >> (pos % 8)) & 1) << t;
+          }
+          ASSERT_EQ(bits_s[i], want) << "N=" << n_bits << " n=" << n << " block " << i;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- geffe lanes
 
 TEST(BackendParity, GeffeKeystreamMatchesBitSerialOnBothEngines) {
@@ -216,13 +285,13 @@ TEST(BackendParity, RegistryCiphersBitIdenticalAcrossEnginesAndShards) {
   }
 }
 
-// ------------------------------------- byte-aligned continuous decrypt
+// --------------------------------------------- continuous sharded decrypt
 
 TEST(ShardedDecrypt, ContinuousIntoMatchesSequentialOnExplicitPool) {
-  // Drives the capacity pre-scan + direct slice writes with real workers
-  // regardless of host core count (the adapters would clamp to the
-  // sequential path on a 1-core box). The ragged size sweep lands shard
-  // boundaries at many different block-alignment walks.
+  // Drives the chunk pipeline's plan and apply with real workers regardless
+  // of host core count (the adapters would clamp to the sequential path on
+  // a 1-core box). The ragged size sweep lands chunk edges at many bit
+  // offsets, so the byte edges between chunk writes are exercised.
   util::Xoshiro256 rng(0xA11);
   exec::Executor pool(4);
   for (const core::BlockParams params :

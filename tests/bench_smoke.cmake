@@ -40,7 +40,9 @@ set(corpora "")
 math(EXPR last "${n_results} - 1")
 foreach(i RANGE ${last})
   string(JSON cipher GET "${doc}" results ${i} cipher)
-  string(JSON mbps GET "${doc}" results ${i} mb_per_s_mean)
+  string(JSON mbps GET "${doc}" results ${i} mb_per_s_median)
+  string(JSON q25 GET "${doc}" results ${i} mb_per_s_q25)
+  string(JSON q75 GET "${doc}" results ${i} mb_per_s_q75)
   string(JSON expansion GET "${doc}" results ${i} expansion)
   string(JSON corpus GET "${doc}" results ${i} corpus)
   string(JSON row_backend GET "${doc}" results ${i} backend)
@@ -49,6 +51,9 @@ foreach(i RANGE ${last})
   endif()
   if(NOT mbps GREATER 0)
     message(FATAL_ERROR "bench_smoke: ${cipher} cell ${i} has non-positive MB/s: ${mbps}")
+  endif()
+  if(q25 GREATER mbps OR mbps GREATER q75)
+    message(FATAL_ERROR "bench_smoke: ${cipher} cell ${i} median ${mbps} outside its quartiles ${q25}..${q75}")
   endif()
   if(NOT expansion GREATER 0)
     message(FATAL_ERROR "bench_smoke: ${cipher} cell ${i} has non-positive expansion")
@@ -94,6 +99,15 @@ foreach(want MHHEA MHHEA-sealed-v2 MHHEA-sealed-v2-z HHEA YAEA-S)
   if(jerr2)
     message(FATAL_ERROR "bench_smoke: shard_speedup missing cipher ${want} on a clamped sweep")
   endif()
+  # Every speedup has its quartile spread beside it.
+  foreach(key batch_speedup_spread shard_speedup_spread)
+    foreach(bound lo hi)
+      string(JSON spread ERROR_VARIABLE jerr5 GET "${doc}" ${key} "${want}" ${bound})
+      if(jerr5)
+        message(FATAL_ERROR "bench_smoke: ${key} missing ${bound} for cipher ${want}")
+      endif()
+    endforeach()
+  endforeach()
 endforeach()
 
 # The compression pre-stage aggregates: per cipher, per corpus, both keys

@@ -172,7 +172,7 @@ TEST(RangeTable, MatchesScrambleRangeForEveryPairFieldAndRandomVectors) {
     const int h = params.half();
     const int lb = params.loc_bits();
     const auto lookup = [&](const detail::PairCtx& pc, std::uint64_t v) {
-      return detail::with_width(n, [&]<int N>() { return detail::range_of<N>(pc, v); });
+      return util::with_vector_bits(n, [&]<int N>() { return detail::range_of<N>(pc, v); });
     };
     const auto same = [](const detail::RangeEntry& e, const ScrambledRange& ref) {
       return e.kn1 == ref.kn1 && e.kn1 + e.width - 1 == ref.kn2;

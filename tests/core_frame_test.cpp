@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "src/core/mhhea.hpp"
+#include "src/core/shard.hpp"
 #include "src/util/rng.hpp"
 
 namespace mhhea::core {
@@ -309,22 +310,16 @@ TEST(Frame, OpenZeroesSlackBits) {
   // bits past message_bits in the final byte must come back zero even when
   // every embedded bit was 1 and the output buffer held stale 0xFF bytes
   // (decrypt_into must not leak them). The library only encrypts whole
-  // bytes, so the test drives the walk kernel itself with a 13-bit budget
-  // over a message of all-one bits.
+  // bytes, so the test drives the pipeline itself with a 13-bit message of
+  // all-one bits.
   util::Xoshiro256 rng(23);
   const Key key = Key::random(rng, 4);
   const BlockParams params = BlockParams::paper();
   const std::vector<std::uint8_t> dirty = {0xFF, 0xFF};
-  std::vector<std::uint64_t> covers(13);  // >= 1 bit per block
-  ASSERT_EQ(LfsrCover(params.vector_bits, 0xACE1).next_blocks(params.vector_bits, covers),
-            covers.size());
-  std::vector<std::uint8_t> cipher(covers.size() * 2);
-  detail::FrameWalk st{0, 13, 0};
-  const std::size_t blocks =
-      detail::walk<16>(detail::make_pair_ctx(key, params), detail::frame_bits(params), st,
-                       covers.data(), covers.size(), detail::Embed<16>{cipher.data(), {dirty, 0}});
-  ASSERT_EQ(st.remaining, 0u);
-  cipher.resize(blocks * 2);
+  std::vector<std::uint8_t> cipher(13 * 2);  // >= 1 bit per block
+  cipher.resize(detail::encrypt_chunked(detail::make_pair_ctx(key, params), params,
+                                        LfsrCover(params.vector_bits, 0xACE1), dirty, 13, cipher,
+                                        1, nullptr, 0, "test"));
   std::vector<std::uint8_t> msg(2, 0xFF);
   ASSERT_EQ(Decryptor(key, 0, params).decrypt_into(cipher, 13, msg), 2u);
   EXPECT_EQ(msg[0], 0xFF);

@@ -41,11 +41,10 @@ TEST(Hhea, LocationsAreFixedPerPair) {
   const core::Key key = core::Key::parse("2-5");
   const auto msg = random_message(rng, 64);
 
-  // Use a deterministic cover so pass-through bits are predictable.
+  // Replay the cover so pass-through bits are predictable.
   std::vector<std::uint64_t> cover_blocks(200);
-  for (auto& b : cover_blocks) b = rng.below(0x10000);
-  core::Encryptor enc(key, std::make_unique<core::BufferCover>(cover_blocks),
-                      core::BlockParams::paper(), kHhea);
+  (void)core::LfsrCover(16, 0x5EED).next_blocks(16, cover_blocks);
+  core::Encryptor enc(key, core::LfsrCover(16, 0x5EED), core::BlockParams::paper(), kHhea);
   std::vector<std::uint8_t> ct(enc.one_shot_cipher_bytes(msg.size() * 8));
   ASSERT_EQ(enc.encrypt_into(msg, ct), ct.size());
   for (std::size_t i = 0; i < ct.size() / 2; ++i) {
@@ -58,14 +57,14 @@ TEST(Hhea, NoDataScrambling) {
   // Message bits appear verbatim (not XORed) at the key locations.
   const core::Key key = core::Key::parse("0-7");
   const std::vector<std::uint8_t> zeros(16, 0x00);
-  core::Encryptor enc(key, std::make_unique<core::CountingCover>(0xFF00),
-                      core::BlockParams::paper(), kHhea);
+  core::Encryptor enc(key, core::LfsrCover(16, 0xFF00), core::BlockParams::paper(), kHhea);
   std::vector<std::uint8_t> ct(enc.one_shot_cipher_bytes(zeros.size() * 8));
   ASSERT_EQ(enc.encrypt_into(zeros, ct), ct.size());
+  core::LfsrCover cover(16, 0xFF00);
   for (std::size_t i = 0; i < ct.size() / 2; ++i) {
     const std::uint64_t b = util::load_le(ct.data() + 2 * i, 2);
     EXPECT_EQ(b & 0xFF, 0u);  // all-zero plaintext -> low byte all zero
-    EXPECT_EQ(b >> 8, ((0xFF00 + i) >> 8) & 0xFF);  // high byte: the cover's
+    EXPECT_EQ(b >> 8, cover.next_block(16) >> 8);  // high byte: the cover's
   }
 }
 

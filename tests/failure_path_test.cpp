@@ -138,48 +138,6 @@ TEST(TrailingCiphertext, YaeaRejectsExtraBytes) {
   EXPECT_THROW((void)cipher.decrypt(payload, 0), std::invalid_argument);
 }
 
-// ------------------------------------------------------ cover exhaustion
-
-TEST(CoverExhaustion, BufferCoverRunsDryMidMessage) {
-  // Steganography mode with a cover shorter than the stego object: the
-  // encryptor throws instead of claiming the message was embedded.
-  const core::Key key = core::Key::parse("0-3");
-  std::vector<std::uint64_t> short_cover(8);
-  for (std::size_t i = 0; i < short_cover.size(); ++i) short_cover[i] = 0x1111 * (i + 1);
-  core::Encryptor enc(key, std::make_unique<core::BufferCover>(short_cover));
-  const auto msg = some_message(64);  // needs far more than 8 blocks
-  std::vector<std::uint8_t> out(4096);
-  EXPECT_THROW((void)enc.encrypt_into(msg, out), std::runtime_error);
-  // The sizer walks the same cover, so it fails the same way instead of
-  // reporting a size the encryptor cannot fill.
-  EXPECT_THROW((void)enc.one_shot_cipher_bytes(msg.size() * 8), std::runtime_error);
-  EXPECT_THROW((void)core::encrypt_sharded(msg, key, core::BufferCover(short_cover), 1, nullptr),
-               std::runtime_error);
-}
-
-TEST(CoverExhaustion, NextBlocksReportsPartialFill) {
-  core::BufferCover cover({0xAAAA, 0xBBBB, 0xCCCC});
-  std::vector<std::uint64_t> out(8, 0);
-  EXPECT_EQ(cover.next_blocks(16, out), 3u);
-  EXPECT_EQ(out[0], 0xAAAAu);
-  EXPECT_EQ(out[2], 0xCCCCu);
-  EXPECT_EQ(cover.next_blocks(16, out), 0u);  // exhausted: no throw, 0 filled
-  EXPECT_THROW((void)cover.next_block(16), std::runtime_error);  // scalar form throws
-  cover.reset();
-  EXPECT_EQ(cover.remaining(), 3u);
-}
-
-TEST(CoverExhaustion, NonResettableSourceSaysSo) {
-  // A CoverSource that does not override reset() must refuse, so a
-  // resettable cipher core cannot silently reuse a drained one-shot cover.
-  class OneShotCover final : public core::CoverSource {
-   public:
-    std::uint64_t next_block(int bits) override { return 0x5A5A & util::mask64(bits); }
-  };
-  OneShotCover cover;
-  EXPECT_THROW(cover.reset(), std::logic_error);
-}
-
 // -------------------------------------------------- key/params mismatches
 
 TEST(KeyParamsMismatch, WideKeyOnNarrowVectorThrowsEverywhere) {

@@ -510,6 +510,34 @@ TEST_P(ReferenceMhhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
               msg)
         << "size " << size;
   }
+  // The chunk pipeline at chunk sizes that cut chunks mid-frame and inside
+  // the short final frame: lengths 1..24 B under this random key and the
+  // all-odd-width key, at every shard count.
+  const ref::KeyPairs odd_raw = {{0, 2}, {1, 5}, {3, 3}, {2, 6}};
+  const core::Key odd_key = core::Key::parse("0-2,1-5,3-3,2-6", params);
+  for (const auto& [pairs_raw, k] :
+       {std::pair<ref::KeyPairs, core::Key>{raw, key}, {odd_raw, odd_key}}) {
+    const auto pairs = core::detail::pair_tables(k, params, core::Scheme::mhhea);
+    for (std::size_t size = 1; size <= 24; ++size) {
+      const std::vector<std::uint8_t> msg = random_message(rng, size);
+      const std::vector<std::uint8_t> want =
+          ref::mhhea_encrypt(msg, pairs_raw, seed, params.vector_bits, framed);
+      for (const std::uint64_t chunk : {1u, 2u, 3u, 17u}) {
+        for (const int shards : kShardCounts) {
+          std::vector<std::uint8_t> ct(want.size());
+          EXPECT_EQ(core::detail::encrypt_chunked(pairs, params, proto, msg, size * 8, ct,
+                                                  shards, &pool, chunk, "test"),
+                    want.size())
+              << "size " << size << " chunk " << chunk << " shards " << shards;
+          EXPECT_EQ(ct, want) << "size " << size << " chunk " << chunk << " shards " << shards;
+          std::vector<std::uint8_t> back(size);
+          (void)core::detail::decrypt_chunked(pairs, params, want, size * 8, back, shards, &pool,
+                                              chunk, "test");
+          EXPECT_EQ(back, msg) << "size " << size << " chunk " << chunk << " shards " << shards;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -517,6 +545,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(core::BlockParams::paper(), core::BlockParams::hardware(),
                       core::BlockParams{32, core::FramePolicy::continuous},
                       core::BlockParams{32, core::FramePolicy::framed},
+                      core::BlockParams{64, core::FramePolicy::continuous},
                       core::BlockParams{64, core::FramePolicy::framed}),
     [](const ::testing::TestParamInfo<core::BlockParams>& info) {
       std::string name = "v";

@@ -1,11 +1,14 @@
-// Intra-message sharding tests: cover jump-ahead (skip_blocks/clone), the
-// sharded MHHEA/HHEA/YAEA paths' bit-equivalence with the sequential cores
-// at every shard count, the strict decryption contract under sharding, and
-// the registry-level shards knob. These suites (with cipher_registry_test)
+// Intra-message sharding tests: cover jump-ahead (skip_blocks/copies), the
+// chunk pipeline's bit-equivalence with the sequential cores at every shard
+// count and at tiny chunk sizes that cut chunks mid-frame (MHHEA, HHEA,
+// YAEA), the strict decryption contract under sharding, and the
+// registry-level shards knob. These suites (with cipher_registry_test)
 // are the ThreadSanitizer CI target — they exercise every concurrent path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,42 +51,21 @@ TEST(CoverSkip, LfsrCoverMatchesDiscardedReads) {
   }
 }
 
-TEST(CoverSkip, BufferCoverClampsAtEnd) {
-  core::BufferCover cover({1, 2, 3, 4, 5});
-  cover.skip_blocks(16, 3);
-  EXPECT_EQ(cover.next_block(16), 4u);
-  cover.skip_blocks(16, 100);  // past the end: not an error
-  EXPECT_EQ(cover.remaining(), 0u);
-  EXPECT_THROW((void)cover.next_block(16), std::runtime_error);
-  cover.reset();
-  EXPECT_EQ(cover.next_block(16), 1u);
-}
-
-TEST(CoverSkip, CountingCoverSkips) {
-  core::CountingCover cover(10);
-  cover.skip_blocks(16, 5);
-  EXPECT_EQ(cover.next_block(16), 15u);
-}
-
 TEST(CoverClone, IndependentStateSharedDefinition) {
   core::LfsrCover cover(16, 0xBEEF);
   (void)cover.next_block(16);
-  const auto copy = cover.clone();
-  // The clone carries the current state...
-  EXPECT_EQ(copy->next_block(16), cover.next_block(16));
+  core::LfsrCover copy = cover;
+  // The copy carries the current state...
+  EXPECT_EQ(copy.next_block(16), cover.next_block(16));
   // ...but advances independently thereafter.
   (void)cover.next_block(16);
-  copy->reset();
+  copy.reset();
   core::LfsrCover fresh(16, 0xBEEF);
-  EXPECT_EQ(copy->next_block(16), fresh.next_block(16));
-}
-
-TEST(CoverClone, DefaultIsNotClonable) {
-  class Opaque : public core::CoverSource {
-    std::uint64_t next_block(int) override { return 0; }
-  };
-  Opaque cover;
-  EXPECT_THROW((void)cover.clone(), std::logic_error);
+  EXPECT_EQ(copy.next_block(16), fresh.next_block(16));
+  // Warming builds tables without moving the position.
+  core::LfsrCover warmed = fresh;
+  warmed.warm();
+  EXPECT_EQ(warmed.next_block(16), fresh.next_block(16));
 }
 
 TEST(GeffeJump, MatchesSteppedKeystream) {
@@ -98,21 +80,79 @@ TEST(GeffeJump, MatchesSteppedKeystream) {
 
 class ShardPolicy : public ::testing::TestWithParam<core::BlockParams> {};
 
+/// The planner's edge inputs: lengths 1..24 B on top of kSizes, a random
+/// key and the all-odd-width key (HHEA spans + 1 = 3, 5, 1, 5, so
+/// cumulative bit offsets hit byte boundaries only at some block edges).
+std::vector<std::size_t> edge_lengths() {
+  std::vector<std::size_t> lens(std::begin(kSizes), std::end(kSizes));
+  for (std::size_t len = 2; len <= 24; ++len) lens.push_back(len);
+  return lens;
+}
+std::vector<core::Key> edge_keys(util::Xoshiro256& rng, const core::BlockParams& params) {
+  return {core::Key::random(rng, 8, params), core::Key::parse("0-2,1-5,3-3,2-6", params)};
+}
+
+/// Chunk sizes for the pipeline's test seam: 1, 2, 3 and 17 blocks put
+/// chunk edges mid-frame and inside the short final frame.
+constexpr std::uint64_t kTinyChunks[] = {1, 2, 3, 17};
+constexpr std::size_t kTinyChunkMaxLen = 24;
+
+/// encrypt_chunked at every tiny chunk size and shard count must write
+/// exactly `expected` and nothing past it.
+void expect_chunked_encrypt(const core::Key& key, const core::BlockParams& params,
+                            core::Scheme scheme, const std::vector<std::uint8_t>& msg,
+                            const std::vector<std::uint8_t>& expected, exec::Executor* pool) {
+  const auto pairs = core::detail::pair_tables(key, params, scheme);
+  const core::LfsrCover cover(params.vector_bits, 0xACE1);
+  for (const std::uint64_t chunk : kTinyChunks) {
+    for (const int shards : {1, 2, 4, 8}) {
+      std::vector<std::uint8_t> ct(expected.size() + 3, 0xEE);
+      EXPECT_EQ(core::detail::encrypt_chunked(pairs, params, cover, msg, msg.size() * 8, ct,
+                                              shards, pool, chunk, "test"),
+                expected.size())
+          << "len=" << msg.size() << " chunk=" << chunk << " shards=" << shards;
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), ct.begin()) &&
+                  std::all_of(ct.end() - 3, ct.end(), [](std::uint8_t b) { return b == 0xEE; }))
+          << "len=" << msg.size() << " chunk=" << chunk << " shards=" << shards;
+    }
+  }
+}
+
+/// decrypt_chunked at every tiny chunk size and shard count.
+void expect_chunked_decrypt(const core::Key& key, const core::BlockParams& params,
+                            core::Scheme scheme, const std::vector<std::uint8_t>& ct,
+                            const std::vector<std::uint8_t>& msg, exec::Executor* pool) {
+  const auto pairs = core::detail::pair_tables(key, params, scheme);
+  for (const std::uint64_t chunk : kTinyChunks) {
+    for (const int shards : {1, 2, 4, 8}) {
+      std::vector<std::uint8_t> back(msg.size(), 0xEE);
+      EXPECT_EQ(core::detail::decrypt_chunked(pairs, params, ct, msg.size() * 8, back, shards,
+                                              pool, chunk, "test"),
+                msg.size());
+      EXPECT_EQ(back, msg) << "len=" << msg.size() << " chunk=" << chunk << " shards=" << shards;
+    }
+  }
+}
+
 TEST_P(ShardPolicy, EncryptShardedMatchesSequential) {
   const core::BlockParams params = GetParam();
   util::Xoshiro256 rng(0x5A4D);
-  const core::Key key = core::Key::random(rng, 8, params);
   const core::LfsrCover cover(params.vector_bits, 0xACE1);
   exec::Executor pool(4);
-  for (const std::size_t len : kSizes) {
-    const auto msg = random_message(rng, len);
-    const auto expected = core::encrypt(msg, key, 0xACE1, params);
-    for (const int shards : {1, 2, 4, 8}) {
-      // With and without a pool: same plan, same bytes.
-      EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, &pool, params), expected)
-          << "len=" << len << " shards=" << shards;
-      EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, nullptr, params), expected)
-          << "len=" << len << " shards=" << shards << " inline";
+  for (const core::Key& key : edge_keys(rng, params)) {
+    for (const std::size_t len : edge_lengths()) {
+      const auto msg = random_message(rng, len);
+      const auto expected = core::encrypt(msg, key, 0xACE1, params);
+      for (const int shards : {1, 2, 4, 8}) {
+        // With and without a pool: same plan, same bytes.
+        EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, &pool, params), expected)
+            << "len=" << len << " shards=" << shards;
+        EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, nullptr, params), expected)
+            << "len=" << len << " shards=" << shards << " inline";
+      }
+      if (len <= kTinyChunkMaxLen) {
+        expect_chunked_encrypt(key, params, core::Scheme::mhhea, msg, expected, &pool);
+      }
     }
   }
 }
@@ -120,16 +160,20 @@ TEST_P(ShardPolicy, EncryptShardedMatchesSequential) {
 TEST_P(ShardPolicy, DecryptShardedMatchesSequential) {
   const core::BlockParams params = GetParam();
   util::Xoshiro256 rng(0xD0C);
-  const core::Key key = core::Key::random(rng, 8, params);
   exec::Executor pool(4);
-  for (const std::size_t len : kSizes) {
-    const auto msg = random_message(rng, len);
-    const auto ct = core::encrypt(msg, key, 0xACE1, params);
-    for (const int shards : {1, 2, 4, 8}) {
-      EXPECT_EQ(core::decrypt_sharded(ct, key, len, shards, &pool, params), msg)
-          << "len=" << len << " shards=" << shards;
-      EXPECT_EQ(core::decrypt_sharded(ct, key, len, shards, nullptr, params), msg)
-          << "len=" << len << " shards=" << shards << " inline";
+  for (const core::Key& key : edge_keys(rng, params)) {
+    for (const std::size_t len : edge_lengths()) {
+      const auto msg = random_message(rng, len);
+      const auto ct = core::encrypt(msg, key, 0xACE1, params);
+      for (const int shards : {1, 2, 4, 8}) {
+        EXPECT_EQ(core::decrypt_sharded(ct, key, len, shards, &pool, params), msg)
+            << "len=" << len << " shards=" << shards;
+        EXPECT_EQ(core::decrypt_sharded(ct, key, len, shards, nullptr, params), msg)
+            << "len=" << len << " shards=" << shards << " inline";
+      }
+      if (len <= kTinyChunkMaxLen) {
+        expect_chunked_decrypt(key, params, core::Scheme::mhhea, ct, msg, &pool);
+      }
     }
   }
 }
@@ -142,7 +186,22 @@ TEST_P(ShardPolicy, DecryptShardedKeepsTheStrictContract) {
   const auto msg = random_message(rng, 300);
   auto ct = core::encrypt(msg, key, 0xACE1, params);
   const auto bb = static_cast<std::size_t>(params.block_bytes());
+  const auto pairs = core::detail::pair_tables(key, params, core::Scheme::mhhea);
   for (const int shards : {2, 8}) {
+    // Tiny chunks: the strict checks hold wherever the chunk edges fall.
+    for (const std::uint64_t chunk : kTinyChunks) {
+      std::vector<std::uint8_t> out(msg.size());
+      const auto chunked = [&](std::span<const std::uint8_t> c, std::size_t len) {
+        return core::detail::decrypt_chunked(pairs, params, c, len * 8, out, shards, &pool,
+                                             chunk, "test");
+      };
+      EXPECT_THROW((void)chunked(std::span(ct).first(ct.size() - bb), msg.size()),
+                   std::invalid_argument);
+      std::vector<std::uint8_t> longer = ct;
+      longer.insert(longer.end(), bb, 0x00);
+      EXPECT_THROW((void)chunked(longer, msg.size()), std::invalid_argument);
+      EXPECT_THROW((void)chunked(ct, 0), std::invalid_argument);
+    }
     // Truncated: drop the final block.
     std::vector<std::uint8_t> shorter(ct.begin(), ct.end() - bb);
     EXPECT_THROW((void)core::decrypt_sharded(shorter, key, msg.size(), shards, &pool, params),
@@ -166,6 +225,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, ShardPolicy,
                          ::testing::Values(core::BlockParams::paper(),
                                            core::BlockParams::hardware(),
                                            core::BlockParams{32, core::FramePolicy::continuous},
+                                           core::BlockParams{32, core::FramePolicy::framed},
+                                           core::BlockParams{64, core::FramePolicy::continuous},
                                            core::BlockParams{64, core::FramePolicy::framed}),
                          [](const ::testing::TestParamInfo<core::BlockParams>& info) {
                            return std::string("N") + std::to_string(info.param.vector_bits) +
@@ -174,33 +235,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, ShardPolicy,
                                        : "continuous");
                          });
 
-TEST(ShardStego, BufferCoverDrainsExactlyLikeSequential) {
-  // Steganography mode: a finite cover must be consumed block-for-block
-  // identically, and exhaustion mid-message must still throw.
-  const core::BlockParams params = core::BlockParams::paper();
-  util::Xoshiro256 rng(0x57E60);
-  const core::Key key = core::Key::random(rng, 8, params);
-  std::vector<std::uint64_t> blocks;
-  for (int i = 0; i < 4096; ++i) blocks.push_back(rng.next() & 0xFFFF);
-  const core::BufferCover cover(blocks);
-  const auto msg = random_message(rng, 700);
-
-  core::Encryptor enc(key, cover.clone(), params);
-  std::vector<std::uint8_t> expected(enc.one_shot_cipher_bytes(msg.size() * 8));
-  ASSERT_EQ(enc.encrypt_into(msg, expected), expected.size());
-  exec::Executor pool(4);
-  for (const int shards : {2, 4, 8}) {
-    EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, &pool, params), expected)
-        << shards;
-  }
-
-  // A cover too short for the message: sequential and sharded agree on the
-  // failure mode.
-  const core::BufferCover tiny(std::vector<std::uint64_t>(blocks.begin(), blocks.begin() + 20));
-  EXPECT_THROW((void)core::encrypt_sharded(msg, key, tiny, 4, &pool, params),
-               std::runtime_error);
-}
-
 // ---------------------------------------------------------- HHEA equivalence
 
 constexpr core::Scheme kHhea = core::Scheme::hhea;
@@ -208,29 +242,27 @@ constexpr core::Scheme kHhea = core::Scheme::hhea;
 TEST(ShardHhea, MatchesSequentialBothPolicies) {
   util::Xoshiro256 rng(0x44EA);
   exec::Executor pool(4);
-  // Lengths 1..24 B run the decrypt planner's byte snapping where it can
-  // fail: shard targets that cannot reach an aligned block edge before the
-  // message ends fold into the final shard.
-  std::vector<std::size_t> lens(std::begin(kSizes), std::end(kSizes));
-  for (std::size_t len = 2; len <= 24; ++len) lens.push_back(len);
-  for (const core::BlockParams params :
-       {core::BlockParams::paper(), core::BlockParams::hardware()}) {
-    // A random key, and one whose every pair embeds an odd width (span + 1
-    // = 3, 5, 1, 5), so cumulative bit offsets hit byte boundaries only at
-    // some block edges.
-    for (const core::Key& key :
-         {core::Key::random(rng, 8, params), core::Key::parse("0-2,1-5,3-3,2-6", params)}) {
+  for (const int bits : {16, 32, 64}) {
+    for (const core::FramePolicy policy :
+         {core::FramePolicy::continuous, core::FramePolicy::framed}) {
+      const core::BlockParams params{bits, policy};
       const core::LfsrCover cover(params.vector_bits, 0xACE1);
-      for (const std::size_t len : lens) {
-        const auto msg = random_message(rng, len);
-        const auto expected = core::encrypt(msg, key, 0xACE1, params, kHhea);
-        for (int shards = 1; shards <= 8; ++shards) {
-          EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, &pool, params, kHhea),
-                    expected)
-              << "len=" << len << " shards=" << shards;
-          EXPECT_EQ(core::decrypt_sharded(expected, key, len, shards, &pool, params, kHhea),
-                    msg)
-              << "len=" << len << " shards=" << shards;
+      for (const core::Key& key : edge_keys(rng, params)) {
+        for (const std::size_t len : edge_lengths()) {
+          const auto msg = random_message(rng, len);
+          const auto expected = core::encrypt(msg, key, 0xACE1, params, kHhea);
+          for (int shards = 1; shards <= 8; ++shards) {
+            EXPECT_EQ(core::encrypt_sharded(msg, key, cover, shards, &pool, params, kHhea),
+                      expected)
+                << "N=" << bits << " len=" << len << " shards=" << shards;
+            EXPECT_EQ(core::decrypt_sharded(expected, key, len, shards, &pool, params, kHhea),
+                      msg)
+                << "N=" << bits << " len=" << len << " shards=" << shards;
+          }
+          if (len <= kTinyChunkMaxLen) {
+            expect_chunked_encrypt(key, params, kHhea, msg, expected, &pool);
+            expect_chunked_decrypt(key, params, kHhea, expected, msg, &pool);
+          }
         }
       }
     }

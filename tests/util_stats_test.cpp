@@ -25,5 +25,17 @@ TEST(RunningStats, DegenerateCases) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
+TEST(Quartiles, InterpolatesOrderStatistics) {
+  // Unsorted input; positions (n - 1) * q = 1.75, 3.5 and 5.25.
+  const Quartiles q = quartiles({9.0, 2.0, 5.0, 4.0, 7.0, 4.0, 5.0, 4.0});
+  EXPECT_DOUBLE_EQ(q.q25, 4.0);
+  EXPECT_DOUBLE_EQ(q.median, 4.5);
+  EXPECT_DOUBLE_EQ(q.q75, 5.5);
+  const Quartiles one = quartiles({3.0});
+  EXPECT_DOUBLE_EQ(one.q25, 3.0);
+  EXPECT_DOUBLE_EQ(one.q75, 3.0);
+  EXPECT_DOUBLE_EQ(quartiles({}).median, 0.0);
+}
+
 }  // namespace
 }  // namespace mhhea::util

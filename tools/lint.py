@@ -84,13 +84,9 @@ RESTRICTED_THROW_ALLOWLIST = {
     },
     "std::runtime_error": {
         "src/exec/executor.cpp",    # submit after shutdown
-        "src/core/cover.cpp",       # finite cover exhausted
-        "src/core/mhhea.cpp",       # cover exhausted mid-encrypt
-        "src/core/shard.cpp",       # cover exhausted mid-plan
         "src/server/server.cpp",    # socket/epoll environment failures
     },
     "std::logic_error": {
-        "src/core/cover.cpp",           # clone/reset/reseed unsupported
         "src/crypto/mhhea_cipher.cpp",  # v2 entry point under wrong framing
     },
 }
