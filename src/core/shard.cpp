@@ -5,24 +5,23 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/backend/backend.hpp"
-#include "src/core/pipeline.hpp"
 
 namespace mhhea::core {
 
 namespace {
 
 using backend::ApplyBatch;
-using detail::ceil8;
-using detail::ceil_div;
 using detail::ChunkPlanner;
 using detail::Cursor;
 using detail::PairCtx;
-using detail::run_pipeline;
-using detail::Shape;
 using detail::Transfer;
 using Pairs = std::span<const PairCtx>;
+
+constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
+constexpr std::uint64_t ceil8(std::uint64_t bit) { return (bit + 7) & ~std::uint64_t{7}; }
 
 /// Cover vectors generated per refill: a whole number of apply batches,
 /// and long enough for the LFSR's multi-lane path.
@@ -47,28 +46,126 @@ void validate_sharded(const Key& key, int n_shards, const BlockParams& params,
   }
 }
 
-/// Blocks a message of `bits` bits is expected to take: at the mean table
-/// width over every (pair, field) entry.
+/// Blocks a message of `bits` bits is expected to take, each block's width
+/// drawn evenly from every (pair, field) table entry. Under the framed
+/// policy a frame's last block is capped to the bits left in it, so a frame
+/// of `budget` bits takes blocks(budget) = 1 + mean over widths w of
+/// blocks(budget - w), with blocks(b <= 0) = 0.
 std::uint64_t expected_blocks(Pairs pairs, const BlockParams& params, std::uint64_t bits) {
-  std::uint64_t sum = 0;
-  for (const PairCtx& pc : pairs) {
-    for (int f = 0; f < params.half(); ++f) sum += pc.range[static_cast<std::size_t>(f)].width;
+  const auto entries = static_cast<double>(pairs.size()) * params.half();
+  const auto mean_over_widths = [&](auto&& f) {
+    double sum = 0;
+    for (const PairCtx& pc : pairs) {
+      for (int i = 0; i < params.half(); ++i) sum += f(pc.range[static_cast<std::size_t>(i)].width);
+    }
+    return sum / entries;
+  };
+  if (params.policy == FramePolicy::continuous) {
+    return static_cast<std::uint64_t>(static_cast<double>(bits) /
+                                      mean_over_widths([](int w) { return double(w); })) +
+           1;
   }
-  return bits * pairs.size() * static_cast<std::uint64_t>(params.half()) / sum + 1;
+  const int n = params.vector_bits;
+  std::array<double, 65> frame{};  // expected blocks per frame budget
+  for (int b = 1; b <= n; ++b) {
+    frame[static_cast<std::size_t>(b)] = 1 + mean_over_widths([&](int w) {
+      return b > w ? frame[static_cast<std::size_t>(b - w)] : 0.0;
+    });
+  }
+  const double blocks = static_cast<double>(bits / n) * frame[static_cast<std::size_t>(n)] +
+                        frame[static_cast<std::size_t>(bits % n)];
+  return static_cast<std::uint64_t>(blocks) + 1;
 }
 
-/// The shape for `n_shards` workers: one chunk spanning everything for a
-/// single shard, else about kChunksPerShard chunks per shard over the
-/// expected blocks. `chunk_blocks` > 0 forces the chunk size and plans
-/// every chunk, so the planner runs whatever the threads' timing.
-Shape make_shape(std::uint64_t total_bits, std::uint64_t limit, std::uint64_t expected,
-                 int n_shards, std::uint64_t chunk_blocks) {
-  const auto workers = static_cast<std::size_t>(n_shards);
-  if (chunk_blocks > 0) return {total_bits, limit, chunk_blocks, workers, true};
+/// How one call is cut: `limit` blocks at most, in chunks of `chunk`
+/// blocks, `window` chunks planned per plan round.
+struct Shape {
+  std::uint64_t total_bits = 0;
+  std::uint64_t limit = 0;
+  std::uint64_t chunk = 0;
+  std::uint64_t window = 0;
+};
+
+/// The shape for `n_shards` workers on `ex`: one chunk spanning everything
+/// for a single shard or no executor, else kChunksPerShard chunks per shard
+/// over the blocks `expected()` returns plus a 1/32 margin, which the first
+/// plan round covers. `chunk_blocks` > 0 forces the chunk size (tests cut
+/// chunks mid-frame with it).
+template <class Expected>
+Shape make_shape(std::uint64_t total_bits, std::uint64_t limit, int n_shards, exec::Executor* ex,
+                 std::uint64_t chunk_blocks, const Expected& expected) {
+  const bool sharded = n_shards > 1 && ex != nullptr;
+  if (!sharded && (chunk_blocks == 0 || chunk_blocks >= limit)) {
+    return {total_bits, limit, limit, 1};
+  }
+  const std::uint64_t blocks = expected();
+  const std::uint64_t planned = blocks + blocks / 32;
   const std::uint64_t chunk =
-      n_shards > 1 ? std::max(kMinChunkBlocks, ceil_div(expected, kChunksPerShard * workers))
-                   : limit;
-  return {total_bits, limit, chunk, workers, false};
+      chunk_blocks > 0 ? chunk_blocks
+                       : std::max(kMinChunkBlocks,
+                                  ceil_div(planned, kChunksPerShard *
+                                                      static_cast<std::uint64_t>(n_shards)));
+  if (chunk >= limit) return {total_bits, limit, limit, 1};
+  return {total_bits, limit, chunk, ceil_div(planned, chunk)};
+}
+
+/// The pipeline over `job`'s chunks: chunk c is blocks [c * chunk,
+/// (c + 1) * chunk) of the output. A chunk's walk needs its entry bit,
+/// which depends on every chunk before it, but its transfer function does
+/// not. So the chunks run in two rounds on `ex`, each fanned out with the
+/// calling thread claiming chunks alongside the helpers:
+///   1. plan — the first `window` chunks compute their transfer functions;
+///      compose then fixes each chunk's entry bit, one step per chunk, up
+///      to the chunk the message ends in (if the message runs past them,
+///      another round plans the chunks its remaining bits are expected to
+///      take at the rate so far, and one more);
+///   2. apply — every chunk the message reaches walks from its entry bit.
+/// A single chunk is the sequential walk, with no plan. `job` supplies
+/// plan(first, count, state) and walk(at, count, end, state, through); see
+/// EncryptJob and DecryptJob. Returns where the message-final walk stopped:
+/// bit < total_bits when `limit` blocks cannot hold the message.
+template <int N, bool Framed, class Job>
+Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex) {
+  const std::uint64_t total = s.total_bits;
+  const std::uint64_t k = s.chunk;
+  using State = typename Job::State;
+  if (k >= s.limit) {
+    State state{};
+    return job.walk(Cursor{}, s.limit, total, &state, total);
+  }
+
+  struct Chunk {
+    Transfer transfer;
+    State state{};
+    std::uint64_t entry = 0;
+    Cursor exit;
+  };
+  const std::uint64_t n_chunks = ceil_div(s.limit, k);
+  const auto blocks_of = [&](std::uint64_t c) { return std::min(k, s.limit - c * k); };
+  std::vector<Chunk> chunks;
+  std::uint64_t bit = 0;   // the next composed chunk's entry bit
+  std::size_t used = 0;    // chunks composed: those the message reaches
+  for (std::uint64_t round = s.window; bit < total && used < n_chunks;
+       round = ceil_div((total - bit) * used, bit) + 1) {
+    const std::size_t from = chunks.size();
+    chunks.resize(static_cast<std::size_t>(std::min(n_chunks, from + round)));
+    exec::run_indexed(ex, chunks.size() - from, [&](std::size_t i) {
+      Chunk& ch = chunks[from + i];
+      ch.transfer = job.plan((from + i) * k, blocks_of(from + i), ch.state);
+    });
+    for (; used < chunks.size() && bit < total; ++used) {
+      chunks[used].entry = bit;
+      bit += chunks[used].transfer.bits[Framed ? bit % N : 0];
+    }
+  }
+  exec::run_indexed(ex, used, [&](std::size_t c) {
+    Chunk& ch = chunks[c];
+    const std::uint64_t next = c + 1 < used ? chunks[c + 1].entry : bit;
+    ch.exit = job.walk(Cursor{c * k, ch.entry}, blocks_of(c), total, &ch.state,
+                       std::min(total, ceil8(next)));
+  });
+  if (bit < total) return {s.limit, bit};
+  return chunks[used - 1].exit;
 }
 
 /// Run `f.template operator()<N, Framed>()` for the vector width and framing
@@ -93,8 +190,8 @@ struct EncryptJob {
   std::span<const std::uint8_t> msg;
   std::uint8_t* out;
 
-  /// The cover at the chunk's first block, when a plan or the previous
-  /// chunk's walk left it there (a walk without it seeks its own).
+  /// The cover at the chunk's first block, left there by the chunk's plan
+  /// (the single-chunk walk, which has no plan, seeks its own).
   using State = std::optional<LfsrCover>;
 
   Transfer plan(std::uint64_t first, std::uint64_t count, State& state) const {
@@ -156,8 +253,8 @@ std::uint64_t encrypt_blocks(Pairs pairs, const BlockParams& params, const LfsrC
   if (bits == 0) return 0;
   // Every block takes at least one bit, so `bits` blocks always suffice.
   const std::uint64_t limit = std::min(room, bits);
-  const Shape shape = make_shape(bits, limit, expected_blocks(pairs, params, bits), n_shards,
-                                 chunk_blocks);
+  const Shape shape = make_shape(bits, limit, n_shards, ex, chunk_blocks,
+                                 [&] { return expected_blocks(pairs, params, bits); });
   LfsrCover base = cover;
   base.reset();
   if (shape.chunk < limit) base.warm();  // the chunks' copies share its tables
@@ -286,7 +383,8 @@ std::size_t detail::decrypt_chunked(Pairs pairs, const BlockParams& params,
   const std::uint64_t n_blocks = cipher.size() / bb;
   Cursor end;
   if (message_bits > 0 && n_blocks > 0) {
-    const Shape shape = make_shape(message_bits, n_blocks, n_blocks, n_shards, chunk_blocks);
+    const Shape shape =
+        make_shape(message_bits, n_blocks, n_shards, ex, chunk_blocks, [&] { return n_blocks; });
     end = with_layout(params, [&]<int N, bool Framed>() {
       return run_pipeline<N, Framed>(
           DecryptJob<N, Framed>{pairs, cipher, out.first(out_bytes), n_blocks}, shape, ex);

@@ -22,13 +22,12 @@
 //   3. apply (parallel) — the chunk walks from its entry bit: the schedule
 //      step (walk.hpp) fixes every block's range, width and bit offset, and
 //      the backend's embed/extract kernels (scalar or AVX2) move the bits.
-// A chunk whose entry is already known when it is claimed skips the plan
-// and walks at once. Chunks outnumber shards; the calling thread and the
-// executor helpers claim them in order and compose as soon as plans land
-// (the scheduler is pipeline.hpp; this file holds what a chunk does),
-// so a thread left alone walks the whole message sequentially and a helper
-// that wakes late finds the work done. With one shard the whole message is
-// one chunk. Plan scratch is one transfer table per chunk.
+// Each step is one round over the chunks: plan fans out on the executor,
+// compose runs on the calling thread, apply fans out again. Chunks outnumber
+// shards and the calling thread claims them alongside the helpers, so a
+// helper that wakes late finds the work done. With one shard (or no
+// executor) the whole message is one chunk: the sequential walk, with no
+// plan. Plan scratch is one transfer table per chunk.
 #pragma once
 
 #include <cstddef>
@@ -87,8 +86,8 @@ namespace detail {
 /// The pipeline's encrypt: the first `message_bits` bits of `msg` under
 /// `pairs`, covers from `cover`'s seed, into `out`. Returns the ciphertext
 /// bytes; throws std::length_error ("<who>: output buffer too small").
-/// `chunk_blocks` > 0 forces the chunk size and plans every chunk (tests
-/// cut chunks mid-frame with it); 0 picks it from `n_shards`.
+/// `chunk_blocks` > 0 forces the chunk size (tests cut chunks mid-frame
+/// with it); 0 picks it from `n_shards`.
 std::uint64_t encrypt_chunked(std::span<const PairCtx> pairs, const BlockParams& params,
                               const LfsrCover& cover, std::span<const std::uint8_t> msg,
                               std::uint64_t message_bits, std::span<std::uint8_t> out,

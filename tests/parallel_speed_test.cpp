@@ -55,19 +55,24 @@ double time_us(F&& f) {
 }
 
 /// Whether two threads run at once here now: the same spin on two threads
-/// takes about as long as on one.
+/// takes about as long as on one. The median of three paired tries, as
+/// one-thread times alone swing by 2x on a shared host.
 bool runs_two_threads_at_once() {
   const auto spin = [] {
     volatile std::uint64_t x = 0;
     for (std::uint64_t i = 0; i < 20'000'000; ++i) x = x + i;
   };
-  const double one = time_us(spin);
-  const double two = time_us([&] {
-    std::thread other(spin);
-    spin();
-    other.join();
-  });
-  return two < kTwoThreadSlack * one;
+  std::vector<double> ratios;
+  for (int t = 0; t < 3; ++t) {
+    const double one = time_us(spin);
+    const double two = time_us([&] {
+      std::thread other(spin);
+      spin();
+      other.join();
+    });
+    ratios.push_back(two / one);
+  }
+  return median(ratios) < kTwoThreadSlack;
 }
 
 TEST(ParallelNeverSlower, ShardedSealAndOpenDoNotLoseToOneShard) {
