@@ -86,11 +86,12 @@ struct Shape {
   std::uint64_t window = 0;
 };
 
-/// The shape for `n_shards` workers on `ex`: one chunk spanning everything
-/// for a single shard or no executor, else kChunksPerShard chunks per shard
-/// over the blocks `expected()` returns plus a 1/32 margin, which the first
-/// plan round covers. `chunk_blocks` > 0 forces the chunk size (tests cut
-/// chunks mid-frame with it).
+/// The shape for `n_shards` workers on `ex`: kChunksPerShard chunks per
+/// shard over the blocks `expected()` returns plus a 1/32 margin, which the
+/// first plan round covers — or one chunk spanning everything for a single
+/// shard, no executor, or a message expected to fit one chunk.
+/// `chunk_blocks` > 0 forces the chunk size and the plan (tests cut chunks
+/// mid-frame with it).
 template <class Expected>
 Shape make_shape(std::uint64_t total_bits, std::uint64_t limit, int n_shards, exec::Executor* ex,
                  std::uint64_t chunk_blocks, const Expected& expected) {
@@ -105,8 +106,9 @@ Shape make_shape(std::uint64_t total_bits, std::uint64_t limit, int n_shards, ex
                        : std::max(kMinChunkBlocks,
                                   ceil_div(planned, kChunksPerShard *
                                                       static_cast<std::uint64_t>(n_shards)));
-  if (chunk >= limit) return {total_bits, limit, limit, 1};
-  return {total_bits, limit, chunk, ceil_div(planned, chunk)};
+  const std::uint64_t window = ceil_div(planned, chunk);
+  if (chunk >= limit || (chunk_blocks == 0 && window == 1)) return {total_bits, limit, limit, 1};
+  return {total_bits, limit, chunk, window};
 }
 
 /// The pipeline over `job`'s chunks: chunk c is blocks [c * chunk,
