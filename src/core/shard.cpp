@@ -145,10 +145,10 @@ Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex) {
   const std::uint64_t n_chunks = ceil_div(s.limit, k);
   const auto blocks_of = [&](std::uint64_t c) { return std::min(k, s.limit - c * k); };
   std::vector<Chunk> chunks;
-  std::uint64_t bit = 0;   // the next composed chunk's entry bit
-  std::size_t used = 0;    // chunks composed: those the message reaches
-  for (std::uint64_t round = s.window; bit < total && used < n_chunks;
-       round = ceil_div((total - bit) * used, bit) + 1) {
+  std::uint64_t bit = 0;           // the next composed chunk's entry bit
+  std::size_t used = 0;            // chunks composed: those the message reaches
+  std::uint64_t round = s.window;  // chunks the next plan round takes
+  while (bit < total && used < n_chunks) {
     const std::size_t from = chunks.size();
     chunks.resize(static_cast<std::size_t>(std::min(n_chunks, from + round)));
     exec::run_indexed(ex, chunks.size() - from, [&](std::size_t i) {
@@ -159,6 +159,8 @@ Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex) {
       chunks[used].entry = bit;
       bit += chunks[used].transfer.bits[Framed ? bit % N : 0];
     }
+    // bit > 0 here: every block takes at least one bit.
+    if (bit < total) round = ceil_div((total - bit) * used, bit) + 1;
   }
   exec::run_indexed(ex, used, [&](std::size_t c) {
     Chunk& ch = chunks[c];
