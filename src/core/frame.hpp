@@ -33,8 +33,11 @@
 // The header is integrity-checked on parse (magic, version, vector size,
 // length vs payload). The nonce is carried in-band because the cover seed is
 // *derived* from key + nonce by the session key schedule (see
-// crypto/session.hpp); the MAC is verified before any decryption so
-// tampering can never surface as garbage plaintext.
+// crypto/session.hpp). The MAC is verified before any message bit is
+// extracted — only the decrypt plan, which reads the blocks' unmodified
+// cover halves, runs beside it — so tampering can never surface as garbage
+// plaintext. Every header field is known before the ciphertext, so the
+// sealer encodes the header first and MACs it ahead of the blocks.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +62,9 @@ struct FrameHeader {
 };
 
 /// Serialize the 24-byte header into the front of `out` (std::length_error
-/// when shorter). The sealed path writes the header here, streams blocks
-/// straight after it in the caller's buffer and appends the MAC trailer.
+/// when shorter). The sealed path writes the header here before the walk,
+/// streams blocks straight after it in the caller's buffer and appends the
+/// MAC trailer.
 void frame_encode_header(const FrameHeader& header, std::span<std::uint8_t> out);
 
 /// Parse and validate a container. Throws std::invalid_argument with a

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/core/shard.hpp"
-
 namespace mhhea::core {
 
 Encryptor::Encryptor(Key key, LfsrCover cover, BlockParams params, Scheme scheme)
@@ -14,7 +12,11 @@ Encryptor::Encryptor(Key key, LfsrCover cover, BlockParams params, Scheme scheme
   }
   key_.require_fits(params_, "Encryptor");
   pair_ctx_ = detail::pair_tables(key_, params_, scheme);
-  cover_.warm();
+}
+
+const LfsrCover& Encryptor::warm_cover() const {
+  cover_.warm();  // free once done
+  return cover_;
 }
 
 std::size_t Encryptor::encrypt_into(std::span<const std::uint8_t> msg,
@@ -24,15 +26,15 @@ std::size_t Encryptor::encrypt_into(std::span<const std::uint8_t> msg,
 
 std::size_t Encryptor::encrypt_into(std::span<const std::uint8_t> msg,
                                     std::span<std::uint8_t> out, int n_shards,
-                                    exec::Executor* ex) {
+                                    exec::Executor* ex, ByteSink absorb) {
   return static_cast<std::size_t>(
-      detail::encrypt_chunked(pair_ctx_, params_, cover_, msg,
+      detail::encrypt_chunked(pair_ctx_, params_, warm_cover(), msg,
                               static_cast<std::uint64_t>(msg.size()) * 8, out, n_shards, ex, 0,
-                              "Encryptor::encrypt_into"));
+                              "Encryptor::encrypt_into", absorb));
 }
 
 std::uint64_t Encryptor::one_shot_cipher_bytes(std::uint64_t n_bits) const {
-  return detail::cipher_bytes(pair_ctx_, params_, cover_, n_bits);
+  return detail::cipher_bytes(pair_ctx_, params_, warm_cover(), n_bits);
 }
 
 void Encryptor::reseed(std::uint64_t seed) { cover_.reseed(seed); }
@@ -48,12 +50,12 @@ Decryptor::Decryptor(Key key, std::uint64_t /*message_bits*/, BlockParams params
 std::size_t Decryptor::decrypt_into(std::span<const std::uint8_t> cipher,
                                     std::uint64_t message_bits,
                                     std::span<std::uint8_t> out) const {
-  return decrypt_into(cipher, message_bits, out, 1, nullptr);
+  return decrypt_into(cipher, message_bits, [&] { return out; }, 1, nullptr);
 }
 
 std::size_t Decryptor::decrypt_into(std::span<const std::uint8_t> cipher,
-                                    std::uint64_t message_bits, std::span<std::uint8_t> out,
-                                    int n_shards, exec::Executor* ex) const {
+                                    std::uint64_t message_bits, OutputGate out, int n_shards,
+                                    exec::Executor* ex) const {
   return detail::decrypt_chunked(pair_ctx_, params_, cipher, message_bits, out, n_shards, ex, 0,
                                  "Decryptor::decrypt_into");
 }

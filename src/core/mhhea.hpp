@@ -30,6 +30,7 @@
 #include "src/core/cover.hpp"
 #include "src/core/key.hpp"
 #include "src/core/params.hpp"
+#include "src/core/shard.hpp"
 #include "src/core/walk.hpp"
 #include "src/exec/executor.hpp"
 
@@ -42,7 +43,9 @@ namespace mhhea::core {
 class Encryptor {
  public:
   /// Every message is encrypted from the cover's seed. The cover's tables
-  /// are built here, so the per-call copies share them.
+  /// are built on the first encrypt or size query, before the per-call
+  /// copies are taken, so the copies share them — and an Encryptor that is
+  /// never used never builds them.
   Encryptor(Key key, LfsrCover cover, BlockParams params = BlockParams::paper(),
             Scheme scheme = Scheme::mhhea);
 
@@ -52,9 +55,10 @@ class Encryptor {
   /// written are unspecified).
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
   /// The same bytes with the pipeline cut for `n_shards` workers on `ex`
-  /// (shard.hpp; null runs the chunks inline).
+  /// (shard.hpp; null runs the chunks inline), each finished stretch of
+  /// ciphertext handed to `absorb` in order.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out,
-                           int n_shards, exec::Executor* ex);
+                           int n_shards, exec::Executor* ex, ByteSink absorb = {});
   /// Exact ciphertext bytes encrypt_into would produce for an `n_bits`-bit
   /// message: the pipeline with the embed left out (cover generation plus
   /// the schedule step — cheap enough to size a buffer, not free).
@@ -67,8 +71,11 @@ class Encryptor {
   [[nodiscard]] const Key& key() const noexcept { return key_; }
 
  private:
+  /// cover_, its tables built.
+  const LfsrCover& warm_cover() const;
+
   Key key_;
-  LfsrCover cover_;
+  mutable LfsrCover cover_;  // warmed on first use; its position never moves
   BlockParams params_;
   std::vector<detail::PairCtx> pair_ctx_;
 };
@@ -93,9 +100,10 @@ class Decryptor {
   /// unspecified). Zero heap allocations.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
                            std::span<std::uint8_t> out) const;
-  /// The same with the pipeline cut for `n_shards` workers on `ex`.
+  /// The same with the pipeline cut for `n_shards` workers on `ex`, writing
+  /// where `out()` says once it has let the call through (OutputGate).
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
-                           std::span<std::uint8_t> out, int n_shards, exec::Executor* ex) const;
+                           OutputGate out, int n_shards, exec::Executor* ex) const;
 
  private:
   BlockParams params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -111,29 +112,46 @@ Shape make_shape(std::uint64_t total_bits, std::uint64_t limit, int n_shards, ex
   return {total_bits, limit, chunk, window};
 }
 
+/// What runs beside a pipeline, each optional: `gate` on the calling thread
+/// while the first plan round is in flight (before the walk when there is
+/// a single chunk), and `absorb` on the blocks [first, end) of finished
+/// chunks, in chunk order.
+struct Hooks {
+  util::FunctionRef<void()> gate;
+  util::FunctionRef<void(std::uint64_t first, std::uint64_t end)> absorb;
+};
+
 /// The pipeline over `job`'s chunks: chunk c is blocks [c * chunk,
 /// (c + 1) * chunk) of the output. A chunk's walk needs its entry bit,
 /// which depends on every chunk before it, but its transfer function does
 /// not. So the chunks run in two rounds on `ex`, each fanned out with the
 /// calling thread claiming chunks alongside the helpers:
-///   1. plan — the first `window` chunks compute their transfer functions;
-///      compose then fixes each chunk's entry bit, one step per chunk, up
-///      to the chunk the message ends in (if the message runs past them,
-///      another round plans the chunks its remaining bits are expected to
-///      take at the rate so far, and one more);
-///   2. apply — every chunk the message reaches walks from its entry bit.
+///   1. plan — the first `window` chunks compute their transfer functions
+///      while the calling thread runs the gate; compose then fixes each
+///      chunk's entry bit, one step per chunk, up to the chunk the message
+///      ends in (if the message runs past them, another round plans the
+///      chunks its remaining bits are expected to take at the rate so far,
+///      and one more);
+///   2. apply — every chunk the message reaches walks from its entry bit,
+///      and finished chunks go to `absorb` in order (see hand_off below).
 /// A single chunk is the sequential walk, with no plan. `job` supplies
 /// plan(first, count, state) and walk(at, count, end, state, through); see
 /// EncryptJob and DecryptJob. Returns where the message-final walk stopped:
 /// bit < total_bits when `limit` blocks cannot hold the message.
 template <int N, bool Framed, class Job>
-Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex) {
+Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex, const Hooks& hooks) {
   const std::uint64_t total = s.total_bits;
   const std::uint64_t k = s.chunk;
   using State = typename Job::State;
+  const auto gate = [&] {
+    if (hooks.gate) hooks.gate();
+  };
   if (k >= s.limit) {
+    gate();
     State state{};
-    return job.walk(Cursor{}, s.limit, total, &state, total);
+    const Cursor exit = job.walk(Cursor{}, s.limit, total, &state, total);
+    if (hooks.absorb) hooks.absorb(0, exit.block);
+    return exit;
   }
 
   struct Chunk {
@@ -141,6 +159,7 @@ Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex) {
     State state{};
     std::uint64_t entry = 0;
     Cursor exit;
+    bool done = false;  // walked; guarded by `frontier` below
   };
   const std::uint64_t n_chunks = ceil_div(s.limit, k);
   const auto blocks_of = [&](std::uint64_t c) { return std::min(k, s.limit - c * k); };
@@ -151,10 +170,15 @@ Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex) {
   while (bit < total && used < n_chunks) {
     const std::size_t from = chunks.size();
     chunks.resize(static_cast<std::size_t>(std::min(n_chunks, from + round)));
-    exec::run_indexed(ex, chunks.size() - from, [&](std::size_t i) {
+    const auto plan = [&](std::size_t i) {
       Chunk& ch = chunks[from + i];
       ch.transfer = job.plan((from + i) * k, blocks_of(from + i), ch.state);
-    });
+    };
+    if (from == 0) {
+      exec::run_indexed(ex, chunks.size(), plan, gate);
+    } else {
+      exec::run_indexed(ex, chunks.size() - from, plan);
+    }
     for (; used < chunks.size() && bit < total; ++used) {
       chunks[used].entry = bit;
       bit += chunks[used].transfer.bits[Framed ? bit % N : 0];
@@ -162,11 +186,36 @@ Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex) {
     // bit > 0 here: every block takes at least one bit.
     if (bit < total) round = ceil_div((total - bit) * used, bit) + 1;
   }
+  // Finished chunks go to `absorb` in chunk order while others are still
+  // walking. The task that finishes the chunk at the frontier absorbs it
+  // and every finished chunk after it; a task that finishes any other
+  // chunk, or finds an absorb in progress, marks its chunk done and leaves
+  // (the absorbing task rechecks before it stops). No task waits for
+  // another. Used chunks tile the blocks, so a run of them is one span.
+  std::mutex frontier;
+  std::size_t next_absorb = 0;
+  bool absorbing = false;
+  const auto hand_off = [&](std::size_t c) {
+    std::unique_lock lock(frontier);
+    chunks[c].done = true;
+    if (absorbing) return;
+    absorbing = true;
+    while (next_absorb < used && chunks[next_absorb].done) {
+      const std::uint64_t first = next_absorb * k;
+      while (next_absorb < used && chunks[next_absorb].done) ++next_absorb;
+      const std::uint64_t end = chunks[next_absorb - 1].exit.block;
+      lock.unlock();
+      hooks.absorb(first, end);
+      lock.lock();
+    }
+    absorbing = false;
+  };
   exec::run_indexed(ex, used, [&](std::size_t c) {
     Chunk& ch = chunks[c];
     const std::uint64_t next = c + 1 < used ? chunks[c + 1].entry : bit;
     ch.exit = job.walk(Cursor{c * k, ch.entry}, blocks_of(c), total, &ch.state,
                        std::min(total, ceil8(next)));
+    if (hooks.absorb) hand_off(c);
   });
   if (bit < total) return {s.limit, bit};
   return chunks[used - 1].exit;
@@ -253,7 +302,8 @@ struct EncryptJob {
 std::uint64_t encrypt_blocks(Pairs pairs, const BlockParams& params, const LfsrCover& cover,
                              std::span<const std::uint8_t> msg, std::uint64_t bits,
                              std::uint8_t* out, std::uint64_t room, int n_shards,
-                             exec::Executor* ex, std::uint64_t chunk_blocks, const char* who) {
+                             exec::Executor* ex, std::uint64_t chunk_blocks, const char* who,
+                             ByteSink absorb) {
   if (bits == 0) return 0;
   // Every block takes at least one bit, so `bits` blocks always suffice.
   const std::uint64_t limit = std::min(room, bits);
@@ -262,8 +312,15 @@ std::uint64_t encrypt_blocks(Pairs pairs, const BlockParams& params, const LfsrC
   LfsrCover base = cover;
   base.reset();
   if (shape.chunk < limit) base.warm();  // the chunks' copies share its tables
+  const auto bb = static_cast<std::uint64_t>(params.block_bytes());
+  const auto absorb_blocks = [&](std::uint64_t first, std::uint64_t end) {
+    absorb(std::span<const std::uint8_t>(out + first * bb, (end - first) * bb));
+  };
+  Hooks hooks;
+  if (absorb) hooks.absorb = absorb_blocks;
   const Cursor end = with_layout(params, [&]<int N, bool Framed>() {
-    return run_pipeline<N, Framed>(EncryptJob<N, Framed>{pairs, base, msg, out}, shape, ex);
+    return run_pipeline<N, Framed>(EncryptJob<N, Framed>{pairs, base, msg, out}, shape, ex,
+                                   hooks);
   });
   if (end.bit < bits) throw std::length_error(std::string(who) + ": output buffer too small");
   return end.block;
@@ -281,7 +338,7 @@ template <int N, bool Framed>
 struct DecryptJob {
   Pairs pairs;
   std::span<const std::uint8_t> cipher;
-  std::span<std::uint8_t> out;  // ceil(total bits / 8) bytes
+  const std::span<std::uint8_t>& out;  // ceil(total bits / 8) bytes, set by the gate
   std::uint64_t n_blocks;
 
   struct State {};
@@ -357,32 +414,37 @@ std::uint64_t detail::encrypt_chunked(Pairs pairs, const BlockParams& params,
                                       const LfsrCover& cover, std::span<const std::uint8_t> msg,
                                       std::uint64_t message_bits, std::span<std::uint8_t> out,
                                       int n_shards, exec::Executor* ex, std::uint64_t chunk_blocks,
-                                      const char* who) {
+                                      const char* who, ByteSink absorb) {
   const auto bb = static_cast<std::size_t>(params.block_bytes());
   return bb * encrypt_blocks(pairs, params, cover, msg, message_bits, out.data(),
-                             out.size() / bb, n_shards, ex, chunk_blocks, who);
+                             out.size() / bb, n_shards, ex, chunk_blocks, who, absorb);
 }
 
 std::uint64_t detail::cipher_bytes(Pairs pairs, const BlockParams& params,
                                    const LfsrCover& cover, std::uint64_t message_bits) {
   return static_cast<std::uint64_t>(params.block_bytes()) *
          encrypt_blocks(pairs, params, cover, {}, message_bits, nullptr, message_bits, 1,
-                        nullptr, 0, "cipher_bytes");
+                        nullptr, 0, "cipher_bytes", {});
 }
 
 std::size_t detail::decrypt_chunked(Pairs pairs, const BlockParams& params,
                                     std::span<const std::uint8_t> cipher,
-                                    std::uint64_t message_bits, std::span<std::uint8_t> out,
-                                    int n_shards, exec::Executor* ex,
-                                    std::uint64_t chunk_blocks, const char* who) {
+                                    std::uint64_t message_bits, OutputGate out, int n_shards,
+                                    exec::Executor* ex, std::uint64_t chunk_blocks,
+                                    const char* who) {
   const auto bb = static_cast<std::size_t>(params.block_bytes());
   if (cipher.size() % bb != 0) {
     throw std::invalid_argument(std::string(who) + ": ciphertext not block-aligned");
   }
   const auto out_bytes = static_cast<std::size_t>((message_bits + 7) / 8);
-  if (out.size() < out_bytes) {
-    throw std::length_error(std::string(who) + ": output buffer too small");
-  }
+  std::span<std::uint8_t> dest;
+  const auto gate = [&] {
+    dest = out();
+    if (dest.size() < out_bytes) {
+      throw std::length_error(std::string(who) + ": output buffer too small");
+    }
+    dest = dest.first(out_bytes);
+  };
   // The strict length contract: the blocks must hold exactly the message.
   const std::uint64_t n_blocks = cipher.size() / bb;
   Cursor end;
@@ -390,9 +452,11 @@ std::size_t detail::decrypt_chunked(Pairs pairs, const BlockParams& params,
     const Shape shape =
         make_shape(message_bits, n_blocks, n_shards, ex, chunk_blocks, [&] { return n_blocks; });
     end = with_layout(params, [&]<int N, bool Framed>() {
-      return run_pipeline<N, Framed>(
-          DecryptJob<N, Framed>{pairs, cipher, out.first(out_bytes), n_blocks}, shape, ex);
+      return run_pipeline<N, Framed>(DecryptJob<N, Framed>{pairs, cipher, dest, n_blocks}, shape,
+                                     ex, Hooks{gate, {}});
     });
+  } else {
+    gate();
   }
   if (end.bit < message_bits) {
     throw std::invalid_argument(std::string(who) + ": ciphertext too short for message length");
@@ -444,8 +508,8 @@ std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key
                                  Scheme scheme) {
   validate_sharded(key, n_shards, params, "decrypt_sharded_into");
   return detail::decrypt_chunked(detail::pair_tables(key, params, scheme), params, cipher,
-                                 static_cast<std::uint64_t>(msg_bytes) * 8, out, n_shards, ex, 0,
-                                 "decrypt_sharded");
+                                 static_cast<std::uint64_t>(msg_bytes) * 8, [&] { return out; },
+                                 n_shards, ex, 0, "decrypt_sharded");
 }
 
 }  // namespace mhhea::core

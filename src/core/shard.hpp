@@ -28,6 +28,13 @@
 // helper that wakes late finds the work done. With one shard (or no
 // executor) the whole message is one chunk: the sequential walk, with no
 // plan. Plan scratch is one transfer table per chunk.
+//
+// The sealed container's MAC rides the same rounds, while core stays
+// MAC-agnostic: an encrypt takes an in-order ByteSink that the apply round
+// feeds each run of finished chunks, and a decrypt takes an OutputGate that
+// the calling thread runs while the plan round is in flight — the sealed
+// open verifies its MAC and replay window there, and nothing is composed or
+// extracted until the gate has returned the destination.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +47,24 @@
 #include "src/core/params.hpp"
 #include "src/core/walk.hpp"
 #include "src/exec/executor.hpp"
+#include "src/util/function_ref.hpp"
 
 namespace mhhea::core {
+
+/// An in-order consumer of the ciphertext bytes an encrypt writes (the
+/// sealed container's MAC). It sees every byte once and in order: the
+/// single-chunk walk hands it the whole ciphertext when it finishes, and a
+/// sharded apply hands it each run of finished chunks from the thread that
+/// completed the run's first chunk — never from two threads at once. Empty:
+/// nothing consumes.
+using ByteSink = util::FunctionRef<void(std::span<const std::uint8_t>)>;
+
+/// Where a decrypt writes, asked for once on the calling thread before any
+/// message bit is composed or extracted — while the plan round runs, when
+/// the pipeline has one. It may throw to reject the call (the sealed open
+/// runs its MAC and replay checks here); the output is then untouched and
+/// the plan round is joined first.
+using OutputGate = util::FunctionRef<std::span<std::uint8_t>()>;
 
 /// Sharded one-shot encryption, bit-identical to Encryptor::encrypt_into
 /// for every shard count (core::encrypt is its single-shard case). The
@@ -84,15 +107,16 @@ std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key
 namespace detail {
 
 /// The pipeline's encrypt: the first `message_bits` bits of `msg` under
-/// `pairs`, covers from `cover`'s seed, into `out`. Returns the ciphertext
-/// bytes; throws std::length_error ("<who>: output buffer too small").
-/// `chunk_blocks` > 0 forces the chunk size (tests cut chunks mid-frame
-/// with it); 0 picks it from `n_shards`.
+/// `pairs`, covers from `cover`'s seed, into `out`, each finished stretch of
+/// ciphertext handed to `absorb`. Returns the ciphertext bytes; throws
+/// std::length_error ("<who>: output buffer too small"). `chunk_blocks` > 0
+/// forces the chunk size (tests cut chunks mid-frame with it); 0 picks it
+/// from `n_shards`.
 std::uint64_t encrypt_chunked(std::span<const PairCtx> pairs, const BlockParams& params,
                               const LfsrCover& cover, std::span<const std::uint8_t> msg,
                               std::uint64_t message_bits, std::span<std::uint8_t> out,
                               int n_shards, exec::Executor* ex, std::uint64_t chunk_blocks,
-                              const char* who);
+                              const char* who, ByteSink absorb = {});
 
 /// The exact ciphertext bytes encrypt_chunked writes: the single-shard
 /// pipeline with the embed left out (cover generation plus the schedule
@@ -101,13 +125,15 @@ std::uint64_t cipher_bytes(std::span<const PairCtx> pairs, const BlockParams& pa
                            const LfsrCover& cover, std::uint64_t message_bits);
 
 /// The pipeline's decrypt: the `message_bits`-bit message of `cipher` into
-/// `out` (zero-padded to whole bytes). Returns ceil(message_bits / 8);
-/// throws std::invalid_argument on misaligned, truncated or trailing
-/// ciphertext and std::length_error when `out` is too small (messages
-/// prefixed with `who`). `chunk_blocks` as for encrypt_chunked.
+/// the span `out()` returns (zero-padded to whole bytes). Returns
+/// ceil(message_bits / 8). Throws, in this order: std::invalid_argument on
+/// misaligned ciphertext; whatever `out()` throws; std::length_error when
+/// the span is too small; std::invalid_argument on truncated or trailing
+/// ciphertext (messages prefixed with `who`). `chunk_blocks` as for
+/// encrypt_chunked.
 std::size_t decrypt_chunked(std::span<const PairCtx> pairs, const BlockParams& params,
                             std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
-                            std::span<std::uint8_t> out, int n_shards, exec::Executor* ex,
+                            OutputGate out, int n_shards, exec::Executor* ex,
                             std::uint64_t chunk_blocks, const char* who);
 
 }  // namespace detail

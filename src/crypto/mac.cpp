@@ -23,18 +23,11 @@ inline std::uint64_t rotl(std::uint64_t x, int b) {
   return (x << b) | (x >> (64 - b));
 }
 
-struct SipState {
+/// The four state words as locals: update() works on a copy, since its byte
+/// loads may alias the object's own members and would otherwise force a
+/// store and reload of the state around every word.
+struct Lanes {
   std::uint64_t v0, v1, v2, v3;
-
-  explicit SipState(const MacKey& key, bool wide) {
-    const std::uint64_t k0 = util::load_le(key.data(), 8);
-    const std::uint64_t k1 = util::load_le(key.data() + 8, 8);
-    v0 = k0 ^ 0x736f6d6570736575ULL;
-    v1 = k1 ^ 0x646f72616e646f6dULL;
-    v2 = k0 ^ 0x6c7967656e657261ULL;
-    v3 = k1 ^ 0x7465646279746573ULL;
-    if (wide) v1 ^= 0xee;  // domain-separates the 128-bit variant
-  }
 
   void round() {
     v0 += v1;
@@ -59,46 +52,81 @@ struct SipState {
     round();
     v0 ^= m;
   }
+
+  std::uint64_t finalize() {
+    for (int r = 0; r < 4; ++r) round();
+    return v0 ^ v1 ^ v2 ^ v3;
+  }
 };
 
-// Runs SipHash-2-4 compression over msg including the length-tagged final
-// word, leaving the state ready for finalization.
-SipState sip_compress(const MacKey& key, std::span<const std::uint8_t> msg, bool wide) {
-  SipState s(key, wide);
-  const std::size_t n = msg.size();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) s.absorb(util::load_le(msg.data() + i, 8));
-  std::uint64_t last = static_cast<std::uint64_t>(n & 0xff) << 56;
-  for (std::size_t j = 0; i + j < n; ++j) {
-    last |= static_cast<std::uint64_t>(msg[i + j]) << (8 * j);
-  }
-  s.absorb(last);
+/// Absorb the length-tagged final word: the partial word's bytes with the
+/// message length (mod 256) in the top byte.
+Lanes finish_words(const std::array<std::uint64_t, 4>& v, std::uint64_t tail,
+                   std::uint64_t length) {
+  Lanes s{v[0], v[1], v[2], v[3]};
+  s.absorb(tail | (length & 0xff) << 56);
   return s;
-}
-
-std::uint64_t sip_finalize(SipState& s) {
-  for (int r = 0; r < 4; ++r) s.round();
-  return s.v0 ^ s.v1 ^ s.v2 ^ s.v3;
 }
 
 }  // namespace
 
-MacTag siphash128(const MacKey& key, std::span<const std::uint8_t> msg) {
-  SipState s = sip_compress(key, msg, /*wide=*/true);
+SipHash::SipHash(const MacKey& key, bool wide) {
+  const std::uint64_t k0 = util::load_le(key.data(), 8);
+  const std::uint64_t k1 = util::load_le(key.data() + 8, 8);
+  v_ = {k0 ^ 0x736f6d6570736575ULL, k1 ^ 0x646f72616e646f6dULL,
+        k0 ^ 0x6c7967656e657261ULL, k1 ^ 0x7465646279746573ULL};
+  if (wide) v_[1] ^= 0xee;  // domain-separates the 128-bit variant
+}
+
+void SipHash::update(std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  const auto fill = static_cast<std::size_t>(length_ % 8);
+  length_ += n;
+  if (fill + n < 8) {  // still inside one partial word
+    tail_ |= util::load_le(p, static_cast<int>(n)) << (8 * fill);
+    return;
+  }
+  Lanes s{v_[0], v_[1], v_[2], v_[3]};
+  if (fill != 0) {
+    const std::size_t take = 8 - fill;
+    s.absorb(tail_ | util::load_le(p, static_cast<int>(take)) << (8 * fill));
+    p += take;
+    n -= take;
+  }
+  for (; n >= 8; p += 8, n -= 8) s.absorb(util::load_le(p, 8));
+  tail_ = util::load_le(p, static_cast<int>(n));
+  v_ = {s.v0, s.v1, s.v2, s.v3};
+}
+
+MacTag SipHash::finish128() const {
+  Lanes s = finish_words(v_, tail_, length_);
   s.v2 ^= 0xee;
-  const std::uint64_t lo = sip_finalize(s);
+  const std::uint64_t lo = s.finalize();
   s.v1 ^= 0xdd;
-  const std::uint64_t hi = sip_finalize(s);
+  const std::uint64_t hi = s.finalize();
   MacTag tag;
   util::store_le(tag.data(), lo, 8);
   util::store_le(tag.data() + 8, hi, 8);
   return tag;
 }
 
-std::uint64_t siphash64(const MacKey& key, std::span<const std::uint8_t> msg) {
-  SipState s = sip_compress(key, msg, /*wide=*/false);
+std::uint64_t SipHash::finish64() const {
+  Lanes s = finish_words(v_, tail_, length_);
   s.v2 ^= 0xff;
-  return sip_finalize(s);
+  return s.finalize();
+}
+
+MacTag siphash128(const MacKey& key, std::span<const std::uint8_t> msg) {
+  SipHash h(key, /*wide=*/true);
+  h.update(msg);
+  return h.finish128();
+}
+
+std::uint64_t siphash64(const MacKey& key, std::span<const std::uint8_t> msg) {
+  SipHash h(key, /*wide=*/false);
+  h.update(msg);
+  return h.finish64();
 }
 
 bool constant_time_equal(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {

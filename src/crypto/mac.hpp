@@ -5,8 +5,8 @@
 // fast enough in portable C++ that authenticating a sealed container costs
 // a few percent of the hiding cipher itself (the bench's MAC-overhead
 // column tracks it). The container uses encrypt-then-MAC: the tag covers
-// header || ciphertext, and open() verifies in constant time *before* any
-// decryption is attempted, so a tampered container can never yield garbage
+// header || ciphertext, and open() verifies it in constant time before any
+// message bit is extracted, so a tampered container can never yield garbage
 // plaintext (see frame.hpp for the v2 wire layout and session.hpp for the
 // key schedule built on the same primitive).
 #pragma once
@@ -35,6 +35,25 @@ inline constexpr std::size_t kMacBytes = 16;     // 128-bit tag on the wire
 
 using MacKey = std::array<std::uint8_t, kMacKeyBytes>;
 using MacTag = std::array<std::uint8_t, kMacBytes>;
+
+/// SipHash-2-4 over a message fed in pieces: any split of the bytes across
+/// update() calls gives the tag of the whole. The sealed path feeds it the
+/// header, then the ciphertext chunk by chunk as the pipeline finishes
+/// them. `wide` picks the 128-bit variant (finish128, the container MAC);
+/// otherwise finish64 gives the classic 64-bit output.
+class SipHash {
+ public:
+  SipHash(const MacKey& key, bool wide);
+
+  void update(std::span<const std::uint8_t> bytes);
+  [[nodiscard]] MacTag finish128() const;
+  [[nodiscard]] std::uint64_t finish64() const;
+
+ private:
+  std::array<std::uint64_t, 4> v_;
+  std::uint64_t tail_ = 0;    // the bytes of a partial word, little-endian
+  std::uint64_t length_ = 0;  // bytes fed so far
+};
 
 /// SipHash-2-4 with 128-bit output over `msg` (the v2 container MAC).
 [[nodiscard]] MacTag siphash128(const MacKey& key, std::span<const std::uint8_t> msg);

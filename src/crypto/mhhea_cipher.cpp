@@ -148,46 +148,16 @@ void MhheaCipher::require_v2(const char* what) const {
 }
 
 std::size_t MhheaCipher::encrypt_blocks(std::span<const std::uint8_t> msg,
-                                        std::span<std::uint8_t> out) {
+                                        std::span<std::uint8_t> out, core::ByteSink absorb) {
   const int eff = std::min(effective_shards(shards_, msg.size()), workers_);
-  return enc_.encrypt_into(msg, out, eff, eff > 1 ? exec_ : nullptr);
+  return enc_.encrypt_into(msg, out, eff, eff > 1 ? exec_ : nullptr, absorb);
 }
 
 std::size_t MhheaCipher::decrypt_blocks(std::span<const std::uint8_t> cipher,
-                                        std::uint64_t message_bits,
-                                        std::span<std::uint8_t> out) {
+                                        std::uint64_t message_bits, core::OutputGate out) {
   const int eff = std::min(
       effective_shards(shards_, static_cast<std::size_t>(message_bits / 8)), workers_);
   return dec_.decrypt_into(cipher, message_bits, out, eff, eff > 1 ? exec_ : nullptr);
-}
-
-template <class Dest>
-std::size_t MhheaCipher::open_payload(const V2Opened& opened, Dest&& dest) {
-  const std::uint64_t bits = opened.header.message_bits;
-  const std::uint8_t tag = opened.header.compression;
-  if (tag == 0) return decrypt_blocks(opened.payload, bits, dest(bits));
-  // All structural rejections below run post-MAC and decrypt only into the
-  // instance scratch.
-  compress::Compressor& comp = compressor_for(tag);  // rejects unknown tags
-  if (bits % 8 != 0) {
-    throw std::invalid_argument("MhheaCipher: compressed envelope not byte-aligned");
-  }
-  const auto env_bytes = static_cast<std::size_t>(bits / 8);
-  if (z_open_buf_.size() < env_bytes) z_open_buf_.resize(env_bytes);
-  const std::span<std::uint8_t> env = std::span(z_open_buf_).first(env_bytes);
-  (void)decrypt_blocks(opened.payload, bits, env);
-  if (env.empty() || env[0] != tag) {
-    throw std::invalid_argument("MhheaCipher: envelope method does not match the header");
-  }
-  std::uint64_t raw_size = 0;
-  const std::size_t varint = compress::varint_decode(env.subspan(1), &raw_size);
-  const std::span<const std::uint8_t> stream = env.subspan(1 + varint);
-  // The declared size is MAC-covered, but cap it against the stream's best
-  // possible ratio anyway — a hard bound beats trusting arithmetic.
-  if (raw_size > comp.max_decoded_size(stream.size())) {
-    throw std::invalid_argument("MhheaCipher: envelope declares an impossible size");
-  }
-  return comp.decompress_into(stream, static_cast<std::size_t>(raw_size), dest(raw_size * 8));
 }
 
 std::size_t MhheaCipher::encrypt_into(std::span<const std::uint8_t> msg,
@@ -202,11 +172,8 @@ std::size_t MhheaCipher::encrypt_into(std::span<const std::uint8_t> msg,
 std::size_t MhheaCipher::decrypt_into(std::span<const std::uint8_t> cipher,
                                       std::size_t msg_bytes, std::span<std::uint8_t> out) {
   const std::uint64_t message_bits = static_cast<std::uint64_t>(msg_bytes) * 8;
-  if (framing_ == Framing::raw) return decrypt_blocks(cipher, message_bits, out);
-  // Authenticate first — on any tampering this throws before a single block
-  // is decrypted. A compressed container's length is its envelope's raw
-  // size, known only once the envelope is decrypted into scratch.
-  return open_payload(open_v2_authenticate(cipher), [&](std::uint64_t plain_bits) {
+  if (framing_ == Framing::raw) return decrypt_blocks(cipher, message_bits, [&] { return out; });
+  return open_v2_into(cipher, {}, [&](std::uint64_t plain_bits) {
     if (plain_bits != message_bits) {
       throw std::invalid_argument("MhheaCipher: sealed header length mismatch");
     }
@@ -256,19 +223,25 @@ std::size_t MhheaCipher::seal_v2_into(std::span<const std::uint8_t> msg, std::ui
   // to a compression-disabled seal).
   const SealBody body = make_seal_body(msg);
   set_nonce(nonce);
-  // Blocks land between the header and the trailer; the block encrypt's own
-  // length_error covers a payload slice that cannot hold them.
-  const std::size_t raw = encrypt_blocks(
-      body.bytes, out.subspan(core::FrameHeader::kSizeV2,
-                              out.size() - core::FrameHeader::kOverheadV2));
+  // Everything in the header is known before the walk, so the MAC takes it
+  // first and then the ciphertext as the pipeline finishes it.
   core::FrameHeader h;
   h.nonce = nonce;
   h.params = params_;
   h.message_bits = static_cast<std::uint64_t>(body.bytes.size()) * 8;
   h.compression = body.method;
   core::frame_encode_header(h, out);
-  const std::size_t authed = core::FrameHeader::kSizeV2 + raw;
-  const MacTag tag = siphash128(sched_.mac_key, out.first(authed));
+  SipHash mac(sched_.mac_key, /*wide=*/true);
+  mac.update(out.first(core::FrameHeader::kSizeV2));
+  // Blocks land between the header and the trailer; the block encrypt's own
+  // length_error covers a payload slice that cannot hold them.
+  const std::size_t authed =
+      core::FrameHeader::kSizeV2 +
+      encrypt_blocks(body.bytes,
+                     out.subspan(core::FrameHeader::kSizeV2,
+                                 out.size() - core::FrameHeader::kOverheadV2),
+                     [&](std::span<const std::uint8_t> blocks) { mac.update(blocks); });
+  const MacTag tag = mac.finish128();
   std::copy(tag.begin(), tag.end(), out.begin() + static_cast<std::ptrdiff_t>(authed));
   return authed + core::FrameHeader::kMacBytesV2;
 }
@@ -283,42 +256,51 @@ std::size_t MhheaCipher::sealed_v2_size(std::size_t msg_bytes, std::uint64_t non
          core::FrameHeader::kOverheadV2;
 }
 
-MhheaCipher::V2Opened MhheaCipher::open_v2_authenticate(
-    std::span<const std::uint8_t> framed) const {
-  require_v2("open_v2_authenticate");
+std::size_t MhheaCipher::open_v2_into(std::span<const std::uint8_t> framed, Accept accept,
+                                      Dest dest) {
+  require_v2("open_v2_into");
   std::span<const std::uint8_t> payload;
   const core::FrameHeader h = core::frame_decode(framed, &payload);
   if (h.params != params_) {
     throw std::invalid_argument("MhheaCipher: sealed header params mismatch");
   }
-  const std::size_t authed = framed.size() - core::FrameHeader::kMacBytesV2;
-  const MacTag tag = siphash128(sched_.mac_key, framed.first(authed));
-  if (!constant_time_equal(tag, framed.subspan(authed))) {
-    throw MacError("MhheaCipher: sealed-v2 MAC verification failed");
-  }
-  return {h, payload};
-}
-
-std::size_t MhheaCipher::decrypt_v2_payload(const V2Opened& opened,
-                                            std::span<std::uint8_t> out) {
-  require_v2("decrypt_v2_payload");
-  return open_payload(opened, [&](std::uint64_t plain_bits) {
-    const auto n = static_cast<std::size_t>((plain_bits + 7) / 8);
-    if (out.size() < n) {
-      throw std::length_error("MhheaCipher::decrypt_v2_payload: output buffer too small");
+  const std::uint64_t bits = h.message_bits;
+  // The gate: the core runs it on this thread while the plan round reads
+  // the cover halves, and extracts nothing until it returns. A compressed
+  // envelope is decrypted into instance scratch and checked before `dest`
+  // sees its raw size.
+  compress::Compressor* comp = nullptr;
+  const auto gate = [&]() -> std::span<std::uint8_t> {
+    const std::size_t authed = framed.size() - core::FrameHeader::kMacBytesV2;
+    const MacTag tag = siphash128(sched_.mac_key, framed.first(authed));
+    if (!constant_time_equal(tag, framed.subspan(authed))) {
+      throw MacError("MhheaCipher: sealed-v2 MAC verification failed");
     }
-    return out.first(n);
-  });
-}
-
-std::vector<std::uint8_t> MhheaCipher::open_v2_alloc(const V2Opened& opened) {
-  require_v2("open_v2_alloc");
-  std::vector<std::uint8_t> msg;
-  (void)open_payload(opened, [&](std::uint64_t plain_bits) {
-    msg.resize(static_cast<std::size_t>((plain_bits + 7) / 8));
-    return std::span(msg);
-  });
-  return msg;
+    if (accept) accept(h);
+    if (h.compression == 0) return dest(bits);
+    comp = &compressor_for(h.compression);  // rejects unknown tags
+    if (bits % 8 != 0) {
+      throw std::invalid_argument("MhheaCipher: compressed envelope not byte-aligned");
+    }
+    const auto env_bytes = static_cast<std::size_t>(bits / 8);
+    if (z_open_buf_.size() < env_bytes) z_open_buf_.resize(env_bytes);
+    return std::span(z_open_buf_).first(env_bytes);
+  };
+  const std::size_t n = decrypt_blocks(payload, bits, gate);
+  if (comp == nullptr) return n;
+  const std::span<const std::uint8_t> env = std::span(z_open_buf_).first(n);
+  if (env.empty() || env[0] != h.compression) {
+    throw std::invalid_argument("MhheaCipher: envelope method does not match the header");
+  }
+  std::uint64_t raw_size = 0;
+  const std::size_t varint = compress::varint_decode(env.subspan(1), &raw_size);
+  const std::span<const std::uint8_t> stream = env.subspan(1 + varint);
+  // The declared size is MAC-covered, but cap it against the stream's best
+  // possible ratio anyway — a hard bound beats trusting arithmetic.
+  if (raw_size > comp->max_decoded_size(stream.size())) {
+    throw std::invalid_argument("MhheaCipher: envelope declares an impossible size");
+  }
+  return comp->decompress_into(stream, static_cast<std::size_t>(raw_size), dest(raw_size * 8));
 }
 
 }  // namespace mhhea::crypto

@@ -18,9 +18,9 @@
 // with a SipHash-2-4-128 trailer over header || ciphertext, and a per-nonce
 // cover seed derived by the V2KeySchedule so no two nonces share keystream.
 // Through the uniform Cipher interface every message is sealed under nonce 0
-// (calls stay deterministic, as the sweep harness requires); the seal_v2 /
-// open_v2 entry points take explicit nonces and are what crypto::Session
-// drives with its auto-incrementing counter and replay window.
+// (calls stay deterministic, as the sweep harness requires); seal_v2_into
+// takes an explicit nonce and open_v2_into an accept check, which is how
+// crypto::Session drives its auto-incrementing counter and replay window.
 #pragma once
 
 #include <array>
@@ -39,6 +39,7 @@
 #include "src/crypto/cipher.hpp"
 #include "src/crypto/mac.hpp"
 #include "src/exec/executor.hpp"
+#include "src/util/function_ref.hpp"
 
 namespace mhhea::crypto {
 
@@ -93,11 +94,11 @@ class MhheaCipher : public Cipher {
   /// allocations.
   std::size_t encrypt_into(std::span<const std::uint8_t> msg,
                            std::span<std::uint8_t> out) override;
-  /// Under sealed_v2, `msg_bytes` must agree with the container's plaintext
-  /// length (std::invalid_argument otherwise, `out` untouched), and the MAC
-  /// is verified in constant time BEFORE any decryption — MacError (an
-  /// invalid_argument) on any tampered bit, so garbage plaintext is never
-  /// produced.
+  /// Under sealed_v2 this is open_v2_into with no accept check: `msg_bytes`
+  /// must agree with the authenticated container's plaintext length
+  /// (std::invalid_argument otherwise), and every rejection — MacError (an
+  /// invalid_argument) on any tampered bit included — leaves `out`
+  /// untouched, so garbage plaintext is never produced.
   std::size_t decrypt_into(std::span<const std::uint8_t> cipher, std::size_t msg_bytes,
                            std::span<std::uint8_t> out) override;
   /// Via the pipeline without the embed (~half an encryption); includes the
@@ -131,7 +132,10 @@ class MhheaCipher : public Cipher {
   /// MAC over everything before the tag, written into `out` (std::length_error
   /// when it cannot fit). Returns the container bytes. The cover is re-seeded
   /// from the schedule's per-nonce derivation, so distinct nonces never share
-  /// keystream. Zero heap allocations once warmed (single-shard).
+  /// keystream. The header is written first and the MAC absorbs the
+  /// ciphertext as the pipeline finishes it (shard.hpp's ByteSink), so a
+  /// sharded seal pays no serial MAC pass after the walk. Zero heap
+  /// allocations once warmed (single-shard).
   std::size_t seal_v2_into(std::span<const std::uint8_t> msg, std::uint64_t nonce,
                            std::span<std::uint8_t> out);
   /// Container bytes seal_v2_into would produce (nonce-independent: the
@@ -139,28 +143,27 @@ class MhheaCipher : public Cipher {
   /// queried nonce and scans).
   [[nodiscard]] std::size_t sealed_v2_size(std::size_t msg_bytes, std::uint64_t nonce);
 
-  /// The authenticated-but-not-yet-decrypted view of a v2 container.
-  struct V2Opened {
-    core::FrameHeader header;
-    std::span<const std::uint8_t> payload;  // ciphertext blocks, MAC excluded
-  };
-  /// Structural parse + constant-time MAC verification, no decryption:
-  /// std::invalid_argument on malformation (any version byte but 2 included)
-  /// or a params mismatch, MacError on tag mismatch. What Session calls
-  /// first so replay checks run on authenticated nonces only.
-  [[nodiscard]] V2Opened open_v2_authenticate(std::span<const std::uint8_t> framed) const;
-  /// Decrypt an authenticated container's payload into `out` (zero-padded to
-  /// whole bytes), returning the plaintext bytes: ceil(message_bits/8) for an
-  /// uncompressed container, the envelope's declared raw size after
-  /// decompression for a compressed one. std::length_error when `out` is too
-  /// small; std::invalid_argument on an unknown method tag, a tag/header
-  /// mismatch or a corrupt envelope (all post-MAC — `out` is untouched).
-  std::size_t decrypt_v2_payload(const V2Opened& opened, std::span<std::uint8_t> out);
-  /// Allocating open of an authenticated container: sizes the plaintext from
-  /// the header (or the envelope's raw size once decrypted) and returns it —
-  /// what Session::open drives, since a compressed container's plaintext
-  /// size is only known after the envelope is decrypted.
-  [[nodiscard]] std::vector<std::uint8_t> open_v2_alloc(const V2Opened& opened);
+  /// The caller's check on an authentic container's header (Session: the
+  /// replay window); throws to reject it.
+  using Accept = util::FunctionRef<void(const core::FrameHeader&)>;
+  /// Where a plaintext of `plain_bits` bits goes; throws to reject the
+  /// length.
+  using Dest = util::FunctionRef<std::span<std::uint8_t>(std::uint64_t plain_bits)>;
+  /// The one open of a sealed-v2 container. Errors come in this order:
+  ///   1. std::invalid_argument on malformation (frame_decode: any version
+  ///      byte but 2 included) or a params mismatch;
+  ///   2. MacError when the tag does not verify (constant time);
+  ///   3. whatever `accept` throws (may be empty);
+  ///   4. structural errors of the payload — an unknown compression tag, a
+  ///      corrupt envelope — and whatever `dest` throws.
+  /// Nothing is composed, extracted or written to the destination until
+  /// the MAC and `accept` pass; only the plan, which reads the blocks'
+  /// unmodified cover halves, runs beside them (core::OutputGate). A
+  /// compressed container's plaintext length is its envelope's raw size,
+  /// known once the envelope is decrypted into instance scratch. Returns
+  /// the plaintext bytes: ceil(message_bits / 8) for an uncompressed
+  /// container, the envelope's raw size for a compressed one.
+  std::size_t open_v2_into(std::span<const std::uint8_t> framed, Accept accept, Dest dest);
 
   [[nodiscard]] const core::Key& key() const noexcept { return key_; }
   [[nodiscard]] const core::BlockParams& params() const noexcept { return params_; }
@@ -195,17 +198,10 @@ class MhheaCipher : public Cipher {
   /// The one sharded-or-sequential choice per direction: the core's
   /// pipeline cut for several workers when the message is long enough to
   /// split, one chunk otherwise.
-  std::size_t encrypt_blocks(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out);
+  std::size_t encrypt_blocks(std::span<const std::uint8_t> msg, std::span<std::uint8_t> out,
+                             core::ByteSink absorb = {});
   std::size_t decrypt_blocks(std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
-                             std::span<std::uint8_t> out);
-  /// The one open path of an authenticated container: decrypt the payload
-  /// (and decompress a compressed envelope, decrypted into z_open_buf_ and
-  /// validated first) into `dest(plain_bits)`, which returns the destination
-  /// span for that many plaintext bits — or throws to reject the length.
-  /// `dest` runs only after every structural check has passed, so a
-  /// rejected container never touches the caller's storage.
-  template <class Dest>
-  std::size_t open_payload(const V2Opened& opened, Dest&& dest);
+                             core::OutputGate out);
   /// Point the encryptor core at `nonce`'s derived cover seed. No-op when
   /// already there — consecutive same-nonce calls (size query then seal)
   /// pay one derivation, zero reseeds.

@@ -111,21 +111,35 @@ void Session::commit_replay(std::uint64_t nonce) {
 }
 
 std::vector<std::uint8_t> Session::open(std::span<const std::uint8_t> framed) {
-  const MhheaCipher::V2Opened opened = cipher_.open_v2_authenticate(framed);
-  check_replay(opened.header.nonce);
-  // open_v2_alloc sizes the plaintext itself: for a compressed container the
+  // The plaintext is sized from the container: for a compressed one the
   // header counts envelope bits, not message bytes.
-  std::vector<std::uint8_t> msg = cipher_.open_v2_alloc(opened);
-  commit_replay(opened.header.nonce);
+  std::vector<std::uint8_t> msg;
+  (void)open_to(framed, [&](std::uint64_t plain_bits) {
+    msg.resize(static_cast<std::size_t>((plain_bits + 7) / 8));
+    return std::span(msg);
+  });
   return msg;
 }
 
 std::size_t Session::open_into(std::span<const std::uint8_t> framed,
                                std::span<std::uint8_t> out) {
-  const MhheaCipher::V2Opened opened = cipher_.open_v2_authenticate(framed);
-  check_replay(opened.header.nonce);
-  const std::size_t n = cipher_.decrypt_v2_payload(opened, out);
-  commit_replay(opened.header.nonce);
+  return open_to(framed, [&](std::uint64_t plain_bits) {
+    const auto n = static_cast<std::size_t>((plain_bits + 7) / 8);
+    if (out.size() < n) throw std::length_error("Session::open_into: output buffer too small");
+    return out.first(n);
+  });
+}
+
+std::size_t Session::open_to(std::span<const std::uint8_t> framed, MhheaCipher::Dest dest) {
+  std::uint64_t nonce = 0;
+  const std::size_t n = cipher_.open_v2_into(
+      framed,
+      [&](const core::FrameHeader& h) {
+        check_replay(h.nonce);
+        nonce = h.nonce;
+      },
+      dest);
+  commit_replay(nonce);
   return n;
 }
 

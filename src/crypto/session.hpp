@@ -8,12 +8,14 @@
 //   * on seal, the 64-bit message counter becomes the container's nonce and
 //     auto-increments, and the cover seed is re-derived per nonce — one key
 //     seals 2^64 messages without ever reusing cover keystream;
-//   * on open, the MAC is verified first (constant time, before any
-//     decryption), then the authenticated nonce is checked against a
-//     sliding replay window (IPsec/DTLS style: highest-seen counter plus a
-//     kReplayWindow-wide seen-bitmap), and only then is the payload
-//     decrypted. Replays and too-old nonces throw ReplayError; forged or
-//     corrupted containers throw MacError — both before plaintext exists.
+//   * on open, the MAC is verified first (constant time), then the
+//     authenticated nonce is checked against a sliding replay window
+//     (IPsec/DTLS style: highest-seen counter plus a kReplayWindow-wide
+//     seen-bitmap), and only then is any message bit extracted — the window
+//     is the accept check of MhheaCipher::open_v2_into, which a sharded open
+//     runs beside the plan round. Replays and too-old nonces throw
+//     ReplayError; forged or corrupted containers throw MacError — both
+//     before plaintext exists, with the caller's buffer untouched.
 //
 // The window commits only after full success, so a failed open (bad MAC,
 // wrong size) never burns a nonce. Out-of-order delivery inside the window
@@ -114,10 +116,11 @@ class Session {
   /// wrap-around contract testable without sealing 2^64 messages.
   void skip_to_nonce(std::uint64_t nonce);
 
-  /// Authenticate, replay-check, then decrypt. Throws MacError on tag
-  /// mismatch, ReplayError on a replayed/too-old nonce, std::invalid_argument
-  /// on structural malformation — all before any plaintext is produced. On
-  /// success the nonce is committed to the window.
+  /// Authenticate, replay-check, then decrypt. Throws std::invalid_argument
+  /// on frame malformation, then MacError on tag mismatch, then ReplayError
+  /// on a replayed/too-old nonce — all before any plaintext is produced —
+  /// then length and payload structure errors. On success the nonce is
+  /// committed to the window.
   [[nodiscard]] std::vector<std::uint8_t> open(std::span<const std::uint8_t> framed);
   /// Span form of open: writes the message into `out`, returns its size.
   std::size_t open_into(std::span<const std::uint8_t> framed, std::span<std::uint8_t> out);
@@ -149,6 +152,9 @@ class Session {
   void check_replay(std::uint64_t nonce) const;
   /// Marks an accepted nonce seen, sliding the window forward if needed.
   void commit_replay(std::uint64_t nonce);
+  /// open and open_into: the cipher's open with the replay window as its
+  /// accept check, committing the nonce once the plaintext is out.
+  std::size_t open_to(std::span<const std::uint8_t> framed, MhheaCipher::Dest dest);
 
   MhheaCipher cipher_;
   std::vector<std::uint8_t> seal_buf_;  // seal()'s container scratch (ciphertext only)

@@ -201,10 +201,14 @@ class TaskGroup {
 /// is rethrown on the calling thread. No whole-pool barrier is needed: the
 /// group's latch isolates concurrent callers, so any number of fan-outs
 /// share one executor.
-template <typename Task>
-void run_indexed(Executor* ex, std::size_t n, const Task& task) {
-  if (n == 0) return;
-  if (ex == nullptr || n == 1) {
+///
+/// `beside()` runs on the calling thread once the tasks are queued, before
+/// it joins them (first, when they run inline). If it throws, the queued
+/// tasks are joined and its exception is rethrown, ahead of any task's.
+template <typename Task, typename Beside>
+void run_indexed(Executor* ex, std::size_t n, const Task& task, const Beside& beside) {
+  if (ex == nullptr || n <= 1) {
+    beside();
     for (std::size_t i = 0; i < n; ++i) task(i);
     return;
   }
@@ -219,8 +223,15 @@ void run_indexed(Executor* ex, std::size_t n, const Task& task) {
     // already queued reference `task` on this frame, so join them first.
     submit_error = std::current_exception();
   }
+  // A throwing beside() unwinds through ~TaskGroup, which joins the tasks.
+  if (submit_error == nullptr) beside();
   group.wait();
   if (submit_error != nullptr) std::rethrow_exception(submit_error);
+}
+
+template <typename Task>
+void run_indexed(Executor* ex, std::size_t n, const Task& task) {
+  run_indexed(ex, n, task, [] {});
 }
 
 }  // namespace mhhea::exec

@@ -40,7 +40,8 @@
 //                    outbound Session assigns the nonce).
 //           kOpen  — body is a sealed v2 container; the response body is the
 //                    recovered plaintext. MAC and replay-window checks run
-//                    before any decryption (crypto::Session semantics).
+//                    before any message bit is extracted
+//                    (crypto::Session semantics).
 //           kPing  — empty body, empty kOk response; liveness and latency
 //                    floor probe.
 //

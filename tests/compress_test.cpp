@@ -335,29 +335,37 @@ TEST(CompressedSealedV2, TamperedCompressedFrameFailsMacWithOutputUntouched) {
 
 TEST(CompressedSealedV2, PostMacMethodChecksRejectForgedHeaders) {
   // An honest sealer can never emit a method byte that disagrees with its
-  // envelope, so forge the condition by mutating the authenticated view
-  // directly — exactly what the post-MAC cross-checks exist to stop.
+  // envelope, so forge the condition: rewrite the header's method byte and
+  // re-MAC the container under the cipher's own MAC key — exactly what the
+  // post-MAC cross-checks exist to stop.
   auto cipher = make_v2_cipher();
   cipher.set_compression(Method::lzss);
   const auto msg = text_bytes(2048, 0x51DE);
   const auto sealed = cipher.encrypt(msg);
+  ASSERT_EQ(sealed[6], static_cast<std::uint8_t>(Method::lzss));
+  const crypto::V2KeySchedule sched = crypto::V2KeySchedule::derive(0xACE1);
+  const auto forge = [&](std::uint8_t method) {
+    auto t = sealed;
+    t[6] = method;
+    const std::size_t authed = t.size() - core::FrameHeader::kMacBytesV2;
+    const crypto::MacTag tag = crypto::siphash128(sched.mac_key, std::span(t).first(authed));
+    std::copy(tag.begin(), tag.end(), t.begin() + static_cast<std::ptrdiff_t>(authed));
+    return t;
+  };
   std::vector<std::uint8_t> out(msg.size());
 
-  auto opened = cipher.open_v2_authenticate(sealed);
-  ASSERT_EQ(opened.header.compression, static_cast<std::uint8_t>(Method::lzss));
-
   // Unknown method tag: rejected before any decode.
-  opened.header.compression = 7;
-  EXPECT_THROW((void)cipher.decrypt_v2_payload(opened, out), std::invalid_argument);
+  EXPECT_THROW((void)cipher.decrypt_into(forge(7), msg.size(), out), std::invalid_argument);
 
   // Known-but-wrong tag: the decrypted envelope's own tag wins.
-  opened.header.compression = static_cast<std::uint8_t>(Method::huffman);
-  EXPECT_THROW((void)cipher.decrypt_v2_payload(opened, out), std::invalid_argument);
+  EXPECT_THROW((void)cipher.decrypt_into(forge(static_cast<std::uint8_t>(Method::huffman)),
+                                         msg.size(), out),
+               std::invalid_argument);
 
-  // Restored view still opens — the rejections above were the checks, not
-  // collateral state damage.
-  opened.header.compression = static_cast<std::uint8_t>(Method::lzss);
-  ASSERT_EQ(cipher.decrypt_v2_payload(opened, out), msg.size());
+  // The re-MACed genuine header still opens — the rejections above were
+  // the checks, not collateral state damage.
+  ASSERT_EQ(cipher.decrypt_into(forge(static_cast<std::uint8_t>(Method::lzss)), msg.size(), out),
+            msg.size());
   EXPECT_EQ(out, msg);
 }
 

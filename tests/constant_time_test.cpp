@@ -6,7 +6,7 @@
 //
 //   * constant_time_equal,
 //   * SipHash-2-4 (64- and 128-bit finalization), and
-//   * the sealed-v2 tag verification path (open_v2_authenticate)
+//   * the sealed-v2 tag verification path (the open's MAC gate)
 //
 // execute no secret-dependent branches or loads. The single sanctioned
 // release is the accept/reject verdict, declassified inside
@@ -163,10 +163,10 @@ void test_v2_tag_verify() {
 
   // Genuine container: the constant-time verify must accept, having branched
   // only on the declassified verdict.
+  std::vector<std::uint8_t> opened(msg.size());
   bool accepted = false;
   try {
-    const auto opened = cipher.open_v2_authenticate(sealed);
-    accepted = !opened.payload.empty();
+    accepted = cipher.decrypt_into(sealed, msg.size(), opened) == msg.size();
   } catch (const std::exception&) {
     accepted = false;
   }
@@ -178,7 +178,7 @@ void test_v2_tag_verify() {
   poison(&sealed.back(), 1);
   bool rejected = false;
   try {
-    (void)cipher.open_v2_authenticate(sealed);
+    (void)cipher.decrypt_into(sealed, msg.size(), opened);
   } catch (const mhhea::crypto::MacError&) {
     rejected = true;
   }

@@ -141,6 +141,12 @@ class SealedV2Errors : public ::testing::Test {
     EXPECT_EQ(cipher_.seal_v2_into(msg_, nonce_, out), out.size());
     return out;
   }
+
+  /// open_v2_into with no accept check, writing into `out` as given (the
+  /// core rejects a span too short for the plaintext).
+  std::size_t open(std::span<const std::uint8_t> framed, std::span<std::uint8_t> out) {
+    return cipher_.open_v2_into(framed, {}, [&](std::uint64_t) { return out; });
+  }
 };
 
 TEST_F(SealedV2Errors, SealIntoShortBuffer) {
@@ -152,17 +158,16 @@ TEST_F(SealedV2Errors, SealIntoShortBuffer) {
 
 TEST_F(SealedV2Errors, OpenAuthenticateMalformations) {
   const auto sealed = seal();
+  std::vector<std::uint8_t> out(msg_.size());
 
-  expect_invalid_argument([&] { (void)cipher_.open_v2_authenticate({}); },
-                          "open_v2_authenticate empty");
+  expect_invalid_argument([&] { (void)open({}, out); }, "open_v2_into empty");
   expect_invalid_argument(
-      [&] { (void)cipher_.open_v2_authenticate(std::span(sealed).first(sealed.size() - 1)); },
-      "open_v2_authenticate truncated");
+      [&] { (void)open(std::span(sealed).first(sealed.size() - 1), out); },
+      "open_v2_into truncated");
 
   auto bad_magic = sealed;
   bad_magic[0] ^= 0xff;
-  expect_invalid_argument([&] { (void)cipher_.open_v2_authenticate(bad_magic); },
-                          "open_v2_authenticate bad magic");
+  expect_invalid_argument([&] { (void)open(bad_magic, out); }, "open_v2_into bad magic");
 
   // A retired version-1 container (16-byte header, blocks, no nonce or MAC)
   // must be rejected structurally — opening it unauthenticated would defeat
@@ -171,26 +176,24 @@ TEST_F(SealedV2Errors, OpenAuthenticateMalformations) {
   v1[4] = 1;
   v1.insert(v1.end(), sealed.begin() + core::FrameHeader::kSizeV2,
             sealed.end() - core::FrameHeader::kMacBytesV2);
-  expect_invalid_argument([&] { (void)cipher_.open_v2_authenticate(v1); },
-                          "open_v2_authenticate v1 container");
+  expect_invalid_argument([&] { (void)open(v1, out); }, "open_v2_into v1 container");
 }
 
 TEST_F(SealedV2Errors, TamperIsMacErrorAndAnInvalidArgument) {
   auto sealed = seal();
   sealed[sealed.size() / 2] ^= 0x01;
-  EXPECT_THROW((void)cipher_.open_v2_authenticate(sealed), crypto::MacError);
+  std::vector<std::uint8_t> out(msg_.size());
+  EXPECT_THROW((void)open(sealed, out), crypto::MacError);
   // The derivation MacError -> invalid_argument is part of the convention:
   // generic malformed-input handling rejects forged containers too.
-  expect_invalid_argument([&] { (void)cipher_.open_v2_authenticate(sealed); },
+  expect_invalid_argument([&] { (void)open(sealed, out); },
                           "tampered container as invalid_argument");
 }
 
 TEST_F(SealedV2Errors, DecryptPayloadShortBuffer) {
   const auto sealed = seal();
-  const auto opened = cipher_.open_v2_authenticate(sealed);
   std::vector<std::uint8_t> out(msg_.size() - 1);
-  expect_length_error([&] { (void)cipher_.decrypt_v2_payload(opened, out); },
-                      "decrypt_v2_payload short out");
+  expect_length_error([&] { (void)open(sealed, out); }, "open_v2_into short out");
 }
 
 // ---------------------------------------------------------------------------

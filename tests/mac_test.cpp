@@ -1,12 +1,15 @@
 // The keyed-MAC primitive behind sealed format v2: SipHash-2-4 pinned to the
-// reference vectors from the SipHash paper, the 128-bit variant checked
-// against an independent in-test reimplementation, and the constant-time
-// comparator's contract.
+// reference vectors from the SipHash paper, the 128-bit variant and the
+// streaming state (any split of the input) checked against an independent
+// in-test reimplementation, and the constant-time comparator's contract.
 #include "src/crypto/mac.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/util/rng.hpp"
@@ -168,6 +171,88 @@ TEST(SipHash, EmptyMessage) {
   const MacKey key = sequential_key();
   EXPECT_EQ(siphash64(key, {}), ref_siphash64(key, {}));
   EXPECT_EQ(siphash128(key, {}), ref_siphash128(key, {}));
+}
+
+// ----------------------------------------------------------------------
+// The streaming state: any split of a message across update() calls gives
+// the one-shot tag, which the reference confirms independently.
+
+/// The tags of `msg` fed to a streaming state in pieces of `sizes` (the
+/// remainder, if any, as a last piece): {128-bit, 64-bit}.
+std::pair<MacTag, std::uint64_t> streamed(const MacKey& key, const std::vector<std::uint8_t>& msg,
+                                          const std::vector<std::size_t>& sizes) {
+  SipHash wide(key, /*wide=*/true);
+  SipHash narrow(key, /*wide=*/false);
+  std::size_t at = 0;
+  const auto feed = [&](std::size_t n) {
+    const auto piece = std::span(msg).subspan(at, n);
+    wide.update(piece);
+    narrow.update(piece);
+    at += n;
+  };
+  for (const std::size_t n : sizes) feed(n);
+  feed(msg.size() - at);
+  return {wide.finish128(), narrow.finish64()};
+}
+
+std::vector<std::uint8_t> random_bytes(util::Xoshiro256& rng, std::size_t n) {
+  std::vector<std::uint8_t> msg(n);
+  for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
+  return msg;
+}
+
+TEST(SipHashStreaming, EverySplitOfShortMessages) {
+  // Two pieces split at every point, and three pieces at every pair of
+  // points, for every length through eight words.
+  util::Xoshiro256 rng(0x5711);
+  const MacKey key = sequential_key();
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const auto msg = random_bytes(rng, len);
+    const MacTag want128 = ref_siphash128(key, msg);
+    const std::uint64_t want64 = ref_siphash64(key, msg);
+    ASSERT_EQ(siphash128(key, msg), want128) << len;
+    ASSERT_EQ(siphash64(key, msg), want64) << len;
+    for (std::size_t a = 0; a <= len; ++a) {
+      for (std::size_t b = a; b <= len; ++b) {
+        const auto [tag, word] = streamed(key, msg, {a, b - a});
+        EXPECT_EQ(tag, want128) << len << " split " << a << "," << b;
+        EXPECT_EQ(word, want64) << len << " split " << a << "," << b;
+      }
+    }
+  }
+}
+
+TEST(SipHashStreaming, LargeMessageAtRandomSplits) {
+  util::Xoshiro256 rng(0x300c);
+  const MacKey key = sequential_key();
+  const auto msg = random_bytes(rng, 300 * 1000);
+  const MacTag want = ref_siphash128(key, msg);
+  ASSERT_EQ(siphash128(key, msg), want);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<std::size_t> sizes;
+    for (std::size_t left = msg.size(); left > 0;) {
+      // Mostly short pieces, so partial words meet at many offsets.
+      const std::size_t n = std::min<std::size_t>(left, rng.below(trial % 2 == 0 ? 20 : 20000));
+      sizes.push_back(n);
+      left -= n;
+    }
+    EXPECT_EQ(streamed(key, msg, sizes).first, want) << "trial " << trial;
+  }
+}
+
+TEST(SipHashStreaming, PipelinePatternMatchesOneShot) {
+  // What the sealed path feeds: the 24-byte header, then runs of chunks of
+  // 2048 four-byte blocks, then a ragged last chunk.
+  util::Xoshiro256 rng(0x91e);
+  const MacKey key = sequential_key();
+  for (const std::size_t len : {24u + 8192u, 24u + 3 * 8192u + 4u, 24u + 5 * 8192u + 12340u}) {
+    const auto msg = random_bytes(rng, len);
+    std::vector<std::size_t> sizes = {24};
+    for (std::size_t at = 24; at + 8192 <= len; at += 8192) sizes.push_back(8192);
+    const MacTag want = ref_siphash128(key, msg);
+    EXPECT_EQ(streamed(key, msg, sizes).first, want) << len;
+    EXPECT_EQ(siphash128(key, msg), want) << len;
+  }
 }
 
 TEST(ConstantTimeEqual, Contract) {

@@ -531,7 +531,8 @@ TEST_P(ReferenceMhhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
               << "size " << size << " chunk " << chunk << " shards " << shards;
           EXPECT_EQ(ct, want) << "size " << size << " chunk " << chunk << " shards " << shards;
           std::vector<std::uint8_t> back(size);
-          (void)core::detail::decrypt_chunked(pairs, params, want, size * 8, back, shards, &pool,
+          (void)core::detail::decrypt_chunked(pairs, params, want, size * 8,
+                                              [&] { return std::span(back); }, shards, &pool,
                                               chunk, "test");
           EXPECT_EQ(back, msg) << "size " << size << " chunk " << chunk << " shards " << shards;
         }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -30,6 +31,30 @@ std::vector<std::uint8_t> random_message(util::Xoshiro256& rng, std::size_t n) {
 const std::vector<std::uint8_t> kMaster = bytes_of("a long-lived session master secret");
 
 Session make_pair_session() { return Session::from_master(kMaster); }
+
+/// The replay and tamper cases run on two inputs: a short message through
+/// one-shard sessions (the single-chunk walk), and 24 KiB through 4-shard
+/// sessions, whose open runs the MAC and the replay check beside the plan
+/// round and whose seal absorbs chunks at the MAC frontier.
+struct OpenInput {
+  int shards;
+  std::size_t bytes;
+};
+constexpr OpenInput kOpenInputs[] = {{1, 9}, {4, 24 * 1024}};
+
+Session make_sharded_session(int shards) {
+  return Session::from_master(kMaster, 8, core::BlockParams::hardware(), shards);
+}
+
+/// open_into must throw `E` and leave the 0xCD sentinel in `out` untouched.
+template <typename E>
+void expect_open_rejected(Session& opener, std::span<const std::uint8_t> framed,
+                          std::size_t out_bytes, const std::string& what) {
+  std::vector<std::uint8_t> out(out_bytes, 0xCD);
+  EXPECT_THROW((void)opener.open_into(framed, out), E) << what;
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::uint8_t b) { return b == 0xCD; }))
+      << what << ": output written despite rejection";
+}
 
 TEST(Session, RoundTripManyMessages) {
   Session sealer = make_pair_session();
@@ -167,11 +192,23 @@ TEST(Session, SealMatchesSealIntoAndAdvancesTheNonceOnce) {
 }
 
 TEST(Session, RejectsReplayedNonce) {
-  Session sealer = make_pair_session();
-  Session opener = make_pair_session();
-  const auto sealed = sealer.seal(bytes_of("once only"));
-  EXPECT_EQ(opener.open(sealed), bytes_of("once only"));
-  EXPECT_THROW((void)opener.open(sealed), ReplayError);
+  util::Xoshiro256 rng(0x0ce);
+  for (const OpenInput& in : kOpenInputs) {
+    Session sealer = make_sharded_session(in.shards);
+    Session opener = make_sharded_session(in.shards);
+    const auto msg = random_message(rng, in.bytes);
+    const auto sealed = sealer.seal(msg);
+    EXPECT_EQ(opener.open(sealed), msg) << in.bytes;
+    EXPECT_THROW((void)opener.open(sealed), ReplayError) << in.bytes;
+    expect_open_rejected<ReplayError>(opener, sealed, msg.size(),
+                                      "replay of " + std::to_string(in.bytes) + " B");
+    // A replayed container that is also forged reports the forgery: the MAC
+    // is checked before the window.
+    auto forged = sealed;
+    forged[forged.size() / 2] ^= 0x02;
+    expect_open_rejected<MacError>(opener, forged, msg.size(),
+                                   "forged replay of " + std::to_string(in.bytes) + " B");
+  }
 }
 
 TEST(Session, AcceptsOutOfOrderWithinWindow) {
@@ -192,38 +229,62 @@ TEST(Session, AcceptsOutOfOrderWithinWindow) {
 }
 
 TEST(Session, RejectsNonceOlderThanWindow) {
-  Session sealer = make_pair_session();
-  Session opener = make_pair_session();
-  std::vector<std::vector<std::uint8_t>> sealed;
-  const auto n = static_cast<int>(Session::kReplayWindow) + 2;
-  for (int i = 0; i < n; ++i) sealed.push_back(sealer.seal(bytes_of("m")));
-  // Open the newest; nonce 0 and 1 are now beyond the 64-wide window.
-  (void)opener.open(sealed.back());
-  EXPECT_THROW((void)opener.open(sealed[0]), ReplayError);
-  EXPECT_THROW((void)opener.open(sealed[1]), ReplayError);
-  // The oldest nonce still inside the window is accepted.
-  EXPECT_EQ(opener.open(sealed[2]), bytes_of("m"));
+  util::Xoshiro256 rng(0x01d);
+  for (const OpenInput& in : kOpenInputs) {
+    Session sealer = make_sharded_session(in.shards);
+    Session opener = make_sharded_session(in.shards);
+    // Only the first three and the newest containers are opened; the rest
+    // just advance the counter.
+    const auto msg = random_message(rng, in.bytes);
+    std::vector<std::vector<std::uint8_t>> sealed;
+    for (int i = 0; i < 3; ++i) sealed.push_back(sealer.seal(msg));
+    sealer.skip_to_nonce(Session::kReplayWindow + 1);
+    const auto newest = sealer.seal(msg);
+    // Open the newest; nonce 0 and 1 are now beyond the 64-wide window.
+    EXPECT_EQ(opener.open(newest), msg);
+    expect_open_rejected<ReplayError>(opener, sealed[0], msg.size(), "nonce 0");
+    expect_open_rejected<ReplayError>(opener, sealed[1], msg.size(), "nonce 1");
+    // The oldest nonce still inside the window is accepted.
+    EXPECT_EQ(opener.open(sealed[2]), msg) << in.bytes;
+  }
 }
 
 TEST(Session, FailedOpenDoesNotCommitNonce) {
-  Session sealer = make_pair_session();
-  Session opener = make_pair_session();
-  auto sealed = sealer.seal(bytes_of("deliver me"));
-  auto tampered = sealed;
-  tampered[tampered.size() - 1] ^= 1;  // break the MAC
-  EXPECT_THROW((void)opener.open(tampered), MacError);
-  // The authentic container still opens: the failed attempt burned nothing.
-  EXPECT_EQ(opener.open(sealed), bytes_of("deliver me"));
+  util::Xoshiro256 rng(0xfa1);
+  for (const OpenInput& in : kOpenInputs) {
+    Session sealer = make_sharded_session(in.shards);
+    Session opener = make_sharded_session(in.shards);
+    const auto msg = random_message(rng, in.bytes);
+    auto sealed = sealer.seal(msg);
+    auto tampered = sealed;
+    tampered[tampered.size() - 1] ^= 1;  // break the MAC
+    EXPECT_THROW((void)opener.open(tampered), MacError);
+    // Nor does an authentic container opened into a short buffer.
+    expect_open_rejected<std::length_error>(opener, sealed, msg.size() - 1, "short buffer");
+    // The authentic container still opens: the failed attempts burned nothing.
+    EXPECT_EQ(opener.open(sealed), msg) << in.bytes;
+  }
 }
 
 TEST(Session, TamperedContainerThrowsBeforeDecryption) {
-  Session sealer = make_pair_session();
-  Session opener = make_pair_session();
-  const auto sealed = sealer.seal(bytes_of("authentic"));
-  for (std::size_t pos = 0; pos < sealed.size(); ++pos) {
+  for (const OpenInput& in : kOpenInputs) {
+    Session sealer = make_sharded_session(in.shards);
+    Session opener = make_sharded_session(in.shards);
+    std::vector<std::uint8_t> msg(in.bytes, 'a');
+    const auto sealed = sealer.seal(msg);
+    // Every byte of the short container; on the long one every 97th byte
+    // plus the header and the tag.
     auto tampered = sealed;
-    tampered[pos] ^= 0x10;
-    EXPECT_THROW((void)opener.open(tampered), std::invalid_argument) << pos;
+    for (std::size_t pos = 0; pos < sealed.size(); ++pos) {
+      if (pos % 97 != 0 && pos >= 48 && pos + 48 < sealed.size()) continue;
+      tampered[pos] ^= 0x10;
+      expect_open_rejected<std::invalid_argument>(opener, tampered, msg.size(),
+                                                  "byte " + std::to_string(pos));
+      tampered[pos] ^= 0x10;
+    }
+    // A forged container into a too-short buffer is still a MacError.
+    tampered[sealed.size() / 2] ^= 0x10;
+    expect_open_rejected<MacError>(opener, tampered, msg.size() - 1, "forged into short out");
   }
 }
 

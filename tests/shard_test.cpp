@@ -126,8 +126,9 @@ void expect_chunked_decrypt(const core::Key& key, const core::BlockParams& param
   for (const std::uint64_t chunk : kTinyChunks) {
     for (const int shards : {1, 2, 4, 8}) {
       std::vector<std::uint8_t> back(msg.size(), 0xEE);
-      EXPECT_EQ(core::detail::decrypt_chunked(pairs, params, ct, msg.size() * 8, back, shards,
-                                              pool, chunk, "test"),
+      EXPECT_EQ(core::detail::decrypt_chunked(pairs, params, ct, msg.size() * 8,
+                                              [&] { return std::span(back); }, shards, pool,
+                                              chunk, "test"),
                 msg.size());
       EXPECT_EQ(back, msg) << "len=" << msg.size() << " chunk=" << chunk << " shards=" << shards;
     }
@@ -192,7 +193,8 @@ TEST_P(ShardPolicy, DecryptShardedKeepsTheStrictContract) {
     for (const std::uint64_t chunk : kTinyChunks) {
       std::vector<std::uint8_t> out(msg.size());
       const auto chunked = [&](std::span<const std::uint8_t> c, std::size_t len) {
-        return core::detail::decrypt_chunked(pairs, params, c, len * 8, out, shards, &pool,
+        return core::detail::decrypt_chunked(pairs, params, c, len * 8,
+                                             [&] { return std::span(out); }, shards, &pool,
                                              chunk, "test");
       };
       EXPECT_THROW((void)chunked(std::span(ct).first(ct.size() - bb), msg.size()),
