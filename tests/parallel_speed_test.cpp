@@ -6,15 +6,21 @@
 //
 // Labelled `bench` and run serially (CMakeLists.txt): a timing check must
 // not share the host with the rest of the suite. Skipped on one core, where
-// the adapters clamp sharding away — and, for the same reason, when the
-// host cannot run two threads at once right now (a shared host under load):
-// a spin probe before, every kProbeEvery reps during and after the timings
-// must show two threads running together.
+// the adapters clamp sharding away. A timing run counts only when the host
+// runs two threads at once throughout (a shared host under load may not): a
+// spin probe before, every kProbeEvery reps during and after the timings
+// must show two threads running together. A run the probe rules out is
+// thrown away and tried again, up to kAttempts runs within kWaitBudget; a
+// run that counts is judged once, and its verdict stands. Skipped when no
+// run counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +50,12 @@ constexpr int kReps = 61;
 /// Reps between two spin probes: load that starts and ends between the
 /// probes before and after the timings would otherwise go unseen.
 constexpr int kProbeEvery = 20;
+/// Timing runs tried, and the wall time spent waiting for the host, before
+/// the check gives up and skips. Load on a shared host comes and goes, so a
+/// later probe often finds the host running two threads at once again.
+constexpr int kAttempts = 5;
+constexpr auto kWaitBudget = std::chrono::seconds(60);
+constexpr auto kProbePause = std::chrono::milliseconds(500);
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -78,29 +90,24 @@ bool runs_two_threads_at_once() {
   return median(ratios) < kTwoThreadSlack;
 }
 
-TEST(ParallelNeverSlower, ShardedSealAndOpenDoNotLoseToOneShard) {
-  if (std::thread::hardware_concurrency() < 2) GTEST_SKIP() << "needs at least two cores";
-  if (!runs_two_threads_at_once()) GTEST_SKIP() << "the host is not running two threads at once";
-  const core::BlockParams params = core::BlockParams::hardware();
-  util::Xoshiro256 rng(0x5A4D5EED);
-  const core::Key key = core::Key::random(rng, 8, params);
-  std::vector<std::uint8_t> msg(kMessageBytes);
-  for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
-  using Framing = crypto::MhheaCipher::Framing;
-  crypto::MhheaCipher one(key, 0xC0FFEE, params, Framing::sealed_v2, 1);
-  crypto::MhheaCipher four(key, 0xC0FFEE, params, Framing::sealed_v2, 4);
+struct Medians {
+  double seal1, seal4, open1, open4;
+};
 
+/// Interleaved timings of one- and four-shard seal and open of `msg`, or
+/// nothing when a probe during or after them shows the host stopped running
+/// two threads at once.
+std::optional<Medians> time_run(crypto::MhheaCipher& one, crypto::MhheaCipher& four,
+                                const std::vector<std::uint8_t>& msg) {
   std::vector<std::uint8_t> sealed(one.max_ciphertext_size(kMessageBytes));
   std::vector<std::uint8_t> opened(kMessageBytes);
   const std::size_t n = one.encrypt_into(msg, sealed);
-  ASSERT_EQ(four.encrypt_into(msg, sealed), n);
+  EXPECT_EQ(four.encrypt_into(msg, sealed), n);
   const std::span<const std::uint8_t> container(sealed.data(), n);
 
   std::vector<double> seal1, seal4, open1, open4;
   for (int rep = 0; rep < kReps; ++rep) {
-    if (rep > 0 && rep % kProbeEvery == 0 && !runs_two_threads_at_once()) {
-      GTEST_SKIP() << "the host stopped running two threads at once";
-    }
+    if (rep > 0 && rep % kProbeEvery == 0 && !runs_two_threads_at_once()) return std::nullopt;
     const auto seal_one = [&] { seal1.push_back(time_us([&] { one.encrypt_into(msg, sealed); })); };
     const auto seal_four = [&] {
       seal4.push_back(time_us([&] { four.encrypt_into(msg, sealed); }));
@@ -123,19 +130,49 @@ TEST(ParallelNeverSlower, ShardedSealAndOpenDoNotLoseToOneShard) {
       open_one();
     }
   }
-  ASSERT_EQ(opened, msg);
-  if (!runs_two_threads_at_once()) GTEST_SKIP() << "the host stopped running two threads at once";
-  const double seal_ratio = median(seal4) / median(seal1);
-  const double open_ratio = median(open4) / median(open1);
+  EXPECT_EQ(opened, msg);
+  if (!runs_two_threads_at_once()) return std::nullopt;
+  return Medians{median(seal1), median(seal4), median(open1), median(open4)};
+}
+
+TEST(ParallelNeverSlower, ShardedSealAndOpenDoNotLoseToOneShard) {
+  if (std::thread::hardware_concurrency() < 2) GTEST_SKIP() << "needs at least two cores";
+  const core::BlockParams params = core::BlockParams::hardware();
+  util::Xoshiro256 rng(0x5A4D5EED);
+  const core::Key key = core::Key::random(rng, 8, params);
+  std::vector<std::uint8_t> msg(kMessageBytes);
+  for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+  using Framing = crypto::MhheaCipher::Framing;
+  crypto::MhheaCipher one(key, 0xC0FFEE, params, Framing::sealed_v2, 1);
+  crypto::MhheaCipher four(key, 0xC0FFEE, params, Framing::sealed_v2, 4);
+
+  std::optional<Medians> m;
+  int runs = 0;
+  const auto deadline = Clock::now() + kWaitBudget;
+  while (!m && runs < kAttempts && Clock::now() < deadline) {
+    if (!runs_two_threads_at_once()) {
+      std::this_thread::sleep_for(kProbePause);
+      continue;
+    }
+    ++runs;
+    m = time_run(one, four, msg);
+    if (::testing::Test::HasFailure()) return;
+  }
+  if (!m) {
+    GTEST_SKIP() << "the host did not run two threads at once through any timing run (" << runs
+                 << " started)";
+  }
+  const double seal_ratio = m->seal4 / m->seal1;
+  const double open_ratio = m->open4 / m->open1;
   RecordProperty("seal_ratio", std::to_string(seal_ratio));
   RecordProperty("open_ratio", std::to_string(open_ratio));
+  RecordProperty("timing_runs", std::to_string(runs));
   EXPECT_LE(seal_ratio, 1.0 + kTolerance)
-      << "sharded seal median " << median(seal4) << " us vs one shard " << median(seal1) << " us";
+      << "sharded seal median " << m->seal4 << " us vs one shard " << m->seal1 << " us";
   EXPECT_LE(open_ratio, 1.0 + kTolerance)
-      << "sharded open median " << median(open4) << " us vs one shard " << median(open1) << " us";
-  std::printf("seal_ratio %.3f open_ratio %.3f seal %.0f/%.0f us open %.0f/%.0f us\n",
-              seal_ratio, open_ratio, median(seal4), median(seal1), median(open4),
-              median(open1));
+      << "sharded open median " << m->open4 << " us vs one shard " << m->open1 << " us";
+  std::printf("seal_ratio %.3f open_ratio %.3f seal %.0f/%.0f us open %.0f/%.0f us (run %d)\n",
+              seal_ratio, open_ratio, m->seal4, m->seal1, m->open4, m->open1, runs);
 }
 
 }  // namespace
