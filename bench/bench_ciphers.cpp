@@ -25,6 +25,12 @@
 // "effective_wire_mb_per_s" aggregates separating MHHEA-sealed-v2-z's
 // compress-then-encrypt pipeline from its uncompressed twin.
 //
+// Under the cipher cells, a "stages" block breaks the MHHEA datapath down
+// layer by layer: the per-block cost of cover generation, plan, schedule,
+// embed and extract at the paper's hardware configuration (N=16, framed) on
+// one 64 KiB random message, each stage timed alone over the message's
+// ciphertext blocks on the active engine (median and quartiles).
+//
 // Usage: bench_ciphers [--out FILE] [--quick] [--reps N] [--threads N]
 //                      [--shards N] [--seed S] [--backend auto|scalar|avx2]
 //   --reps N     repetitions per cell (default 9, or 2 with --quick; the
@@ -58,6 +64,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -67,6 +74,7 @@
 #include <vector>
 
 #include "src/backend/backend.hpp"
+#include "src/core/mhhea.hpp"
 #include "src/crypto/batch.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/util/rng.hpp"
@@ -294,6 +302,110 @@ std::vector<CellResult> run_cells(const std::string& name, std::size_t msg_bytes
   return cells;
 }
 
+/// The stage breakdown: per-block ns of each chunk-pipeline stage.
+struct StageRows {
+  std::uint64_t blocks = 0;
+  std::map<std::string, mhhea::util::Quartiles> ns_per_block;
+};
+
+constexpr std::size_t kStageBytes = 64 * 1024;
+volatile std::uint64_t g_stage_sink = 0;  // keeps the stages' outputs live
+
+/// Time every stage over one message at N=16 framed, `reps` x 8 samples
+/// per stage, the stages interleaved within each rep. The key and cover
+/// seed come from the registry seed.
+StageRows run_stages(std::size_t reps) {
+  namespace core = mhhea::core;
+  namespace be = mhhea::backend;
+  constexpr int kN = 16;
+  constexpr std::size_t kRefill = 2048;  // the pipeline's cover refill
+  const core::BlockParams params = core::BlockParams::hardware();
+  mhhea::util::Xoshiro256 rng(g_cipher_seed);
+  const core::Key key = core::Key::random(rng, 8, params);
+  const std::uint64_t seed = (rng.next() & 0xFFFF) | 1;
+  const auto msg = make_messages(kStageBytes, 1, Corpus::random)[0];
+  const auto ct = core::encrypt(msg, key, seed, params);
+  const std::uint64_t blocks = ct.size() / 2;
+  const std::uint64_t bits = msg.size() * 8;
+  const core::detail::KeyTables k = core::detail::pair_tables(key, params, core::Scheme::mhhea);
+  const be::Backend& engine = be::active();
+
+  // The whole message's schedule, kept for the apply stages.
+  std::vector<be::ApplyBatch> batches;
+  std::vector<be::Cursor> starts;
+  for (be::Cursor at; at.bit < bits;) {
+    starts.push_back(at);
+    batches.emplace_back();
+    (void)engine.schedule_blocks(k, at, bits, ct.data() + at.block * 2,
+                                 std::min<std::uint64_t>(be::kApplyBatch, blocks - at.block),
+                                 batches.back());
+  }
+  core::LfsrCover cover(kN, seed);
+  cover.warm();
+  std::vector<std::uint64_t> words(kRefill);
+  std::vector<std::uint8_t> out(ct.size());
+  std::vector<std::uint32_t> vals(be::kApplyBatch);
+  std::uint64_t sink = 0;
+  const std::map<std::string, std::function<void()>> stages = {
+      {"cover",
+       [&] {
+         cover.reset();
+         for (std::uint64_t b = 0; b < blocks; b += kRefill) {
+           const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kRefill, blocks - b));
+           sink += cover.next_blocks(kN, std::span(words.data(), n)) + words[0];
+         }
+       }},
+      {"plan",
+       [&] {
+         be::Transfer t;
+         for (std::uint64_t b = 0; b < blocks; b += kRefill) {
+           const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kRefill, blocks - b));
+           engine.plan_blocks(k, b, ct.data() + b * 2, n, t);
+         }
+         sink += t.bits[0];
+       }},
+      {"schedule",
+       [&] {
+         be::ApplyBatch batch;
+         for (be::Cursor at; at.bit < bits;) {
+           sink += engine.schedule_blocks(
+               k, at, bits, ct.data() + at.block * 2,
+               std::min<std::uint64_t>(be::kApplyBatch, blocks - at.block), batch);
+         }
+       }},
+      {"embed",
+       [&] {
+         for (std::size_t i = 0; i < batches.size(); ++i) {
+           const std::size_t at = starts[i].block * 2;
+           engine.embed_blocks(kN, batches[i], ct.data() + at,
+                               std::span(msg).subspan(starts[i].bit / 8), out.data() + at);
+         }
+         sink += out[0];
+       }},
+      {"extract",
+       [&] {
+         for (std::size_t i = 0; i < batches.size(); ++i) {
+           engine.extract_blocks(kN, batches[i], ct.data() + starts[i].block * 2, vals.data());
+           sink += vals[0];
+         }
+       }},
+  };
+  std::map<std::string, std::vector<double>> samples;
+  for (std::size_t r = 0; r < reps * 8; ++r) {
+    for (const auto& [name, run] : stages) {
+      const auto t0 = Clock::now();
+      run();
+      const double ns = std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+      samples[name].push_back(ns / static_cast<double>(blocks));
+    }
+  }
+  g_stage_sink = sink;
+  StageRows rows;
+  rows.blocks = blocks;
+  for (auto& [name, v] : samples) rows.ns_per_block[name] = mhhea::util::quartiles(v);
+  return rows;
+}
+
 /// Strict decimal/0x-hex u64 parse: the whole string must be consumed and
 /// the value must fit — trailing garbage ("4x") and overflow are errors, so
 /// a recorded --seed always reproduces the run.
@@ -317,7 +429,7 @@ std::string json_escape(const std::string& s) {
 }
 
 void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                int max_threads, int max_shards) {
+                const StageRows& stages, int max_threads, int max_shards) {
   std::ostringstream os;
   os.precision(6);
   os << "{\n";
@@ -548,6 +660,17 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     }
   }
   os << "},\n";
+  os << "  \"stages\": {\"vector_bits\": 16, \"policy\": \"framed\", \"msg_bytes\": "
+     << kStageBytes << ", \"blocks\": " << stages.blocks << ", \"ns_per_block\": {";
+  {
+    bool first = true;
+    for (const auto& [name, q] : stages.ns_per_block) {
+      os << (first ? "" : ", ") << "\"" << name << "\": {\"median\": " << q.median
+         << ", \"q25\": " << q.q25 << ", \"q75\": " << q.q75 << "}";
+      first = false;
+    }
+  }
+  os << "}},\n";
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
@@ -675,7 +798,12 @@ int main(int argc, char** argv) try {
     }
   }
 
-  write_json(out_path, cells, max_threads, max_shards);
+  const StageRows stages = run_stages(reps);
+  for (const auto& [name, q] : stages.ns_per_block) {
+    std::cout << "stage " << name << " (N=16 framed, " << kStageBytes << " B random): " << q.median
+              << " ns/block median (quartiles " << q.q25 << ".." << q.q75 << ")\n";
+  }
+  write_json(out_path, cells, stages, max_threads, max_shards);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 } catch (const std::exception& e) {

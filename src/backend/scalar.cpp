@@ -1,7 +1,7 @@
-// The scalar engine: the leap-table chains (extracted from the PR-2/PR-4
-// paths in lfsr.cpp and yaea.cpp) and the block-at-a-time apply kernels
-// behind the Backend interface. One lane — the engine of record on hosts
-// without SIMD, and the remainder engine the vector backends defer to.
+// The scalar engine: the leap-table chains (the word-at-a-time paths of
+// lfsr.cpp and yaea.cpp) and the block-at-a-time plan, schedule and apply
+// kernels behind the Backend interface. One lane — the engine of record on
+// hosts without SIMD, and the remainder engine the vector backends defer to.
 
 #include "src/backend/backend.hpp"
 #include "src/backend/kernels.hpp"
@@ -27,7 +27,23 @@ class ScalarBackend final : public Backend {
     detail::geffe_units_scalar(k, a, b, c, n_lanes, in, out, per_lane);
   }
 
-  void embed_blocks(int vector_bits, const ApplyBatch& b, const std::uint64_t* covers,
+  void plan_blocks(const KeyTables& k, std::uint64_t first, const std::uint8_t* blocks,
+                   std::size_t n, Transfer& t) const override {
+    detail::with_layout(k, [&]<int N, bool Framed>() {
+      detail::plan_blocks_scalar<N, Framed>(k, first, blocks, n, t);
+    });
+  }
+
+  std::size_t schedule_blocks(const KeyTables& k, Cursor& at, std::uint64_t end,
+                              const std::uint8_t* blocks, std::size_t n,
+                              ApplyBatch& b) const override {
+    const std::uint64_t base = at.bit & ~std::uint64_t{7};
+    return detail::with_layout(k, [&]<int N, bool Framed>() {
+      return detail::schedule_blocks_scalar<N, Framed>(k, at, end, blocks, n, b, 0, base);
+    });
+  }
+
+  void embed_blocks(int vector_bits, const ApplyBatch& b, const std::uint8_t* covers,
                     std::span<const std::uint8_t> msg, std::uint8_t* out) const override {
     util::with_vector_bits(vector_bits, [&]<int N>() {
       detail::embed_blocks_scalar<N>(b, covers, msg, out);

@@ -1,5 +1,6 @@
 // The per-block MHHEA transform — pure functions, the normative reference
-// for the RTL and gate-level models.
+// for every block kernel (core/walk.hpp's tables and the backend's plan,
+// schedule and apply kernels).
 //
 // Paper §II, resolved against the Fig. 8 worked example:
 //   1. canonicalise the key pair: K1 <= K2, d = K2 - K1;
@@ -20,9 +21,9 @@
 // is two shifted extracts, and embed/extract move the whole w-bit message
 // word with one mask operation — the software analogue of the FPGA
 // manipulating the full hiding vector per clock. scramble_range is the
-// normative reference: the whole-message walks (walk.hpp) tabulate it once
-// per key pair and look ranges up, and embed/extract_bits_with_pattern are
-// the per-block operations those walks run.
+// normative reference: walk.hpp tabulates it once per key pair and the
+// backend kernels look ranges up, and embed/extract_bits_with_pattern are
+// the per-block operations the scalar apply kernels run.
 #pragma once
 
 #include <cassert>

@@ -16,10 +16,11 @@
 //
 // Every encrypt, decrypt and size query runs the chunk pipeline of
 // shard.hpp with one shard (the sharded entry points run it with more):
-// cover vectors come from the LFSR in bounded refills, each block costs one
-// range-table lookup in the schedule step, and the backend's apply kernels
-// embed or extract eight blocks per AVX2 instruction. Both cores are
-// reusable across messages, so adapters amortize construction.
+// cover vectors come from the LFSR in bounded refills, the backend's
+// schedule kernel looks up every block's range (sixteen blocks per step on
+// AVX2 at N=16), and its apply kernels embed or extract eight blocks per
+// AVX2 instruction. Both cores are reusable across messages, so adapters
+// amortize construction.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +78,7 @@ class Encryptor {
   Key key_;
   mutable LfsrCover cover_;  // warmed on first use; its position never moves
   BlockParams params_;
-  std::vector<detail::PairCtx> pair_ctx_;
+  detail::KeyTables tables_;
 };
 
 /// Whole-message decryptor. The message bit length must be known
@@ -86,10 +87,14 @@ class Encryptor {
 /// number of messages of any lengths.
 class Decryptor {
  public:
-  /// `message_bits` is unused: each decrypt_into call takes the length of
-  /// its own message. The parameter stays for source compatibility.
-  Decryptor(Key key, std::uint64_t message_bits, BlockParams params = BlockParams::paper(),
-            Scheme scheme = Scheme::mhhea);
+  /// Each decrypt_into call takes the length of its own message.
+  explicit Decryptor(const Key& key, BlockParams params = BlockParams::paper(),
+                     Scheme scheme = Scheme::mhhea);
+  /// The earlier form with an unused message length, still called by the
+  /// repository benchmark's layer probe (perfbench/src/layers.cpp).
+  Decryptor(const Key& key, std::uint64_t /*message_bits*/, BlockParams params,
+            Scheme scheme = Scheme::mhhea)
+      : Decryptor(key, params, scheme) {}
 
   /// Decrypt the whole ciphertext of a `message_bits`-bit message straight
   /// into the caller's buffer (zero-padded to whole bytes) and return the
@@ -107,7 +112,7 @@ class Decryptor {
 
  private:
   BlockParams params_;
-  std::vector<detail::PairCtx> pair_ctx_;
+  detail::KeyTables tables_;
 };
 
 // ----------------------------------------------------------------------

@@ -15,11 +15,10 @@ namespace mhhea::core {
 namespace {
 
 using backend::ApplyBatch;
-using detail::ChunkPlanner;
-using detail::Cursor;
-using detail::PairCtx;
-using detail::Transfer;
-using Pairs = std::span<const PairCtx>;
+using backend::Cursor;
+using backend::KeyTables;
+using backend::PairCtx;
+using backend::Transfer;
 
 constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
 constexpr std::uint64_t ceil8(std::uint64_t bit) { return (bit + 7) & ~std::uint64_t{7}; }
@@ -28,6 +27,16 @@ constexpr std::uint64_t ceil8(std::uint64_t bit) { return (bit + 7) & ~std::uint
 /// and long enough for the LFSR's multi-lane path.
 constexpr std::size_t kCoverRefill = 2048;
 using CoverBuf = std::array<std::uint64_t, kCoverRefill>;
+
+/// The next `n` (<= kCoverRefill) vectors of `cover`, generated into
+/// `buf` and serialized as N-bit blocks at `dst` — which may be `buf`'s own
+/// bytes: a block is no wider than its word, so serializing front to back
+/// never overwrites a word before it is read.
+template <int N>
+void next_covers(LfsrCover& cover, CoverBuf& buf, std::uint8_t* dst, std::size_t n) {
+  (void)cover.next_blocks(N, std::span(buf.data(), n));
+  for (std::size_t i = 0; i < n; ++i) backend::detail::store_block<N>(dst, i, buf[i]);
+}
 
 /// Automatic chunking: this many chunks per shard, so the claiming threads
 /// share the work evenly, and never fewer than kMinChunkBlocks blocks per
@@ -52,11 +61,11 @@ void validate_sharded(const Key& key, int n_shards, const BlockParams& params,
 /// policy a frame's last block is capped to the bits left in it, so a frame
 /// of `budget` bits takes blocks(budget) = 1 + mean over widths w of
 /// blocks(budget - w), with blocks(b <= 0) = 0.
-std::uint64_t expected_blocks(Pairs pairs, const BlockParams& params, std::uint64_t bits) {
-  const auto entries = static_cast<double>(pairs.size()) * params.half();
+std::uint64_t expected_blocks(const KeyTables& k, const BlockParams& params, std::uint64_t bits) {
+  const auto entries = static_cast<double>(k.pairs.size()) * params.half();
   const auto mean_over_widths = [&](auto&& f) {
     double sum = 0;
-    for (const PairCtx& pc : pairs) {
+    for (const PairCtx& pc : k.pairs) {
       for (int i = 0; i < params.half(); ++i) sum += f(pc.range[static_cast<std::size_t>(i)].width);
     }
     return sum / entries;
@@ -221,76 +230,85 @@ Cursor run_pipeline(const Job& job, const Shape& s, exec::Executor* ex, const Ho
   return chunks[used - 1].exit;
 }
 
-/// Run `f.template operator()<N, Framed>()` for the vector width and framing
-/// policy of `params` — the one dispatch per call.
-template <class F>
-decltype(auto) with_layout(const BlockParams& params, F&& f) {
-  return util::with_vector_bits(params.vector_bits, [&]<int N>() -> decltype(auto) {
-    if (params.policy == FramePolicy::framed) return f.template operator()<N, true>();
-    return f.template operator()<N, false>();
-  });
-}
-
 // ------------------------------------------------------------- encryption
 
 /// Encrypt (or, with a null `out`, size): covers from the LFSR, each chunk's
 /// plan from its own cover copy jumped to the chunk's first block, and its
 /// apply embedding into the chunk's disjoint block range of `out`.
-template <int N, bool Framed>
+template <int N>
 struct EncryptJob {
-  Pairs pairs;
+  const KeyTables& k;
   const LfsrCover& base;  // at block 0, warmed
   std::span<const std::uint8_t> msg;
   std::uint8_t* out;
+  std::uint64_t certain;  // a chunk ending at or below this block plans into `out`
 
-  /// The cover at the chunk's first block, left there by the chunk's plan
-  /// (the single-chunk walk, which has no plan, seeks its own).
-  using State = std::optional<LfsrCover>;
+  /// What a chunk's plan leaves its apply: its covers in `out`, or the
+  /// cover at its first block (the single-chunk walk, which has no plan,
+  /// seeks its own).
+  struct State {
+    bool in_place = false;
+    std::optional<LfsrCover> cover;
+  };
 
   Transfer plan(std::uint64_t first, std::uint64_t count, State& state) const {
     LfsrCover cover = base;
     cover.skip_blocks(N, first);
-    state = cover;
-    ChunkPlanner<N, Framed> planner(pairs, first);
+    state.in_place = out != nullptr && first + count <= certain;
+    if (!state.in_place) state.cover = cover;
+    const backend::Backend& engine = backend::active();
+    Transfer t;
     CoverBuf buf;
     for (std::uint64_t done = 0; done < count;) {
-      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(buf.size(), count - done));
-      (void)cover.next_blocks(N, std::span(buf.data(), n));
-      planner.feed(buf.data(), n);
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kCoverRefill, count - done));
+      std::uint8_t* covers = state.in_place ? out + (first + done) * (N / 8)
+                                            : reinterpret_cast<std::uint8_t*>(buf.data());
+      next_covers<N>(cover, buf, covers, n);
+      engine.plan_blocks(k, first + done, covers, n, t);
       done += n;
     }
-    return planner.finish();
+    return t;
   }
 
   /// Embed blocks [at.block, at.block + count) from message bit at.bit,
-  /// stopping at bit `end`; leaves the cover where the walk stopped in
-  /// `state`.
+  /// stopping at bit `end`; a regenerating walk leaves its cover where it
+  /// stopped in `state`.
   Cursor walk(Cursor at, std::uint64_t count, std::uint64_t end, State* state,
               std::uint64_t /*through*/) const {
-    if (!state->has_value()) {
-      *state = base;
-      (*state)->skip_blocks(N, at.block);
-    }
-    LfsrCover& cover = **state;
     const backend::Backend& engine = backend::active();
-    CoverBuf buf;
     ApplyBatch batch;
     const std::uint64_t stop = at.block + count;
+    // Schedule and embed `n` blocks whose covers are at `covers`.
+    const auto apply = [&](const std::uint8_t* covers, std::uint64_t n) {
+      for (std::uint64_t i = 0; i < n && at.bit < end; i += batch.n) {
+        const Cursor from = at;
+        const std::uint8_t* c = covers + i * (N / 8);
+        (void)engine.schedule_blocks(k, at, end, c,
+                                     static_cast<std::size_t>(std::min<std::uint64_t>(
+                                         backend::kApplyBatch, n - i)),
+                                     batch);
+        if (out != nullptr) {
+          engine.embed_blocks(N, batch, c, msg.subspan(from.bit / 8), out + from.block * (N / 8));
+        }
+      }
+    };
+    if (state->in_place) {
+      apply(out + at.block * (N / 8), count);
+      return at;
+    }
+    if (!state->cover) {
+      state->cover = base;
+      state->cover->skip_blocks(N, at.block);
+    }
+    CoverBuf buf;
+    const auto* covers = reinterpret_cast<std::uint8_t*>(buf.data());
     while (at.block < stop && at.bit < end) {
       // Only covers certain to be used (a block takes at most N/2 bits), so
       // short messages do not pay for a whole refill.
       const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
-          {buf.size(), stop - at.block, std::max<std::uint64_t>((end - at.bit) / (N / 2), 1)}));
-      (void)cover.next_blocks(N, std::span(buf.data(), n));
-      for (std::size_t i = 0; i < n && at.bit < end; i += batch.n) {
-        const Cursor from = at;
-        (void)detail::schedule<N, Framed>(pairs, at, end, buf.data() + i,
-                                          std::min(backend::kApplyBatch, n - i), batch);
-        if (out != nullptr) {
-          engine.embed_blocks(N, batch, buf.data() + i, msg.subspan(from.bit / 8),
-                              out + from.block * (N / 8));
-        }
-      }
+          {kCoverRefill, stop - at.block, std::max<std::uint64_t>((end - at.bit) / (N / 2), 1)}));
+      next_covers<N>(*state->cover, buf, reinterpret_cast<std::uint8_t*>(buf.data()), n);
+      apply(covers, n);
     }
     return at;
   }
@@ -299,7 +317,7 @@ struct EncryptJob {
 /// The encrypt pipeline. `out` null: size only. Returns the ciphertext
 /// blocks; throws std::length_error (`who`) when `room` blocks cannot hold
 /// them.
-std::uint64_t encrypt_blocks(Pairs pairs, const BlockParams& params, const LfsrCover& cover,
+std::uint64_t encrypt_blocks(const KeyTables& k, const BlockParams& params, const LfsrCover& cover,
                              std::span<const std::uint8_t> msg, std::uint64_t bits,
                              std::uint8_t* out, std::uint64_t room, int n_shards,
                              exec::Executor* ex, std::uint64_t chunk_blocks, const char* who,
@@ -308,7 +326,7 @@ std::uint64_t encrypt_blocks(Pairs pairs, const BlockParams& params, const LfsrC
   // Every block takes at least one bit, so `bits` blocks always suffice.
   const std::uint64_t limit = std::min(room, bits);
   const Shape shape = make_shape(bits, limit, n_shards, ex, chunk_blocks,
-                                 [&] { return expected_blocks(pairs, params, bits); });
+                                 [&] { return expected_blocks(k, params, bits); });
   LfsrCover base = cover;
   base.reset();
   if (shape.chunk < limit) base.warm();  // the chunks' copies share its tables
@@ -318,9 +336,10 @@ std::uint64_t encrypt_blocks(Pairs pairs, const BlockParams& params, const LfsrC
   };
   Hooks hooks;
   if (absorb) hooks.absorb = absorb_blocks;
-  const Cursor end = with_layout(params, [&]<int N, bool Framed>() {
-    return run_pipeline<N, Framed>(EncryptJob<N, Framed>{pairs, base, msg, out}, shape, ex,
-                                   hooks);
+  const std::uint64_t certain =
+      out != nullptr && shape.chunk < limit ? std::min(limit, detail::certain_blocks(k, bits)) : 0;
+  const Cursor end = backend::detail::with_layout(k, [&]<int N, bool Framed>() {
+    return run_pipeline<N, Framed>(EncryptJob<N>{k, base, msg, out, certain}, shape, ex, hooks);
   });
   if (end.bit < bits) throw std::length_error(std::string(who) + ": output buffer too small");
   return end.block;
@@ -334,9 +353,9 @@ std::uint64_t encrypt_blocks(Pairs pairs, const BlockParams& params, const LfsrC
 /// a byte boundary through the next chunk's entry rounded up likewise (it
 /// walks on a few blocks past its own to get there): every byte of `out`
 /// has exactly one writer.
-template <int N, bool Framed>
+template <int N>
 struct DecryptJob {
-  Pairs pairs;
+  const KeyTables& k;
   std::span<const std::uint8_t> cipher;
   const std::span<std::uint8_t>& out;  // ceil(total bits / 8) bytes, set by the gate
   std::uint64_t n_blocks;
@@ -344,9 +363,10 @@ struct DecryptJob {
   struct State {};
 
   Transfer plan(std::uint64_t first, std::uint64_t count, State& /*state*/) const {
-    ChunkPlanner<N, Framed> planner(pairs, first);
-    planner.feed(cipher.data() + first * (N / 8), static_cast<std::size_t>(count));
-    return planner.finish();
+    Transfer t;
+    backend::active().plan_blocks(k, first, cipher.data() + first * (N / 8),
+                                  static_cast<std::size_t>(count), t);
+    return t;
   }
 
   /// Extract blocks [at.block, at.block + count) from message bit at.bit,
@@ -377,8 +397,7 @@ struct DecryptJob {
       const Cursor from = at;
       const std::uint8_t* blocks = cipher.data() + from.block * (N / 8);
       const auto n = std::min<std::uint64_t>(backend::kApplyBatch, stop - from.block);
-      (void)detail::schedule<N, Framed>(pairs, at, end, blocks, static_cast<std::size_t>(n),
-                                        batch);
+      (void)engine.schedule_blocks(k, at, end, blocks, static_cast<std::size_t>(n), batch);
       engine.extract_blocks(N, batch, blocks, vals.data());
       std::size_t i = 0;
       const std::uint64_t base = from.bit & ~std::uint64_t{7};
@@ -410,24 +429,35 @@ struct DecryptJob {
 
 }  // namespace
 
-std::uint64_t detail::encrypt_chunked(Pairs pairs, const BlockParams& params,
+std::uint64_t detail::certain_blocks(const KeyTables& k, std::uint64_t message_bits) {
+  std::uint64_t cycle = 0;  // the most bits one key cycle can take
+  for (const PairCtx& pc : k.pairs) {
+    const auto h = static_cast<std::ptrdiff_t>(k.vector_bits / 2);
+    cycle += std::max_element(pc.range.begin(), pc.range.begin() + h,
+                              [](const auto& a, const auto& b) { return a.width < b.width; })
+                 ->width;
+  }
+  return (message_bits - 1) / cycle * k.pairs.size();
+}
+
+std::uint64_t detail::encrypt_chunked(const KeyTables& k, const BlockParams& params,
                                       const LfsrCover& cover, std::span<const std::uint8_t> msg,
                                       std::uint64_t message_bits, std::span<std::uint8_t> out,
                                       int n_shards, exec::Executor* ex, std::uint64_t chunk_blocks,
                                       const char* who, ByteSink absorb) {
   const auto bb = static_cast<std::size_t>(params.block_bytes());
-  return bb * encrypt_blocks(pairs, params, cover, msg, message_bits, out.data(),
+  return bb * encrypt_blocks(k, params, cover, msg, message_bits, out.data(),
                              out.size() / bb, n_shards, ex, chunk_blocks, who, absorb);
 }
 
-std::uint64_t detail::cipher_bytes(Pairs pairs, const BlockParams& params,
+std::uint64_t detail::cipher_bytes(const KeyTables& k, const BlockParams& params,
                                    const LfsrCover& cover, std::uint64_t message_bits) {
   return static_cast<std::uint64_t>(params.block_bytes()) *
-         encrypt_blocks(pairs, params, cover, {}, message_bits, nullptr, message_bits, 1,
+         encrypt_blocks(k, params, cover, {}, message_bits, nullptr, message_bits, 1,
                         nullptr, 0, "cipher_bytes", {});
 }
 
-std::size_t detail::decrypt_chunked(Pairs pairs, const BlockParams& params,
+std::size_t detail::decrypt_chunked(const KeyTables& k, const BlockParams& params,
                                     std::span<const std::uint8_t> cipher,
                                     std::uint64_t message_bits, OutputGate out, int n_shards,
                                     exec::Executor* ex, std::uint64_t chunk_blocks,
@@ -451,9 +481,9 @@ std::size_t detail::decrypt_chunked(Pairs pairs, const BlockParams& params,
   if (message_bits > 0 && n_blocks > 0) {
     const Shape shape =
         make_shape(message_bits, n_blocks, n_shards, ex, chunk_blocks, [&] { return n_blocks; });
-    end = with_layout(params, [&]<int N, bool Framed>() {
-      return run_pipeline<N, Framed>(DecryptJob<N, Framed>{pairs, cipher, dest, n_blocks}, shape,
-                                     ex, Hooks{gate, {}});
+    end = backend::detail::with_layout(k, [&]<int N, bool Framed>() {
+      return run_pipeline<N, Framed>(DecryptJob<N>{k, cipher, dest, n_blocks}, shape, ex,
+                                     Hooks{gate, {}});
     });
   } else {
     gate();
@@ -473,12 +503,12 @@ std::vector<std::uint8_t> encrypt_sharded(std::span<const std::uint8_t> msg, con
                                           exec::Executor* ex, BlockParams params,
                                           Scheme scheme) {
   validate_sharded(key, n_shards, params, "encrypt_sharded");
-  const std::vector<PairCtx> pairs = detail::pair_tables(key, params, scheme);
+  const KeyTables k = detail::pair_tables(key, params, scheme);
   const auto bits = static_cast<std::uint64_t>(msg.size()) * 8;
   // Sized exactly by the single-shard pipeline (plan only).
   std::vector<std::uint8_t> out(
-      static_cast<std::size_t>(detail::cipher_bytes(pairs, params, cover, bits)));
-  (void)detail::encrypt_chunked(pairs, params, cover, msg, bits, out, n_shards, ex, 0,
+      static_cast<std::size_t>(detail::cipher_bytes(k, params, cover, bits)));
+  (void)detail::encrypt_chunked(k, params, cover, msg, bits, out, n_shards, ex, 0,
                                 "encrypt_sharded");
   return out;
 }

@@ -13,21 +13,28 @@
 //   1. plan (parallel) — the chunk computes its widths on its own: on
 //      encrypt from an LfsrCover copy jumped to the chunk's first block, on
 //      decrypt from the ciphertext blocks' unmodified high halves. From them
-//      it builds a transfer function (walk.hpp's ChunkPlanner): for every
+//      the backend's plan kernel builds a transfer function: for every
 //      entry frame phase, the message bits the chunk takes. Under the
 //      continuous policy that is a width sum.
 //   2. compose (serial) — one step per chunk turns the previous chunk's
 //      exit into this chunk's entry bit, and finds the chunk the message
 //      ends in.
-//   3. apply (parallel) — the chunk walks from its entry bit: the schedule
-//      step (walk.hpp) fixes every block's range, width and bit offset, and
-//      the backend's embed/extract kernels (scalar or AVX2) move the bits.
+//   3. apply (parallel) — the chunk walks from its entry bit: the backend's
+//      schedule kernel fixes every block's range, width and bit offset, and
+//      its embed/extract kernels move the bits.
 // Each step is one round over the chunks: plan fans out on the executor,
 // compose runs on the calling thread, apply fans out again. Chunks outnumber
 // shards and the calling thread claims them alongside the helpers, so a
 // helper that wakes late finds the work done. With one shard (or no
 // executor) the whole message is one chunk: the sequential walk, with no
 // plan. Plan scratch is one transfer table per chunk.
+//
+// Encrypt generates each cover once. The ciphertext is sure to hold every
+// whole key cycle whose widest ranges cannot take the whole message
+// (certain_blocks), so the plan of a chunk that ends below that count
+// writes its covers straight into the output, and its apply embeds them in
+// place. The other chunks' applies regenerate their covers
+// from a cover copy, so nothing past the ciphertext is ever written.
 //
 // The sealed container's MAC rides the same rounds, while core stays
 // MAC-agnostic: an encrypt takes an in-order ByteSink that the apply round
@@ -107,12 +114,12 @@ std::size_t decrypt_sharded_into(std::span<const std::uint8_t> cipher, const Key
 namespace detail {
 
 /// The pipeline's encrypt: the first `message_bits` bits of `msg` under
-/// `pairs`, covers from `cover`'s seed, into `out`, each finished stretch of
+/// `k`, covers from `cover`'s seed, into `out`, each finished stretch of
 /// ciphertext handed to `absorb`. Returns the ciphertext bytes; throws
 /// std::length_error ("<who>: output buffer too small"). `chunk_blocks` > 0
 /// forces the chunk size (tests cut chunks mid-frame with it); 0 picks it
 /// from `n_shards`.
-std::uint64_t encrypt_chunked(std::span<const PairCtx> pairs, const BlockParams& params,
+std::uint64_t encrypt_chunked(const KeyTables& k, const BlockParams& params,
                               const LfsrCover& cover, std::span<const std::uint8_t> msg,
                               std::uint64_t message_bits, std::span<std::uint8_t> out,
                               int n_shards, exec::Executor* ex, std::uint64_t chunk_blocks,
@@ -121,8 +128,14 @@ std::uint64_t encrypt_chunked(std::span<const PairCtx> pairs, const BlockParams&
 /// The exact ciphertext bytes encrypt_chunked writes: the single-shard
 /// pipeline with the embed left out (cover generation plus the schedule
 /// step — cheap enough to size a buffer, not free).
-std::uint64_t cipher_bytes(std::span<const PairCtx> pairs, const BlockParams& params,
+std::uint64_t cipher_bytes(const KeyTables& k, const BlockParams& params,
                            const LfsrCover& cover, std::uint64_t message_bits);
+
+/// Blocks certain to be in the ciphertext of a `message_bits`-bit message
+/// (> 0) under `k`: the whole key cycles whose widest ranges sum to fewer
+/// bits than the message. A chunk that ends at or below it is planned with
+/// its covers written into the output.
+std::uint64_t certain_blocks(const KeyTables& k, std::uint64_t message_bits);
 
 /// The pipeline's decrypt: the `message_bits`-bit message of `cipher` into
 /// the span `out()` returns (zero-padded to whole bytes). Returns
@@ -131,7 +144,7 @@ std::uint64_t cipher_bytes(std::span<const PairCtx> pairs, const BlockParams& pa
 /// the span is too small; std::invalid_argument on truncated or trailing
 /// ciphertext (messages prefixed with `who`). `chunk_blocks` as for
 /// encrypt_chunked.
-std::size_t decrypt_chunked(std::span<const PairCtx> pairs, const BlockParams& params,
+std::size_t decrypt_chunked(const KeyTables& k, const BlockParams& params,
                             std::span<const std::uint8_t> cipher, std::uint64_t message_bits,
                             OutputGate out, int n_shards, exec::Executor* ex,
                             std::uint64_t chunk_blocks, const char* who);

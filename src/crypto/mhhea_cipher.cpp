@@ -46,12 +46,13 @@ MhheaCipher::MhheaCipher(core::Key key, std::uint64_t seed, const V2KeySchedule&
            core::LfsrCover(params_.vector_bits,
                            framing == Framing::sealed_v2 ? v2_cover_seed(0) : seed),
            params_, scheme_),
-      dec_(key_, 0, params_, scheme_) {
+      dec_(key_, params_, scheme_) {
   // expansion() and max_ciphertext_size() read the walk's own tables: the
   // mean width over every (pair, field) entry, and per pair the minimum.
   const auto h = static_cast<std::size_t>(params_.half());
   std::uint64_t width_sum = 0;
-  for (const core::detail::PairCtx& pc : core::detail::pair_tables(key_, params_, scheme_)) {
+  const core::detail::KeyTables tables = core::detail::pair_tables(key_, params_, scheme_);
+  for (const backend::PairCtx& pc : tables.pairs) {
     std::uint64_t min_width = pc.range[0].width;
     for (std::size_t field = 0; field < h; ++field) {
       width_sum += pc.range[field].width;

@@ -1,10 +1,11 @@
 // Linear Feedback Shift Registers (Fibonacci and Galois forms).
 //
 // This is the paper's "Random Number Generator" module (§3.6): the hiding
-// vector V is read from a maximal-length LFSR. Both the software reference
-// model (src/core) and the RTL/netlist models (src/arch, src/gates) step the
-// *same* Fibonacci LFSR so ciphertexts are bit-exact across all three levels
-// of the stack — that equivalence is what the co-simulation tests check.
+// vector V is read from a maximal-length LFSR. step() is the normative
+// bit-serial register; every faster path (the leap tables behind
+// next_block, the jump matrices, the backend's multi-lane kernels) is
+// derived from it by probing, so LfsrCover's covers are bit-exact with it
+// (lfsr_test.cpp and the reference-model sweep pin this).
 //
 // Stepping conventions (derived from the polynomial, see lfsr_test.cpp):
 //   state bit i holds sequence element s_{n+i}; the oldest bit (s_n) is

@@ -1,8 +1,10 @@
 // Backend seam tests: dispatch rules (cpuid gating, MHHEA_BACKEND override,
 // graceful fallback), and differential parity between the forced scalar and
 // SIMD engines — raw Lfsr block generation, the Geffe keystream (bulk,
-// fused-XOR, serial interleaving), the MHHEA/HHEA apply kernels (embed and
-// extract, byte for byte), every registry cipher across sizes and shard
+// fused-XOR, serial interleaving), the MHHEA/HHEA plan and schedule kernels
+// (every transfer entry, every batch field and the cursor), the apply
+// kernels (embed and extract, byte for byte), every registry cipher across
+// sizes and shard
 // counts with cross-backend encrypt/decrypt, and the continuous sharded
 // decrypt on an explicit pool. SIMD-side cases skip
 // cleanly when the host (or build) has no AVX2 engine, so the suite is
@@ -21,6 +23,7 @@
 #include "src/core/mhhea.hpp"
 #include "src/core/params.hpp"
 #include "src/core/shard.hpp"
+#include "src/core/walk.hpp"
 #include "src/crypto/registry.hpp"
 #include "src/crypto/yaea.hpp"
 #include "src/lfsr/lfsr.hpp"
@@ -175,8 +178,7 @@ TEST(BackendParity, ApplyKernelsMatchScalarByteForByte) {
     for (const std::size_t n : sizes) {
       for (const std::uint32_t first : {0u, 3u, 7u}) {
         const backend::ApplyBatch b = random_batch(rng, n_bits, n, first);
-        std::vector<std::uint64_t> covers(n);
-        for (auto& c : covers) c = rng.next() & (n_bits == 64 ? ~0ull : (1ull << n_bits) - 1);
+        const auto covers = random_message(rng, n * bb);
         // The message span ends right after the batch's last bit, so the
         // vector engine's gathers meet the span end and must fall back.
         const std::uint32_t end_bit = n > 0 ? b.offset[n - 1] + b.width[n - 1] : first;
@@ -186,6 +188,11 @@ TEST(BackendParity, ApplyKernelsMatchScalarByteForByte) {
         scalar.embed_blocks(n_bits, b, covers.data(), msg, out_s.data());
         avx2.embed_blocks(n_bits, b, covers.data(), msg, out_a.data());
         EXPECT_EQ(out_a, out_s) << "embed N=" << n_bits << " n=" << n << " first=" << first;
+        // In place (covers already in the output) writes the same blocks.
+        std::vector<std::uint8_t> in_place(n * bb + 8, 0xEE);
+        std::copy(covers.begin(), covers.end(), in_place.begin());
+        avx2.embed_blocks(n_bits, b, in_place.data(), msg, in_place.data());
+        EXPECT_EQ(in_place, out_s) << "in place N=" << n_bits << " n=" << n;
         // Nothing past the batch's blocks is written.
         EXPECT_TRUE(std::all_of(out_a.end() - 8, out_a.end(),
                                 [](std::uint8_t x) { return x == 0xEE; }));
@@ -202,6 +209,106 @@ TEST(BackendParity, ApplyKernelsMatchScalarByteForByte) {
             want |= static_cast<std::uint64_t>((msg[pos / 8] >> (pos % 8)) & 1) << t;
           }
           ASSERT_EQ(bits_s[i], want) << "N=" << n_bits << " n=" << n << " block " << i;
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------ plan and schedule
+
+/// Random keys of 1..16 pairs (every pair count, so counts that do not
+/// divide 16 put every pair phase at a sub-batch start) under both schemes.
+std::vector<core::detail::KeyTables> kernel_keys(util::Xoshiro256& rng,
+                                                 const core::BlockParams& params) {
+  std::vector<core::detail::KeyTables> keys;
+  for (int pairs = 1; pairs <= core::Key::kMaxPairs; ++pairs) {
+    const core::Key key = core::Key::random(rng, pairs, params);
+    for (const core::Scheme scheme : {core::Scheme::mhhea, core::Scheme::hhea}) {
+      keys.push_back(core::detail::pair_tables(key, params, scheme));
+    }
+  }
+  return keys;
+}
+
+const core::BlockParams kKernelParams[] = {core::BlockParams::hardware(),
+                                           core::BlockParams::paper(),
+                                           core::BlockParams{32, core::FramePolicy::framed},
+                                           core::BlockParams{64, core::FramePolicy::continuous}};
+
+/// Batch lengths around the 16-block sub-batch and the 32/64-block steps.
+constexpr std::size_t kKernelLengths[] = {0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 255, 256};
+
+TEST(BackendParity, PlanKernelMatchesScalarOnEveryTransferEntry) {
+  if (!avx2_usable()) GTEST_SKIP() << "no avx2 engine on this host/build";
+  const backend::Backend& scalar = *backend::by_name("scalar");
+  const backend::Backend& avx2 = *backend::by_name("avx2");
+  util::Xoshiro256 rng(0x9A11);
+  for (const core::BlockParams& params : kKernelParams) {
+    const auto bb = static_cast<std::size_t>(params.block_bytes());
+    for (const auto& k : kernel_keys(rng, params)) {
+      for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{31},
+                                  std::size_t{32}, std::size_t{33}, std::size_t{64},
+                                  std::size_t{97}, std::size_t{255}, std::size_t{2048},
+                                  std::size_t{9000}}) {
+        const auto blocks = random_message(rng, n * bb);
+        const std::uint64_t first = rng.below(1000);
+        // A running transfer: lane p enters at phase (p + bits[p]) mod N,
+        // so random starting counts put every lane at every entry phase.
+        backend::Transfer t_s;
+        for (auto& b : t_s.bits) b = rng.below(1u << 20);
+        backend::Transfer t_a = t_s;
+        scalar.plan_blocks(k, first, blocks.data(), n, t_s);
+        avx2.plan_blocks(k, first, blocks.data(), n, t_a);
+        for (std::size_t p = 0; p < t_s.bits.size(); ++p) {
+          ASSERT_EQ(t_a.bits[p], t_s.bits[p])
+              << "N=" << params.vector_bits << " pairs=" << k.pairs.size() << " n=" << n
+              << " phase=" << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendParity, ScheduleKernelMatchesScalarOnEveryBatchField) {
+  if (!avx2_usable()) GTEST_SKIP() << "no avx2 engine on this host/build";
+  const backend::Backend& scalar = *backend::by_name("scalar");
+  const backend::Backend& avx2 = *backend::by_name("avx2");
+  util::Xoshiro256 rng(0x5C4E);
+  // Bits left to the message end: none, inside the last frame or two (the
+  // scalar tail), and around the reach of the 32- and 64-block steps, so
+  // cursors enter the last two frames in the middle of a batch.
+  const std::uint64_t remaining[] = {0,   1,   9,   16,  31,  33,  100, 255,
+                                     256, 257, 300, 511, 512, 513, 700, 5000};
+  for (const core::BlockParams& params : kKernelParams) {
+    const auto bb = static_cast<std::size_t>(params.block_bytes());
+    for (const auto& k : kernel_keys(rng, params)) {
+      for (const std::size_t n : kKernelLengths) {
+        const auto blocks = random_message(rng, n * bb);
+        for (std::uint64_t phase = 0; phase < 16; ++phase) {
+          const std::uint64_t left = remaining[rng.below(std::size(remaining))];
+          backend::Cursor at_s{rng.below(1000), 64 * rng.below(1000) + phase};
+          backend::Cursor at_a = at_s;
+          const std::uint64_t end = at_s.bit + left;
+          backend::ApplyBatch b_s;
+          backend::ApplyBatch b_a;
+          const std::size_t got_s = scalar.schedule_blocks(k, at_s, end, blocks.data(), n, b_s);
+          const std::size_t got_a = avx2.schedule_blocks(k, at_a, end, blocks.data(), n, b_a);
+          const auto where = [&] {
+            return "N=" + std::to_string(params.vector_bits) +
+                   " pairs=" + std::to_string(k.pairs.size()) + " n=" + std::to_string(n) +
+                   " phase=" + std::to_string(phase) + " left=" + std::to_string(left);
+          };
+          ASSERT_EQ(got_a, got_s) << where();
+          ASSERT_EQ(b_a.n, b_s.n) << where();
+          ASSERT_EQ(at_a.block, at_s.block) << where();
+          ASSERT_EQ(at_a.bit, at_s.bit) << where();
+          for (std::size_t i = 0; i < b_s.n; ++i) {
+            ASSERT_EQ(b_a.kn1[i], b_s.kn1[i]) << where() << " block " << i;
+            ASSERT_EQ(b_a.width[i], b_s.width[i]) << where() << " block " << i;
+            ASSERT_EQ(b_a.pattern[i], b_s.pattern[i]) << where() << " block " << i;
+            ASSERT_EQ(b_a.offset[i], b_s.offset[i]) << where() << " block " << i;
+          }
         }
       }
     }

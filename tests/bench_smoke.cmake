@@ -130,4 +130,12 @@ string(JSON z_random GET "${doc}" expansion MHHEA-sealed-v2-z random)
 if(NOT z_text LESS z_random)
   message(FATAL_ERROR "bench_smoke: -z text expansion ${z_text} not below its random expansion ${z_random}")
 endif()
+# The stage rows: per-block ns of every chunk-pipeline stage at N=16 framed,
+# each present and positive.
+foreach(stage cover plan schedule embed extract)
+  string(JSON stage_ns ERROR_VARIABLE jerr6 GET "${doc}" stages ns_per_block ${stage} median)
+  if(jerr6 OR NOT stage_ns GREATER 0)
+    message(FATAL_ERROR "bench_smoke: stages.ns_per_block.${stage} missing or non-positive (${stage_ns})")
+  endif()
+endforeach()
 message(STATUS "bench_smoke: ${n_results} cells OK")

@@ -171,18 +171,19 @@ TEST(RangeTable, MatchesScrambleRangeForEveryPairFieldAndRandomVectors) {
     const BlockParams params{n, FramePolicy::framed};
     const int h = params.half();
     const int lb = params.loc_bits();
-    const auto lookup = [&](const detail::PairCtx& pc, std::uint64_t v) {
-      return util::with_vector_bits(n, [&]<int N>() { return detail::range_of<N>(pc, v); });
+    const auto lookup = [&](const backend::PairCtx& pc, std::uint64_t v) {
+      return util::with_vector_bits(n,
+                                    [&]<int N>() { return backend::detail::range_of<N>(pc, v); });
     };
-    const auto same = [](const detail::RangeEntry& e, const ScrambledRange& ref) {
+    const auto same = [](const backend::RangeEntry& e, const ScrambledRange& ref) {
       return e.kn1 == ref.kn1 && e.kn1 + e.width - 1 == ref.kn2;
     };
     for (int a = 0; a <= params.max_key_value(); ++a) {
       for (int b = 0; b <= params.max_key_value(); ++b) {
         const KeyPair pair{static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b)};
         const Key key({pair}, params);
-        const std::vector<detail::PairCtx> ctx = detail::make_pair_ctx(key, params);
-        const detail::PairCtx& pc = ctx[0];
+        const std::vector<backend::PairCtx> ctx = detail::make_pair_ctx(key, params);
+        const backend::PairCtx& pc = ctx[0];
         for (int field = 0; field < h; ++field) {
           // A vector whose scramble field reads `field`: bit j of the field
           // sits at V[(K1 + j) mod H + H]; every other bit random.

@@ -44,7 +44,7 @@ std::vector<std::uint8_t> open_shell(std::span<const std::uint8_t> framed, const
   // frame_decode bounds message_bits by the payload, so this allocation is
   // too.
   std::vector<std::uint8_t> msg(static_cast<std::size_t>((h.message_bits + 7) / 8));
-  (void)Decryptor(key, 0, h.params).decrypt_into(payload, h.message_bits, msg);
+  (void)Decryptor(key, h.params).decrypt_into(payload, h.message_bits, msg);
   return msg;
 }
 
@@ -317,11 +317,11 @@ TEST(Frame, OpenZeroesSlackBits) {
   const BlockParams params = BlockParams::paper();
   const std::vector<std::uint8_t> dirty = {0xFF, 0xFF};
   std::vector<std::uint8_t> cipher(13 * 2);  // >= 1 bit per block
-  cipher.resize(detail::encrypt_chunked(detail::make_pair_ctx(key, params), params,
+  cipher.resize(detail::encrypt_chunked(detail::pair_tables(key, params, Scheme::mhhea), params,
                                         LfsrCover(params.vector_bits, 0xACE1), dirty, 13, cipher,
                                         1, nullptr, 0, "test"));
   std::vector<std::uint8_t> msg(2, 0xFF);
-  ASSERT_EQ(Decryptor(key, 0, params).decrypt_into(cipher, 13, msg), 2u);
+  ASSERT_EQ(Decryptor(key, params).decrypt_into(cipher, 13, msg), 2u);
   EXPECT_EQ(msg[0], 0xFF);
   EXPECT_EQ(msg[1] & 0x1F, 0x1F);  // the 5 real bits survive
   EXPECT_EQ(msg[1] & 0xE0, 0);     // the 3 slack bits are zero

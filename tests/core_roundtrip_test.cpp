@@ -160,7 +160,7 @@ TEST(Steganography, BufferCoverRoundTrip) {
     EXPECT_EQ(util::load_le(cipher.data() + 2 * i, 2) >> 8, cover_blocks[i] >> 8) << i;
   }
   std::vector<std::uint8_t> back(msg.size());
-  const Decryptor dec(key, 0);
+  const Decryptor dec(key);
   EXPECT_EQ(dec.decrypt_into(cipher, msg.size() * 8, back), msg.size());
   EXPECT_EQ(back, msg);
 }
@@ -211,7 +211,7 @@ TEST(Decryptor, ResetDecodesANewMessageLength) {
   // One Decryptor serves messages of any length: each call names its own.
   util::Xoshiro256 rng(17);
   const Key key = Key::random(rng, 8);
-  const Decryptor dec(key, 0);
+  const Decryptor dec(key);
   for (std::size_t len : {64u, 3u, 0u, 200u}) {
     const auto msg = random_message(rng, len);
     const auto ct = encrypt(msg, key, 0xBEEF);

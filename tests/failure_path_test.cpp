@@ -145,10 +145,10 @@ TEST(KeyParamsMismatch, WideKeyOnNarrowVectorThrowsEverywhere) {
   const core::Key wide = core::Key::parse("0-12", kWide);
   EXPECT_THROW(core::Encryptor(wide, core::make_lfsr_cover(16, 1), kPaper),
                std::invalid_argument);
-  EXPECT_THROW(core::Decryptor(wide, 8, kPaper), std::invalid_argument);
+  EXPECT_THROW(core::Decryptor(wide, kPaper), std::invalid_argument);
   EXPECT_THROW(core::Encryptor(wide, core::make_lfsr_cover(16, 1), kPaper, core::Scheme::hhea),
                std::invalid_argument);
-  EXPECT_THROW(core::Decryptor(wide, 8, kPaper, core::Scheme::hhea), std::invalid_argument);
+  EXPECT_THROW(core::Decryptor(wide, kPaper, core::Scheme::hhea), std::invalid_argument);
   EXPECT_THROW(crypto::MhheaCipher(wide, 0xACE1, kPaper), std::invalid_argument);
   EXPECT_THROW(crypto::HheaCipher(wide, 0xACE1, kPaper), std::invalid_argument);
 }
@@ -247,7 +247,7 @@ TEST(FramedBatchStrictness, TrailingCiphertextThrowsEverywhere) {
   }
   // The reusable core: the kernel walk must reject the extra block too,
   // and still decode the exact ciphertext afterwards.
-  const core::Decryptor dec(key, 0, params);
+  const core::Decryptor dec(key, params);
   std::vector<std::uint8_t> out(msg.size());
   EXPECT_THROW((void)dec.decrypt_into(ct, msg.size() * 8, out), std::invalid_argument);
   ct.resize(ct.size() - 2);

@@ -541,6 +541,50 @@ TEST_P(ReferenceMhhea, EncryptMatchesNaiveWalkAtEveryShardCount) {
   }
 }
 
+TEST_P(ReferenceMhhea, KilobyteChunkEdgesMatchNaiveWalk) {
+  // The chunk pipeline on 1-4 KiB messages at chunk sizes around the
+  // kernels' 16-block sub-batch and the 256-block apply batch, and at the
+  // covers-once bound (the first chunk ends exactly at it, or one block
+  // past it): every ciphertext byte matches the naive walk, nothing past
+  // the ciphertext is written, and the message comes back.
+  const core::BlockParams params = GetParam();
+  std::mt19937_64 rng(0x5EED0040 + static_cast<std::uint64_t>(params.vector_bits) +
+                      (params.policy == core::FramePolicy::framed ? 1 : 0));
+  const auto [raw, key] = random_key(rng, params);
+  const std::uint64_t seed = nonzero_seed(rng, std::min(params.vector_bits, 32));
+  const bool framed = params.policy == core::FramePolicy::framed;
+  exec::Executor pool(3);
+  const core::LfsrCover proto(params.vector_bits, seed);
+  const auto tables = core::detail::pair_tables(key, params, core::Scheme::mhhea);
+  for (const std::size_t size : {std::size_t{1024}, std::size_t{2333}, std::size_t{4096}}) {
+    const std::vector<std::uint8_t> msg = random_message(rng, size);
+    const std::vector<std::uint8_t> want =
+        ref::mhhea_encrypt(msg, raw, seed, params.vector_bits, framed);
+    const std::uint64_t bound = core::detail::certain_blocks(tables, size * 8);
+    for (const std::uint64_t chunk : {std::uint64_t{15}, std::uint64_t{16}, std::uint64_t{17},
+                                      std::uint64_t{255}, std::uint64_t{256}, std::uint64_t{257},
+                                      bound, bound + 1}) {
+      for (const int shards : {1, 2, 4}) {
+        std::vector<std::uint8_t> ct(want.size() + 16, 0xEE);
+        EXPECT_EQ(core::detail::encrypt_chunked(tables, params, proto, msg, size * 8, ct, shards,
+                                                &pool, chunk, "test"),
+                  want.size())
+            << "size " << size << " chunk " << chunk << " shards " << shards;
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), ct.begin()))
+            << "size " << size << " chunk " << chunk << " shards " << shards;
+        EXPECT_TRUE(std::all_of(ct.begin() + static_cast<std::ptrdiff_t>(want.size()), ct.end(),
+                                [](std::uint8_t b) { return b == 0xEE; }))
+            << "size " << size << " chunk " << chunk << " shards " << shards;
+        std::vector<std::uint8_t> back(size);
+        (void)core::detail::decrypt_chunked(tables, params, want, size * 8,
+                                            [&] { return std::span(back); }, shards, &pool, chunk,
+                                            "test");
+        EXPECT_EQ(back, msg) << "size " << size << " chunk " << chunk << " shards " << shards;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Params, ReferenceMhhea,
     ::testing::Values(core::BlockParams::paper(), core::BlockParams::hardware(),

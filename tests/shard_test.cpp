@@ -1,6 +1,7 @@
 // Intra-message sharding tests: cover jump-ahead (skip_blocks/copies), the
 // chunk pipeline's bit-equivalence with the sequential cores at every shard
-// count and at tiny chunk sizes that cut chunks mid-frame (MHHEA, HHEA,
+// count, at tiny chunk sizes that cut chunks mid-frame and at chunk sizes
+// around the kernels' batches and the covers-once bound (MHHEA, HHEA,
 // YAEA), the strict decryption contract under sharding, and the
 // registry-level shards knob. These suites (with cipher_registry_test)
 // are the ThreadSanitizer CI target — they exercise every concurrent path.
@@ -97,6 +98,45 @@ std::vector<core::Key> edge_keys(util::Xoshiro256& rng, const core::BlockParams&
 constexpr std::uint64_t kTinyChunks[] = {1, 2, 3, 17};
 constexpr std::size_t kTinyChunkMaxLen = 24;
 
+/// Kilobyte messages and the chunk sizes around the kernels' 16-block
+/// sub-batch and the 256-block apply batch.
+constexpr std::size_t kKilobyteLens[] = {1000, 2048, 4096};
+constexpr std::uint64_t kBatchEdgeChunks[] = {15, 16, 17, 255, 256, 257};
+
+/// encrypt_chunked and decrypt_chunked of `msg` under `key` at the batch
+/// edge chunk sizes and at the covers-once bound (the first chunk ends
+/// exactly at it, or one block past it), 1/2/4 shards: the ciphertext is
+/// `expected` with the 0xEE sentinel intact past it, and the message comes
+/// back.
+void expect_chunk_edges(const core::Key& key, const core::BlockParams& params,
+                        core::Scheme scheme, const std::vector<std::uint8_t>& msg,
+                        const std::vector<std::uint8_t>& expected, exec::Executor* pool) {
+  const auto tables = core::detail::pair_tables(key, params, scheme);
+  const core::LfsrCover cover(params.vector_bits, 0xACE1);
+  const std::uint64_t bound = core::detail::certain_blocks(tables, msg.size() * 8);
+  std::vector<std::uint64_t> chunks(std::begin(kBatchEdgeChunks), std::end(kBatchEdgeChunks));
+  chunks.push_back(bound);
+  chunks.push_back(bound + 1);
+  for (const std::uint64_t chunk : chunks) {
+    for (const int shards : {1, 2, 4}) {
+      std::vector<std::uint8_t> ct(expected.size() + 16, 0xEE);
+      EXPECT_EQ(core::detail::encrypt_chunked(tables, params, cover, msg, msg.size() * 8, ct,
+                                              shards, pool, chunk, "test"),
+                expected.size())
+          << "len=" << msg.size() << " chunk=" << chunk << " shards=" << shards;
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), ct.begin()) &&
+                  std::all_of(ct.end() - 16, ct.end(), [](std::uint8_t b) { return b == 0xEE; }))
+          << "len=" << msg.size() << " chunk=" << chunk << " shards=" << shards;
+      std::vector<std::uint8_t> back(msg.size(), 0xEE);
+      EXPECT_EQ(core::detail::decrypt_chunked(tables, params, expected, msg.size() * 8,
+                                              [&] { return std::span(back); }, shards, pool,
+                                              chunk, "test"),
+                msg.size());
+      EXPECT_EQ(back, msg) << "len=" << msg.size() << " chunk=" << chunk << " shards=" << shards;
+    }
+  }
+}
+
 /// encrypt_chunked at every tiny chunk size and shard count must write
 /// exactly `expected` and nothing past it.
 void expect_chunked_encrypt(const core::Key& key, const core::BlockParams& params,
@@ -174,6 +214,48 @@ TEST_P(ShardPolicy, DecryptShardedMatchesSequential) {
       }
       if (len <= kTinyChunkMaxLen) {
         expect_chunked_decrypt(key, params, core::Scheme::mhhea, ct, msg, &pool);
+      }
+    }
+  }
+}
+
+TEST_P(ShardPolicy, KilobyteChunkEdgesMatchSequential) {
+  const core::BlockParams params = GetParam();
+  util::Xoshiro256 rng(0xC4E);
+  exec::Executor pool(4);
+  for (const core::Key& key : edge_keys(rng, params)) {
+    for (const core::Scheme scheme : {core::Scheme::mhhea, core::Scheme::hhea}) {
+      for (const std::size_t len : kKilobyteLens) {
+        const auto msg = random_message(rng, len);
+        expect_chunk_edges(key, params, scheme, msg,
+                           core::encrypt(msg, key, 0xACE1, params, scheme), &pool);
+      }
+    }
+  }
+}
+
+TEST(CoversOnce, BoundHoldsOnlyBlocksTheMessageSurelyReaches) {
+  // certain_blocks against a direct count: block j is surely in the
+  // ciphertext while the widest ranges of blocks 0..j-1 sum to fewer bits
+  // than the message. The bound stays at or below that count, by less
+  // than one key cycle.
+  util::Xoshiro256 rng(0xB0D);
+  for (const core::BlockParams params :
+       {core::BlockParams::hardware(), core::BlockParams{64, core::FramePolicy::continuous}}) {
+    for (int pairs = 1; pairs <= core::Key::kMaxPairs; pairs += 5) {
+      const core::Key key = core::Key::random(rng, pairs, params);
+      const auto tables = core::detail::pair_tables(key, params, core::Scheme::mhhea);
+      for (const std::uint64_t bits : {1ull, 7ull, 8ull, 100ull, 4096ull, 524288ull}) {
+        std::uint64_t reached = 0;
+        for (std::uint64_t most = 0; most < bits; ++reached) {
+          const auto& range = tables.pairs[reached % tables.pairs.size()].range;
+          most += std::max_element(range.begin(), range.begin() + params.half(),
+                                   [](auto a, auto b) { return a.width < b.width; })
+                      ->width;
+        }
+        const std::uint64_t bound = core::detail::certain_blocks(tables, bits);
+        EXPECT_LE(bound, reached) << "pairs=" << pairs << " bits=" << bits;
+        EXPECT_LE(reached - bound, tables.pairs.size()) << "pairs=" << pairs << " bits=" << bits;
       }
     }
   }
