@@ -342,7 +342,7 @@ StageRows run_stages(std::size_t reps) {
   }
   core::LfsrCover cover(kN, seed);
   cover.warm();
-  std::vector<std::uint64_t> words(kRefill);
+  std::vector<std::uint8_t> covers(kRefill * (kN / 8));
   std::vector<std::uint8_t> out(ct.size());
   std::vector<std::uint32_t> vals(be::kApplyBatch);
   std::uint64_t sink = 0;
@@ -352,7 +352,8 @@ StageRows run_stages(std::size_t reps) {
          cover.reset();
          for (std::uint64_t b = 0; b < blocks; b += kRefill) {
            const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kRefill, blocks - b));
-           sink += cover.next_blocks(kN, std::span(words.data(), n)) + words[0];
+           cover.next_covers(covers.data(), n);
+           sink += covers[0];
          }
        }},
       {"plan",

@@ -1,10 +1,11 @@
-// The AVX2 engine: 8 independent 32-bit register states per ymm, stepped
-// vertically in lockstep. Table applications become vpgatherdd lookups into
-// the same LinearMapTables the scalar engine reads — identical XOR algebra,
-// different evaluation width — so the engines are bit-identical by
-// construction. The apply kernels evaluate core/block.hpp's per-block
-// embed/extract formula eight blocks wide (see below), handing ragged tails
-// to the shared scalar kernels.
+// The AVX2 engine. The cover kernel steps 32 interleaved register lanes
+// byte-planar, evaluating the lane stride map as vpshufb nibble lookups;
+// the Geffe kernel steps 8 independent 32-bit register states per ymm, its
+// table applications vpgatherdd lookups into the same LinearMapTables the
+// scalar engine reads — identical XOR algebra, different evaluation width —
+// so the engines are bit-identical by construction. The apply kernels
+// evaluate core/block.hpp's per-block embed/extract formula eight blocks
+// wide (see below), handing ragged tails to the shared scalar kernels.
 //
 // This is the only TU compiled with -mavx2 (see CMakeLists.txt); nothing
 // here executes unless dispatch's runtime cpuid check admitted the engine,
@@ -50,17 +51,90 @@ inline __m256i apply_map8(const LinearMapTables& m, __m256i s) noexcept {
   return r;
 }
 
-template <int Bytes>
-inline void lfsr_blocks8(const LinearMapTables& leap, std::uint32_t* states,
-                         std::uint64_t* out, std::size_t per_lane) noexcept {
-  __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states));
-  alignas(32) std::uint32_t tmp[8];
-  for (std::size_t t = 0; t < per_lane; ++t) {
-    s = apply_map8<Bytes>(leap, s);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), s);
-    for (std::size_t l = 0; l < 8; ++l) out[l * per_lane + t] = tmp[l];
+// ------------------------------------------------------------------ covers
+//
+// Lane j of a call starts j + 1 leaps past the register (the first 32
+// blocks, from the serial chain) and steps by the stride map S = leap^32,
+// so step g writes blocks 32g..32g+31 in lane order. The lanes' states are
+// byte-planar, plane q holding byte q of all 32, and a step computes each
+// output plane as the XOR over the 2P source nibbles of one vpshufb into
+// that (nibble, plane) row of the CoverTables. The planes then interleave
+// into P-byte little-endian blocks.
+
+/// Store the 32 blocks of `plane` (one state byte per plane) at `out`.
+template <int P>
+inline void store_planes(const __m256i (&plane)[P], std::uint8_t* out) noexcept {
+  auto* dst = reinterpret_cast<__m256i*>(out);
+  // Per 128-bit half h, unpacking pairs byte j of two planes for blocks
+  // 16h + j; lo holds j < 8, hi j >= 8.
+  const __m256i lo = _mm256_unpacklo_epi8(plane[0], plane[1]);
+  const __m256i hi = _mm256_unpackhi_epi8(plane[0], plane[1]);
+  if constexpr (P == 2) {
+    _mm256_storeu_si256(dst, _mm256_permute2x128_si256(lo, hi, 0x20));
+    _mm256_storeu_si256(dst + 1, _mm256_permute2x128_si256(lo, hi, 0x31));
+  } else {
+    const __m256i lo2 = _mm256_unpacklo_epi8(plane[2], plane[3]);
+    const __m256i hi2 = _mm256_unpackhi_epi8(plane[2], plane[3]);
+    // Blocks 16h + 0..3, 4..7, 8..11 and 12..15.
+    const __m256i c0 = _mm256_unpacklo_epi16(lo, lo2);
+    const __m256i c1 = _mm256_unpackhi_epi16(lo, lo2);
+    const __m256i c2 = _mm256_unpacklo_epi16(hi, hi2);
+    const __m256i c3 = _mm256_unpackhi_epi16(hi, hi2);
+    _mm256_storeu_si256(dst, _mm256_permute2x128_si256(c0, c1, 0x20));
+    _mm256_storeu_si256(dst + 1, _mm256_permute2x128_si256(c2, c3, 0x20));
+    _mm256_storeu_si256(dst + 2, _mm256_permute2x128_si256(c0, c1, 0x31));
+    _mm256_storeu_si256(dst + 3, _mm256_permute2x128_si256(c2, c3, 0x31));
   }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(states), s);
+}
+
+/// Backend::cover_blocks for registers of P (2 or 4) state bytes.
+template <int P>
+void cover_blocks_avx2(const CoverTables& t, std::uint32_t& state, std::uint8_t* out,
+                       std::size_t n) noexcept {
+  if (n < 2 * kCoverLanes) {
+    detail::cover_blocks_scalar<P>(*t.leap, state, out, n);
+    return;
+  }
+  // The lanes' seeds are the first 32 blocks, from the serial chain.
+  const LinearMapTables& leap = *t.leap;
+  alignas(32) std::uint8_t seeds[P][kCoverLanes];
+  for (std::uint32_t j = 0, s = state; j < kCoverLanes; ++j) {
+    s = leap.apply<P>(s);
+    for (int q = 0; q < P; ++q) seeds[q][j] = static_cast<std::uint8_t>(s >> (8 * q));
+  }
+  __m256i plane[P];
+  for (int q = 0; q < P; ++q) {
+    plane[q] = _mm256_load_si256(reinterpret_cast<const __m256i*>(seeds[q]));
+  }
+  // Held in locals: stores through `out` may alias any table memory.
+  __m256i row[2 * P][P];
+  for (int k = 0; k < 2 * P; ++k) {
+    for (int q = 0; q < P; ++q) {
+      row[k][q] = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(t.stride[static_cast<std::size_t>(k * P + q)].data())));
+    }
+  }
+  const __m256i low4 = _mm256_set1_epi8(0x0F);
+  store_planes<P>(plane, out);
+  std::size_t i = kCoverLanes;
+  for (; i + kCoverLanes <= n; i += kCoverLanes) {
+    __m256i nib[2 * P];
+    for (int q = 0; q < P; ++q) {
+      nib[2 * q] = _mm256_and_si256(plane[q], low4);
+      nib[2 * q + 1] = _mm256_and_si256(_mm256_srli_epi16(plane[q], 4), low4);
+    }
+    for (int q = 0; q < P; ++q) {
+      __m256i acc = _mm256_shuffle_epi8(row[0][q], nib[0]);
+      for (int k = 1; k < 2 * P; ++k) {
+        acc = _mm256_xor_si256(acc, _mm256_shuffle_epi8(row[k][q], nib[k]));
+      }
+      plane[q] = acc;
+    }
+    store_planes<P>(plane, out + i * P);
+  }
+  // The last block written is lane 31's state; the serial chain finishes.
+  state = static_cast<std::uint32_t>(util::load_le(out + (i - 1) * P, P));
+  detail::cover_blocks_scalar<P>(leap, state, out + i * P, n - i);
 }
 
 /// 4+4 zero-extension of the 8 32-bit lanes to two 4x64 halves (lanes 0-3
@@ -519,25 +593,15 @@ class Avx2Backend final : public Backend {
   [[nodiscard]] std::string_view name() const noexcept override { return "avx2"; }
   [[nodiscard]] std::size_t lanes() const noexcept override { return 8; }
 
-  void lfsr_blocks(const LinearMapTables& leap, int degree,
-                   std::uint32_t* states, std::size_t n_lanes,
-                   std::uint64_t* out, std::size_t per_lane) const override {
-    if (n_lanes != 8) {  // partial passes go through the shared scalar kernel
-      detail::lfsr_blocks_scalar_any(leap, degree, states, n_lanes, out, per_lane);
-      return;
-    }
-    switch (state_bytes(degree)) {
-      case 1:
-      case 2:
-        lfsr_blocks8<2>(leap, states, out, per_lane);
-        break;
-      case 3:
-        lfsr_blocks8<3>(leap, states, out, per_lane);
-        break;
-      default:
-        lfsr_blocks8<4>(leap, states, out, per_lane);
-        break;
-    }
+  void cover_blocks(const CoverTables& t, std::uint32_t& state, std::uint8_t* out,
+                    std::size_t n) const override {
+    with_state_bytes(t.degree, [&]<int P>() {
+      if constexpr (P == 2 || P == 4) {
+        cover_blocks_avx2<P>(t, state, out, n);
+      } else {  // no vector form for 1- and 3-byte states
+        detail::cover_blocks_scalar<P>(*t.leap, state, out, n);
+      }
+    });
   }
 
   void geffe_units(const GeffeKernel& k, std::uint32_t* a, std::uint32_t* b,

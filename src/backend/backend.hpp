@@ -1,39 +1,43 @@
 // The backend seam: bulk keystream and block work behind a swappable engine.
 //
-// The source paper's FPGA advances a whole hiding vector per clock. Past
-// word-at-a-time code, the software analogue is *lane* parallelism: a
-// single serial keystream is split into N contiguous output ranges
-// ("lanes"), each lane's start state is seeded with the GF(2) jump
-// machinery (a precomputed lane-stride power of the transition matrix), and
-// all N registers then step in lockstep — one table-lookup chain per
-// instruction on the scalar engine, eight per 256-bit register on AVX2.
+// The source paper's FPGA advances a whole hiding vector per clock. The
+// software analogue is *lane* parallelism: a serial keystream is cut into
+// lanes seeded through a precomputed stride power of the GF(2) transition
+// matrix, and the lanes step in lockstep. Cover lanes interleave: lane j of
+// cover_blocks starts j + 1 degree-leaps in and steps 32 leaps at a time,
+// so each step yields 32 *consecutive* blocks. The AVX2 engine keeps the
+// 32 states byte-planar (one ymm per state byte), steps them by vpshufb
+// nibble lookups and interleaves the planes straight into serialized
+// blocks. Geffe lanes are contiguous ranges of 64-bit units, eight per
+// 256-bit register.
 //
 // Everything a backend executes is expressed over tables built outside it —
-// LinearMapTables built by `Lfsr` from the normative bit-serial register,
-// and the per-key KeyTables built by core/walk.hpp from block.hpp's
-// scramble_range — so every engine is bit-identical *by construction*:
-// there is no second implementation of the cipher math to drift, only a
-// different evaluation order of the same table lookups. The reference-model
-// sweep and the KAT fixtures run under both forced engines in CI to pin
-// this.
+// LinearMapTables and CoverTables built by `Lfsr` from the normative
+// bit-serial register, and the per-key KeyTables built by core/walk.hpp
+// from block.hpp's scramble_range — so every engine is bit-identical *by
+// construction*: there is no second implementation of the cipher math to
+// drift, only a different evaluation order of the same linear maps. The
+// reference-model sweep and the KAT fixtures run under both forced engines
+// in CI to pin this.
 //
-// Call sites routed through the seam: Lfsr::next_blocks (hiding-vector
-// blocks; LfsrCover::next_blocks and the MHHEA cover refill ride on it),
-// GeffeKeystream::next_bytes / xor_bytes (the YAEA-S datapath, which the
-// sharded and batch forms feed per worker), Lfsr::step_bits' whole-degree
-// runs (via next_block's leap tables), and every block kernel of the
-// MHHEA/HHEA chunk pipeline (core/shard.hpp):
+// Call sites routed through the seam: GeffeKeystream::next_bytes /
+// xor_bytes (the YAEA-S datapath, which the sharded and batch forms feed
+// per worker), Lfsr::step_bits' whole-degree runs (via next_block's leap
+// tables), and every block kernel of the MHHEA/HHEA chunk pipeline
+// (core/shard.hpp):
+//   * cover_blocks — the serialized covers (Lfsr::write_blocks, behind
+//     LfsrCover::next_covers and the widening next_blocks);
 //   * plan_blocks — a chunk's transfer function (message bits taken for
 //     every entry frame phase);
 //   * schedule_blocks — every block's range, capped width, data pattern
 //     and message bit offset for a walk whose entry bit is known;
 //   * embed_blocks / extract_blocks — the bits of a scheduled batch, where
 //     nothing is carried from block to block.
-// The AVX2 engine runs plan and schedule sixteen blocks per step at the
-// paper's N=16 and the apply kernels eight blocks per instruction; the
-// scalar kernels (kernels.hpp) are the reference and serve every other
-// width and every ragged tail. The per-block formula is the one of
-// core/block.hpp, which the scalar kernels call directly.
+// The AVX2 engine runs covers 32 blocks per step, plan and schedule sixteen
+// blocks per step at the paper's N=16 and the apply kernels eight blocks
+// per instruction; the scalar kernels (kernels.hpp) are the reference and
+// serve every other width and every ragged tail. The per-block formula is
+// the one of core/block.hpp, which the scalar kernels call directly.
 //
 // Engine selection happens once, at first use: cpuid picks the widest
 // supported engine, and the MHHEA_BACKEND environment variable
@@ -46,6 +50,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -54,15 +59,13 @@
 
 namespace mhhea::backend {
 
-/// Hard upper bound on lanes any engine may request (AVX2 = 8 x 32-bit
-/// states per register; a future AVX-512 engine would still fit).
+/// Hard upper bound on Geffe lanes any engine may request (AVX2 = 8 x
+/// 32-bit states per register; a future AVX-512 engine would still fit).
 inline constexpr std::size_t kMaxLanes = 8;
 
-/// Blocks each lane produces per lfsr_blocks() pass. The lane-seeding
-/// tables are precomputed for exactly this stride (M^(kLfsrLaneBlocks *
-/// degree)), so seeding lane l from lane l-1 costs one table application
-/// instead of an O(log n) jump.
-inline constexpr std::size_t kLfsrLaneBlocks = 256;
+/// Blocks per cover_blocks step: the interleaved lanes, one per byte of a
+/// 256-bit register.
+inline constexpr std::size_t kCoverLanes = 32;
 
 /// 64-bit keystream units each lane produces per geffe_units() pass
 /// (128 units = 1 KiB of keystream per lane, 8 KiB per full AVX2 pass).
@@ -147,6 +150,17 @@ struct Transfer {
   std::array<std::uint64_t, 64> bits{};
 };
 
+/// What cover_blocks reads of one register (built by Lfsr::cover_tables):
+/// its degree-leap map and the lane stride S = M^(kCoverLanes * degree) as
+/// nibble tables. With planes = state_bytes(degree), row n * planes + q
+/// holds byte q of S(v << 4n) at entry v: 128 B at degree 16, 512 B at
+/// degree 32.
+struct CoverTables {
+  std::shared_ptr<const LinearMapTables> leap;  // M^degree
+  int degree = 0;
+  std::vector<std::array<std::uint8_t, 16>> stride;
+};
+
 /// The three Geffe component registers' maps, borrowed from the owning
 /// GeffeKeystream (which keeps them alive): per register, the degree-step
 /// leap map D (one next_block) used to slide the 64-bit output window, and
@@ -167,18 +181,15 @@ class Backend {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Independent register states this engine steps per kernel pass. Callers
-  /// seed up to this many lanes; 1 means the seam adds no lane machinery.
+  /// Geffe lanes this engine steps per geffe_units pass. Callers seed up
+  /// to this many; 1 means the seam adds no lane machinery.
   [[nodiscard]] virtual std::size_t lanes() const noexcept = 0;
 
-  /// Step `n_lanes` independent copies of one register `per_lane` times
-  /// each through the degree-leap map: lane l starts at states[l] and
-  /// writes its successive states (= next_block() values) to
-  /// out[l * per_lane + t]. On return states[l] holds lane l's final state.
-  /// `degree` selects how many state bytes the table application touches.
-  virtual void lfsr_blocks(const LinearMapTables& leap, int degree,
-                           std::uint32_t* states, std::size_t n_lanes,
-                           std::uint64_t* out, std::size_t per_lane) const = 0;
+  /// Covers: write the `n` successive degree-leap states of the register at
+  /// `state` to `out`, little-endian, state_bytes(t.degree) bytes each, and
+  /// leave `state` at the last one.
+  virtual void cover_blocks(const CoverTables& t, std::uint32_t& state, std::uint8_t* out,
+                            std::size_t n) const = 0;
 
   /// Produce `per_lane` 64-bit Geffe keystream units for each of `n_lanes`
   /// lanes, XOR them with `in` (or use them raw when `in` is null), and

@@ -22,36 +22,17 @@
 
 namespace mhhea::backend::detail {
 
+/// Backend::cover_blocks as the serial leap chain: block i is the state
+/// after i + 1 leaps, stored in Bytes little-endian bytes.
 template <int Bytes>
-inline void lfsr_blocks_scalar(const LinearMapTables& leap,
-                               std::uint32_t* states, std::size_t n_lanes,
-                               std::uint64_t* out, std::size_t per_lane) {
-  for (std::size_t l = 0; l < n_lanes; ++l) {
-    std::uint32_t s = states[l];
-    std::uint64_t* dst = out + l * per_lane;
-    for (std::size_t t = 0; t < per_lane; ++t) {
-      s = leap.apply<Bytes>(s);
-      dst[t] = s;
-    }
-    states[l] = s;
+inline void cover_blocks_scalar(const LinearMapTables& leap, std::uint32_t& state,
+                                std::uint8_t* out, std::size_t n) noexcept {
+  std::uint32_t s = state;
+  for (std::size_t i = 0; i < n; ++i) {
+    s = leap.apply<Bytes>(s);
+    util::store_le(out + i * Bytes, s, Bytes);
   }
-}
-
-inline void lfsr_blocks_scalar_any(const LinearMapTables& leap, int degree,
-                                   std::uint32_t* states, std::size_t n_lanes,
-                                   std::uint64_t* out, std::size_t per_lane) {
-  switch (state_bytes(degree)) {
-    case 1:
-    case 2:
-      lfsr_blocks_scalar<2>(leap, states, n_lanes, out, per_lane);
-      break;
-    case 3:
-      lfsr_blocks_scalar<3>(leap, states, n_lanes, out, per_lane);
-      break;
-    default:
-      lfsr_blocks_scalar<4>(leap, states, n_lanes, out, per_lane);
-      break;
-  }
+  state = s;
 }
 
 /// The next 64 output bits of a Fibonacci register starting at state `s`

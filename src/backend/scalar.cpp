@@ -1,5 +1,5 @@
-// The scalar engine: the leap-table chains (the word-at-a-time paths of
-// lfsr.cpp and yaea.cpp) and the block-at-a-time plan, schedule and apply
+// The scalar engine: the leap-table chains (the serial cover chain and the
+// Geffe windows of yaea.cpp) and the block-at-a-time plan, schedule and apply
 // kernels behind the Backend interface. One lane — the engine of record on
 // hosts without SIMD, and the remainder engine the vector backends defer to.
 
@@ -14,10 +14,11 @@ class ScalarBackend final : public Backend {
   [[nodiscard]] std::string_view name() const noexcept override { return "scalar"; }
   [[nodiscard]] std::size_t lanes() const noexcept override { return 1; }
 
-  void lfsr_blocks(const LinearMapTables& leap, int degree,
-                   std::uint32_t* states, std::size_t n_lanes,
-                   std::uint64_t* out, std::size_t per_lane) const override {
-    detail::lfsr_blocks_scalar_any(leap, degree, states, n_lanes, out, per_lane);
+  void cover_blocks(const CoverTables& t, std::uint32_t& state, std::uint8_t* out,
+                    std::size_t n) const override {
+    with_state_bytes(t.degree, [&]<int Bytes>() {
+      detail::cover_blocks_scalar<Bytes>(*t.leap, state, out, n);
+    });
   }
 
   void geffe_units(const GeffeKernel& k, std::uint32_t* a, std::uint32_t* b,

@@ -12,7 +12,7 @@
 // map M^degree. This header promotes the representation to a first-class
 // type so the backend seam can pass *any* precomputed power of the
 // transition matrix — the degree-leap (one block), the 64-step Geffe window
-// update, or the lane-stride advance that seeds SIMD lanes — to scalar and
+// update, or the lane strides the SIMD kernels step by — to scalar and
 // vector kernels alike. The tables are plain data (4 KiB, trivially
 // copyable), which is what lets the AVX2 engine gather from them directly.
 //
@@ -41,16 +41,23 @@ struct LinearMapTables {
     if constexpr (Bytes >= 4) r ^= t[3][s >> 24];
     return r;
   }
-
-  /// Apply with all four lookups — correct for any state width up to 32.
-  [[nodiscard]] std::uint32_t apply(std::uint32_t s) const noexcept {
-    return apply<4>(s);
-  }
 };
 
 /// State bytes touched by a register of `degree` bits (1..32 -> 1..4).
 [[nodiscard]] constexpr int state_bytes(int degree) noexcept {
   return (degree + 7) / 8;
+}
+
+/// Run `f.template operator()<Bytes>()` for the state bytes of a
+/// `degree`-bit register.
+template <class F>
+decltype(auto) with_state_bytes(int degree, F&& f) {
+  switch (state_bytes(degree)) {
+    case 1: return f.template operator()<1>();
+    case 2: return f.template operator()<2>();
+    case 3: return f.template operator()<3>();
+    default: return f.template operator()<4>();
+  }
 }
 
 }  // namespace mhhea::backend

@@ -1,9 +1,8 @@
 #include "src/core/cover.hpp"
 
-#include <array>
 #include <stdexcept>
 
-#include "src/backend/backend.hpp"
+#include "src/util/bits.hpp"
 
 namespace mhhea::core {
 
@@ -26,24 +25,19 @@ LfsrCover::LfsrCover(int bits, std::uint64_t seed)
 }
 
 std::uint64_t LfsrCover::next_block(int bits) {
-  check_width(bits, bits_);
-  if (bits_ == 64) {
-    const std::uint64_t lo = lfsr_.next_block();
-    const std::uint64_t hi = lfsr_.next_block();
-    return lo | (hi << 32);
-  }
-  return lfsr_.next_block();
+  std::uint64_t v = 0;
+  (void)next_blocks(bits, std::span(&v, 1));
+  return v;
+}
+
+void LfsrCover::next_covers(std::uint8_t* out, std::size_t n) {
+  lfsr_.write_blocks(out, bits_ == 64 ? 2 * n : n);
 }
 
 std::size_t LfsrCover::next_blocks(int bits, std::span<std::uint64_t> out) {
   check_width(bits, bits_);
-  if (bits_ == 64) {
-    // Delegate the two-register composition to next_block — one source of
-    // truth for the 64-bit layout (this is the cold configuration).
-    for (std::uint64_t& b : out) b = next_block(bits);
-  } else {
-    lfsr_.next_blocks(out);
-  }
+  next_covers(reinterpret_cast<std::uint8_t*>(out.data()), out.size());
+  util::with_vector_bits(bits_, [&]<int N>() { util::widen_le<N / 8>(out); });
   return out.size();
 }
 
@@ -64,15 +58,8 @@ void LfsrCover::reseed(std::uint64_t seed) {
 }
 
 void LfsrCover::warm() {
-  if (warm_) return;
-  const std::uint64_t state = lfsr_.state();
-  // A span long enough for the multi-lane path builds the leap and lane
-  // tables; a jump builds the step matrix.
-  std::array<std::uint64_t, 2 * backend::kLfsrLaneBlocks> scratch;
-  (void)next_blocks(bits_, scratch);
-  skip_blocks(bits_, 1);
-  lfsr_.set_state(state);
-  warm_ = true;
+  // Building the cover tables builds the step matrix a jump uses.
+  (void)lfsr_.cover_tables();
 }
 
 LfsrCover make_lfsr_cover(int bits, std::uint64_t seed) { return LfsrCover(bits, seed); }

@@ -14,6 +14,7 @@
 // key material (tested in core_roundtrip_test.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -24,9 +25,9 @@ namespace mhhea::core {
 /// Maximal-length LFSR cover. For `bits` = 16 or 32 a single primitive LFSR
 /// of that degree is stepped `bits` positions per block; for 64 two
 /// degree-32 blocks are concatenated (our polynomial table tops out at
-/// degree 32 — documented substitution). Every call takes the block width
-/// and throws std::invalid_argument when it differs from the construction
-/// width.
+/// degree 32 — documented substitution). Every call that takes the block
+/// width throws std::invalid_argument when it differs from the
+/// construction width.
 class LfsrCover {
  public:
   /// `seed` must be non-zero (LFSR constraint).
@@ -34,9 +35,13 @@ class LfsrCover {
 
   /// The next hiding vector; exactly the low `bits` bits are significant.
   [[nodiscard]] std::uint64_t next_block(int bits);
-  /// Fill `out` with the next out.size() vectors (identical to repeated
-  /// next_block() calls; long spans run the backend's multi-lane path).
-  /// Returns out.size().
+  /// Write the next `n` vectors to `out` as serialized blocks: bits / 8
+  /// little-endian bytes each (at 64 bits, two degree-32 states, low half
+  /// first — the same bytes). Identical to repeated next_block() calls;
+  /// this is the backend's cover kernel the encrypt walk refills from.
+  void next_covers(std::uint8_t* out, std::size_t n);
+  /// Fill `out` with the next out.size() vectors: next_covers widened to
+  /// words. Returns out.size().
   std::size_t next_blocks(int bits, std::span<std::uint64_t> out);
   /// O(log n) jump-ahead: one cover block consumes a fixed number of LFSR
   /// steps, so skipping `n` blocks collapses to Lfsr::jump.
@@ -46,9 +51,9 @@ class LfsrCover {
   /// Replace the seed (must be non-zero) and rewind to it; later reset()
   /// calls land on the new seed. The tables are reused.
   void reseed(std::uint64_t seed);
-  /// Build the register's lazily built tables now (leap, jump and lane
-  /// seeding), leaving the position unchanged, so that every copy taken
-  /// afterwards shares them instead of building its own. Free once done.
+  /// Build the register's lazily built tables now (the jump matrix and the
+  /// cover kernel's tables), leaving the position unchanged, so that every
+  /// copy taken afterwards shares them and only reads them. Free once done.
   void warm();
 
   [[nodiscard]] int bits() const noexcept { return bits_; }
@@ -57,7 +62,6 @@ class LfsrCover {
   lfsr::Lfsr lfsr_;
   int bits_;
   std::uint64_t seed_;
-  bool warm_ = false;  // tables built (copies inherit the flag with them)
 };
 
 /// Convenience factory for an LFSR cover (the paper's is 16-bit).

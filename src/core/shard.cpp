@@ -23,20 +23,10 @@ using backend::Transfer;
 constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; }
 constexpr std::uint64_t ceil8(std::uint64_t bit) { return (bit + 7) & ~std::uint64_t{7}; }
 
-/// Cover vectors generated per refill: a whole number of apply batches,
-/// and long enough for the LFSR's multi-lane path.
+/// Cover vectors generated per refill: a whole number of apply batches.
 constexpr std::size_t kCoverRefill = 2048;
-using CoverBuf = std::array<std::uint64_t, kCoverRefill>;
-
-/// The next `n` (<= kCoverRefill) vectors of `cover`, generated into
-/// `buf` and serialized as N-bit blocks at `dst` — which may be `buf`'s own
-/// bytes: a block is no wider than its word, so serializing front to back
-/// never overwrites a word before it is read.
 template <int N>
-void next_covers(LfsrCover& cover, CoverBuf& buf, std::uint8_t* dst, std::size_t n) {
-  (void)cover.next_blocks(N, std::span(buf.data(), n));
-  for (std::size_t i = 0; i < n; ++i) backend::detail::store_block<N>(dst, i, buf[i]);
-}
+using CoverBuf = std::array<std::uint8_t, kCoverRefill * (N / 8)>;
 
 /// Automatic chunking: this many chunks per shard, so the claiming threads
 /// share the work evenly, and never fewer than kMinChunkBlocks blocks per
@@ -241,74 +231,55 @@ struct EncryptJob {
   const LfsrCover& base;  // at block 0, warmed
   std::span<const std::uint8_t> msg;
   std::uint8_t* out;
-  std::uint64_t certain;  // a chunk ending at or below this block plans into `out`
 
-  /// What a chunk's plan leaves its apply: its covers in `out`, or the
-  /// cover at its first block (the single-chunk walk, which has no plan,
-  /// seeks its own).
-  struct State {
-    bool in_place = false;
-    std::optional<LfsrCover> cover;
-  };
+  /// What a chunk's plan leaves its apply: the cover at its first block
+  /// (the single-chunk walk, which has no plan, seeks its own).
+  using State = std::optional<LfsrCover>;
 
   Transfer plan(std::uint64_t first, std::uint64_t count, State& state) const {
     LfsrCover cover = base;
     cover.skip_blocks(N, first);
-    state.in_place = out != nullptr && first + count <= certain;
-    if (!state.in_place) state.cover = cover;
+    state = cover;
     const backend::Backend& engine = backend::active();
     Transfer t;
-    CoverBuf buf;
+    CoverBuf<N> buf;
     for (std::uint64_t done = 0; done < count;) {
       const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(kCoverRefill, count - done));
-      std::uint8_t* covers = state.in_place ? out + (first + done) * (N / 8)
-                                            : reinterpret_cast<std::uint8_t*>(buf.data());
-      next_covers<N>(cover, buf, covers, n);
-      engine.plan_blocks(k, first + done, covers, n, t);
+      cover.next_covers(buf.data(), n);
+      engine.plan_blocks(k, first + done, buf.data(), n, t);
       done += n;
     }
     return t;
   }
 
   /// Embed blocks [at.block, at.block + count) from message bit at.bit,
-  /// stopping at bit `end`; a regenerating walk leaves its cover where it
-  /// stopped in `state`.
+  /// stopping at bit `end`.
   Cursor walk(Cursor at, std::uint64_t count, std::uint64_t end, State* state,
               std::uint64_t /*through*/) const {
     const backend::Backend& engine = backend::active();
+    if (!*state) {
+      *state = base;
+      (*state)->skip_blocks(N, at.block);
+    }
     ApplyBatch batch;
+    CoverBuf<N> buf;
     const std::uint64_t stop = at.block + count;
-    // Schedule and embed `n` blocks whose covers are at `covers`.
-    const auto apply = [&](const std::uint8_t* covers, std::uint64_t n) {
-      for (std::uint64_t i = 0; i < n && at.bit < end; i += batch.n) {
+    while (at.block < stop && at.bit < end) {
+      // Covers the message surely reaches (a block takes at most N/2 bits),
+      // but at least one cover kernel group: a message tail takes one or
+      // two refills, not one per few blocks.
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+          {kCoverRefill, stop - at.block,
+           std::max<std::uint64_t>((end - at.bit) / (N / 2), backend::kCoverLanes)}));
+      (*state)->next_covers(buf.data(), n);
+      for (std::size_t i = 0; i < n && at.bit < end; i += batch.n) {
         const Cursor from = at;
-        const std::uint8_t* c = covers + i * (N / 8);
-        (void)engine.schedule_blocks(k, at, end, c,
-                                     static_cast<std::size_t>(std::min<std::uint64_t>(
-                                         backend::kApplyBatch, n - i)),
-                                     batch);
+        const std::uint8_t* c = buf.data() + i * (N / 8);
+        (void)engine.schedule_blocks(k, at, end, c, std::min(backend::kApplyBatch, n - i), batch);
         if (out != nullptr) {
           engine.embed_blocks(N, batch, c, msg.subspan(from.bit / 8), out + from.block * (N / 8));
         }
       }
-    };
-    if (state->in_place) {
-      apply(out + at.block * (N / 8), count);
-      return at;
-    }
-    if (!state->cover) {
-      state->cover = base;
-      state->cover->skip_blocks(N, at.block);
-    }
-    CoverBuf buf;
-    const auto* covers = reinterpret_cast<std::uint8_t*>(buf.data());
-    while (at.block < stop && at.bit < end) {
-      // Only covers certain to be used (a block takes at most N/2 bits), so
-      // short messages do not pay for a whole refill.
-      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
-          {kCoverRefill, stop - at.block, std::max<std::uint64_t>((end - at.bit) / (N / 2), 1)}));
-      next_covers<N>(*state->cover, buf, reinterpret_cast<std::uint8_t*>(buf.data()), n);
-      apply(covers, n);
     }
     return at;
   }
@@ -336,10 +307,8 @@ std::uint64_t encrypt_blocks(const KeyTables& k, const BlockParams& params, cons
   };
   Hooks hooks;
   if (absorb) hooks.absorb = absorb_blocks;
-  const std::uint64_t certain =
-      out != nullptr && shape.chunk < limit ? std::min(limit, detail::certain_blocks(k, bits)) : 0;
   const Cursor end = backend::detail::with_layout(k, [&]<int N, bool Framed>() {
-    return run_pipeline<N, Framed>(EncryptJob<N>{k, base, msg, out, certain}, shape, ex, hooks);
+    return run_pipeline<N, Framed>(EncryptJob<N>{k, base, msg, out}, shape, ex, hooks);
   });
   if (end.bit < bits) throw std::length_error(std::string(who) + ": output buffer too small");
   return end.block;
@@ -428,17 +397,6 @@ struct DecryptJob {
 };
 
 }  // namespace
-
-std::uint64_t detail::certain_blocks(const KeyTables& k, std::uint64_t message_bits) {
-  std::uint64_t cycle = 0;  // the most bits one key cycle can take
-  for (const PairCtx& pc : k.pairs) {
-    const auto h = static_cast<std::ptrdiff_t>(k.vector_bits / 2);
-    cycle += std::max_element(pc.range.begin(), pc.range.begin() + h,
-                              [](const auto& a, const auto& b) { return a.width < b.width; })
-                 ->width;
-  }
-  return (message_bits - 1) / cycle * k.pairs.size();
-}
 
 std::uint64_t detail::encrypt_chunked(const KeyTables& k, const BlockParams& params,
                                       const LfsrCover& cover, std::span<const std::uint8_t> msg,

@@ -29,13 +29,6 @@
 // executor) the whole message is one chunk: the sequential walk, with no
 // plan. Plan scratch is one transfer table per chunk.
 //
-// Encrypt generates each cover once. The ciphertext is sure to hold every
-// whole key cycle whose widest ranges cannot take the whole message
-// (certain_blocks), so the plan of a chunk that ends below that count
-// writes its covers straight into the output, and its apply embeds them in
-// place. The other chunks' applies regenerate their covers
-// from a cover copy, so nothing past the ciphertext is ever written.
-//
 // The sealed container's MAC rides the same rounds, while core stays
 // MAC-agnostic: an encrypt takes an in-order ByteSink that the apply round
 // feeds each run of finished chunks, and a decrypt takes an OutputGate that
@@ -130,12 +123,6 @@ std::uint64_t encrypt_chunked(const KeyTables& k, const BlockParams& params,
 /// step — cheap enough to size a buffer, not free).
 std::uint64_t cipher_bytes(const KeyTables& k, const BlockParams& params,
                            const LfsrCover& cover, std::uint64_t message_bits);
-
-/// Blocks certain to be in the ciphertext of a `message_bits`-bit message
-/// (> 0) under `k`: the whole key cycles whose widest ranges sum to fewer
-/// bits than the message. A chunk that ends at or below it is planned with
-/// its covers written into the output.
-std::uint64_t certain_blocks(const KeyTables& k, std::uint64_t message_bits);
 
 /// The pipeline's decrypt: the `message_bits`-bit message of `cipher` into
 /// the span `out()` returns (zero-padded to whole bytes). Returns

@@ -1,6 +1,5 @@
 #include "src/lfsr/lfsr.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/backend/backend.hpp"
@@ -187,38 +186,41 @@ std::uint64_t Lfsr::next_block() {
   return state_;
 }
 
-void Lfsr::next_blocks(std::span<std::uint64_t> out) {
-  const LeapTables& t = leap_tables();
-  std::size_t done = 0;
-  // Lane route: worth it from two lane-passes up (below that the seeding
-  // application per lane outweighs the lockstep win).
-  const backend::Backend& be = backend::active();
-  const std::size_t lane_cap = be.lanes();
-  constexpr std::size_t kPass = backend::kLfsrLaneBlocks;
-  if (lane_cap > 1 && out.size() >= 2 * kPass) {
-    if (lane_adv_ == nullptr) {
-      lane_adv_ = std::make_shared<const LeapTables>(
-          power_tables(kPass * static_cast<std::uint64_t>(poly_.degree)));
+const backend::CoverTables& Lfsr::cover_tables() {
+  if (cover_ == nullptr) {
+    auto c = std::make_shared<backend::CoverTables>();
+    c->leap = shared_leap_tables();
+    c->degree = poly_.degree;
+    // Row n * planes + q: byte q of the stride map's image of every value
+    // of state nibble n, by linearity from the byte tables.
+    const int planes = backend::state_bytes(poly_.degree);
+    const backend::LinearMapTables stride =
+        power_tables(backend::kCoverLanes * static_cast<std::uint64_t>(poly_.degree));
+    c->stride.resize(static_cast<std::size_t>(2 * planes * planes));
+    for (int n = 0; n < 2 * planes; ++n) {
+      const auto& bytes = stride.t[static_cast<std::size_t>(n / 2)];
+      for (int q = 0; q < planes; ++q) {
+        auto& row = c->stride[static_cast<std::size_t>(n * planes + q)];
+        for (unsigned v = 0; v < 16; ++v) {
+          row[v] = static_cast<std::uint8_t>(bytes[v << (4 * (n % 2))] >> (8 * q));
+        }
+      }
     }
-    std::uint32_t states[backend::kMaxLanes];
-    while (out.size() - done >= 2 * kPass) {
-      const std::size_t lanes = std::min(lane_cap, (out.size() - done) / kPass);
-      // Lane l starts where lane l-1 will end: one lane-stride application
-      // per seed, exact by GF(2) linearity (no replay, no O(log n) jump).
-      states[0] = static_cast<std::uint32_t>(state_);
-      for (std::size_t l = 1; l < lanes; ++l) states[l] = lane_adv_->apply(states[l - 1]);
-      be.lfsr_blocks(t, poly_.degree, states, lanes, out.data() + done, kPass);
-      state_ = states[lanes - 1];  // final block of the last lane
-      done += lanes * kPass;
-    }
+    cover_ = std::move(c);
   }
+  return *cover_;
+}
+
+void Lfsr::write_blocks(std::uint8_t* out, std::size_t n) {
+  const backend::CoverTables& t = cover_tables();
   auto s = static_cast<std::uint32_t>(state_);
-  if (poly_.degree <= 16) {
-    for (std::uint64_t& b : out.subspan(done)) b = s = t.apply<2>(s);
-  } else {
-    for (std::uint64_t& b : out.subspan(done)) b = s = t.apply<4>(s);
-  }
+  backend::active().cover_blocks(t, s, out, n);
   state_ = s;
+}
+
+void Lfsr::next_blocks(std::span<std::uint64_t> out) {
+  write_blocks(reinterpret_cast<std::uint8_t*>(out.data()), out.size());
+  backend::with_state_bytes(poly_.degree, [&]<int Bytes>() { util::widen_le<Bytes>(out); });
 }
 
 void Lfsr::set_state(std::uint64_t state) {

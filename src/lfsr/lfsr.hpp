@@ -3,7 +3,7 @@
 // This is the paper's "Random Number Generator" module (§3.6): the hiding
 // vector V is read from a maximal-length LFSR. step() is the normative
 // bit-serial register; every faster path (the leap tables behind
-// next_block, the jump matrices, the backend's multi-lane kernels) is
+// next_block, the jump matrices, the backend's cover and Geffe kernels) is
 // derived from it by probing, so LfsrCover's covers are bit-exact with it
 // (lfsr_test.cpp and the reference-model sweep pin this).
 //
@@ -17,11 +17,12 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 
-#include "src/backend/tables.hpp"
+#include "src/backend/backend.hpp"
 #include "src/lfsr/polynomials.hpp"
 
 namespace mhhea::lfsr {
@@ -76,17 +77,15 @@ class Lfsr {
   /// the table is derived by running step() on basis states.
   [[nodiscard]] std::uint64_t next_block();
 
-  /// Fill `out` with successive next_block() values (the word-at-a-time
-  /// hiding-vector port: one table-lookup chain per block, no per-call
-  /// dispatch).
-  ///
-  /// Spans of at least two lane-passes (2 * backend::kLfsrLaneBlocks
-  /// blocks) route through the active backend: the span is split into
-  /// contiguous lanes, each lane's start state seeded by one application of
-  /// the precomputed lane-stride map (M^(kLfsrLaneBlocks * degree)), and
-  /// all lanes stepped in lockstep — 8 per AVX2 register. Bit-identical to
-  /// the serial chain for every span size and backend, including the state
-  /// left behind.
+  /// Write the next `n` next_block() values to `out`, little-endian, in
+  /// backend::state_bytes(degree) bytes each — the hiding-vector port the
+  /// cover walk reads. Runs the active backend's cover_blocks kernel over
+  /// cover_tables(); bit-identical to the serial chain for every n and
+  /// backend, including the state left behind.
+  void write_blocks(std::uint8_t* out, std::size_t n);
+
+  /// Fill `out` with successive next_block() values: write_blocks into the
+  /// words' own bytes, widened in place.
   void next_blocks(std::span<std::uint64_t> out);
 
   /// Jump to an explicit state (low `degree` bits; must be non-zero after
@@ -121,9 +120,15 @@ class Lfsr {
   /// Byte tables of the `steps`-step transition map M^steps, built by
   /// square-and-multiply on the probed one-step matrix — the general form
   /// of the leap tables (steps == degree). This is how the Geffe kernel's
-  /// 64-step update map and the lane-stride seeding maps are made; each
-  /// call builds fresh tables (callers cache what they keep).
+  /// 64-step update map and the lane-stride maps are made; each call builds
+  /// fresh tables (callers cache what they keep).
   [[nodiscard]] backend::LinearMapTables power_tables(std::uint64_t steps);
+
+  /// What backend::cover_blocks reads: the leap tables plus the nibble
+  /// tables of the lane stride M^(kCoverLanes * degree), from
+  /// power_tables. Built lazily, with the step matrix and leap tables on
+  /// the way, and shared by copies.
+  const backend::CoverTables& cover_tables();
 
  private:
   /// Per-byte leap tables: state after `degree` steps is the XOR of
@@ -144,9 +149,7 @@ class Lfsr {
   std::uint64_t state_;
   std::shared_ptr<const LeapTables> leap_;    // built lazily, shared by copies
   std::shared_ptr<const StepMatrix> step_m_;  // built lazily, shared by copies
-  /// Lane seeding map M^(backend::kLfsrLaneBlocks * degree) for multi-lane
-  /// next_blocks; built lazily on the first span large enough to use it.
-  std::shared_ptr<const LeapTables> lane_adv_;
+  std::shared_ptr<const backend::CoverTables> cover_;  // built lazily, shared by copies
 };
 
 /// The paper's hiding-vector generator: degree-16 primitive LFSR, Fibonacci

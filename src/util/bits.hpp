@@ -15,7 +15,10 @@
 
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -141,6 +144,20 @@ decltype(auto) with_vector_bits(int vector_bits, F&& f) {
 constexpr void store_le(std::uint8_t* p, std::uint64_t v, int n_bytes) noexcept {
   assert(n_bytes >= 0 && n_bytes <= 8);
   for (int i = 0; i < n_bytes; ++i) p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
+}
+
+/// Widen the little-endian `Width`-byte values packed at the start of
+/// `words`' own bytes to one word each. Value i's bytes end at or below
+/// word i, so going back to front reads every value before it is
+/// overwritten.
+template <int Width>
+void widen_le(std::span<std::uint64_t> words) noexcept {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(words.data());
+  for (std::size_t i = words.size(); i-- > 0;) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, p + i * Width, Width);
+    words[i] = std::endian::native == std::endian::little ? v : load_le(p + i * Width, Width);
+  }
 }
 
 /// Narrowing cast that asserts the value is representable (Core Guidelines

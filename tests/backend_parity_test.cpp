@@ -1,6 +1,7 @@
 // Backend seam tests: dispatch rules (cpuid gating, MHHEA_BACKEND override,
 // graceful fallback), and differential parity between the forced scalar and
-// SIMD engines — raw Lfsr block generation, the Geffe keystream (bulk,
+// SIMD engines — the cover kernel against the bit-serial register (raw, through
+// Lfsr and through LfsrCover at every width), the Geffe keystream (bulk,
 // fused-XOR, serial interleaving), the MHHEA/HHEA plan and schedule kernels
 // (every transfer entry, every batch field and the cursor), the apply
 // kernels (embed and extract, byte for byte), every registry cipher across
@@ -116,12 +117,134 @@ TEST(BackendDispatch, EnvOverrideHonored) {
             backend::resolve_backend_choice(env, backend::cpu_has_avx2()));
 }
 
-// ------------------------------------------------------------- lfsr lanes
+// ------------------------------------------------------------------ covers
+
+/// The engines compiled in and runnable here, scalar first.
+std::vector<const backend::Backend*> engines() {
+  std::vector<const backend::Backend*> out{backend::by_name("scalar")};
+  if (avx2_usable()) out.push_back(backend::by_name("avx2"));
+  return out;
+}
+
+/// The normative register's next `n` degree-leap states: `degree` plain
+/// step() calls per state.
+std::vector<std::uint32_t> bit_serial_states(int degree, std::uint64_t seed, std::size_t n) {
+  lfsr::Lfsr reg(lfsr::primitive_polynomial(degree), seed);
+  std::vector<std::uint32_t> out(n);
+  for (auto& s : out) {
+    for (int i = 0; i < degree; ++i) (void)reg.step();
+    s = static_cast<std::uint32_t>(reg.state());
+  }
+  return out;
+}
+
+/// States [from, from + n) of `states`, little-endian, `width` bytes each.
+std::vector<std::uint8_t> serialize(const std::vector<std::uint32_t>& states, std::size_t from,
+                                    std::size_t n, int width) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = from; i < from + n; ++i) {
+    for (int b = 0; b < width; ++b) out.push_back(static_cast<std::uint8_t>(states[i] >> (8 * b)));
+  }
+  return out;
+}
+
+/// Cover counts: every ragged tail of the first kernel groups, and around
+/// the walk's 2048-block refill.
+std::vector<std::size_t> cover_counts() {
+  std::vector<std::size_t> out;
+  for (std::size_t n = 0; n <= 130; ++n) out.push_back(n);
+  for (const std::size_t n : {2047, 2048, 2049, 4095}) out.push_back(n);
+  return out;
+}
+
+constexpr std::size_t kMaxCovers = 4095;
+
+TEST(BackendParity, CoverBlocksMatchBitSerialRegister) {
+  // Each engine's cover_blocks against the bit-serial step() register, at
+  // an odd output offset with a 0xEE sentinel on both sides: the blocks,
+  // the bytes around them and the state left behind, over one call and
+  // over two consecutive calls. Degree 23 takes the 3-byte scalar path.
+  for (const int degree : {16, 23, 32}) {
+    const int width = backend::state_bytes(degree);
+    const std::uint64_t ones = (std::uint64_t{1} << degree) - 1;
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xACE1}, ones}) {
+      const std::vector<std::uint32_t> ref = bit_serial_states(degree, seed, kMaxCovers);
+      lfsr::Lfsr reg(lfsr::primitive_polynomial(degree), seed);
+      const backend::CoverTables& tables = reg.cover_tables();
+      for (const backend::Backend* engine : engines()) {
+        for (const std::size_t n : cover_counts()) {
+          const std::string what = std::string(engine->name()) + " degree=" +
+                                   std::to_string(degree) + " seed=" + std::to_string(seed) +
+                                   " n=" + std::to_string(n);
+          const std::vector<std::uint8_t> want = serialize(ref, 0, n, width);
+          const std::uint32_t want_state = n == 0 ? static_cast<std::uint32_t>(seed) : ref[n - 1];
+          std::vector<std::uint8_t> buf(want.size() + 2, 0xEE);
+          auto state = static_cast<std::uint32_t>(seed);
+          engine->cover_blocks(tables, state, buf.data() + 1, n);
+          EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.begin() + 1)) << what;
+          EXPECT_EQ(buf.front(), 0xEE) << what;
+          EXPECT_EQ(buf.back(), 0xEE) << what;
+          EXPECT_EQ(state, want_state) << what;
+          // Split in two calls: the second continues from the state left.
+          std::fill(buf.begin(), buf.end(), 0xEE);
+          state = static_cast<std::uint32_t>(seed);
+          const std::size_t first = n / 3;
+          engine->cover_blocks(tables, state, buf.data() + 1, first);
+          engine->cover_blocks(tables, state, buf.data() + 1 + first * width, n - first);
+          EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.begin() + 1)) << "split " << what;
+          EXPECT_EQ(buf.back(), 0xEE) << "split " << what;
+          EXPECT_EQ(state, want_state) << "split " << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendParity, LfsrCoverNextCoversMatchBitSerialRegister) {
+  // The cover walk's port on each forced engine, at every width: N=16 and
+  // N=32 are one register's states, N=64 two consecutive degree-32 states
+  // per block. Checked from the seed and after skip_blocks, and across
+  // consecutive calls (the cover keeps its place).
+  for (const int bits : {16, 32, 64}) {
+    const int degree = bits == 64 ? 32 : bits;
+    const int per = bits == 64 ? 2 : 1;  // register states per block
+    const std::uint64_t ones = (std::uint64_t{1} << degree) - 1;
+    // Consecutive calls of n = 0..130 and 4095 blocks, after up to 299.
+    constexpr std::size_t kReach = 299 + 131 * 130 / 2 + kMaxCovers;
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xACE1}, ones}) {
+      const std::vector<std::uint32_t> ref = bit_serial_states(degree, seed, per * kReach);
+      for (const backend::Backend* engine : engines()) {
+        ScopedBackend forced(engine->name());
+        ASSERT_TRUE(forced.ok());
+        for (const std::uint64_t skip : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{299}}) {
+          core::LfsrCover cover(bits, seed);
+          cover.skip_blocks(bits, skip);
+          std::size_t at = skip;
+          for (const std::size_t n : cover_counts()) {
+            const std::string what = std::string(engine->name()) + " bits=" +
+                                     std::to_string(bits) + " seed=" + std::to_string(seed) +
+                                     " skip=" + std::to_string(skip) + " n=" + std::to_string(n);
+            if (n > 130 && n != 4095) continue;  // consecutive calls stay inside the reference
+            const std::vector<std::uint8_t> want =
+                serialize(ref, per * at, per * n, backend::state_bytes(degree));
+            std::vector<std::uint8_t> buf(want.size() + 2, 0xEE);
+            cover.next_covers(buf.data() + 1, n);
+            EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.begin() + 1)) << what;
+            EXPECT_EQ(buf.front(), 0xEE) << what;
+            EXPECT_EQ(buf.back(), 0xEE) << what;
+            at += n;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(BackendParity, LfsrNextBlocksMatchesSerialOnBothEngines) {
-  // Sizes straddle the lane threshold (2 * kLfsrLaneBlocks) and leave
-  // ragged lane/scalar tails; degrees cover 2..4 state bytes.
-  const std::size_t sizes[] = {0, 1, 255, 511, 512, 513, 2048, 4099, 10000};
+  // The widening next_blocks over the cover kernel: sizes below one kernel
+  // group, across the group edges and long runs with ragged tails; degrees
+  // cover 2..4 state bytes.
+  const std::size_t sizes[] = {0, 1, 31, 32, 63, 64, 65, 255, 511, 512, 513, 2048, 4099, 10000};
   for (const int degree : {16, 17, 23, 32}) {
     for (const std::size_t n : sizes) {
       // Serial reference: next_block() one at a time, scalar engine pinned.

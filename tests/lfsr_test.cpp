@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "src/core/cover.hpp"
 #include "src/lfsr/polynomials.hpp"
 
 namespace mhhea::lfsr {
@@ -217,6 +221,36 @@ TEST(Lfsr, BlocksLookBalanced) {
   }
   const double frac = static_cast<double>(ones) / (16.0 * kBlocks);
   EXPECT_NEAR(frac, 0.5, 0.01);
+}
+
+TEST(LfsrCoverCopies, WarmedBaseSharesTablesAcrossThreads) {
+  // The chunk pipeline's pattern: warm one cover, then take copies on
+  // several threads, each seeking its own block and generating covers. The
+  // copies share the base's cover tables, which warm() built before any
+  // copy existed; afterwards they are only read (TSan runs this in CI).
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kBlocks = 1000;
+  for (const int bits : {16, 32, 64}) {
+    core::LfsrCover base(bits, 0xACE1);
+    base.warm();
+    core::LfsrCover serial = base;
+    std::vector<std::uint64_t> want(kThreads * kBlocks);
+    for (auto& b : want) b = serial.next_block(bits);
+    std::vector<std::vector<std::uint64_t>> got(kThreads, std::vector<std::uint64_t>(kBlocks));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        core::LfsrCover copy = base;
+        copy.skip_blocks(bits, t * kBlocks);
+        (void)copy.next_blocks(bits, got[t]);
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(std::equal(got[t].begin(), got[t].end(), want.begin() + t * kBlocks))
+          << "bits=" << bits << " thread=" << t;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Intra-message sharding tests: cover jump-ahead (skip_blocks/copies), the
 // chunk pipeline's bit-equivalence with the sequential cores at every shard
 // count, at tiny chunk sizes that cut chunks mid-frame and at chunk sizes
-// around the kernels' batches and the covers-once bound (MHHEA, HHEA,
-// YAEA), the strict decryption contract under sharding, and the
+// around the kernels' batches and a key-dependent edge inside the message
+// (MHHEA, HHEA, YAEA), the strict decryption contract under sharding, and the
 // registry-level shards knob. These suites (with cipher_registry_test)
 // are the ThreadSanitizer CI target — they exercise every concurrent path.
 #include <gtest/gtest.h>
@@ -98,14 +98,29 @@ std::vector<core::Key> edge_keys(util::Xoshiro256& rng, const core::BlockParams&
 constexpr std::uint64_t kTinyChunks[] = {1, 2, 3, 17};
 constexpr std::size_t kTinyChunkMaxLen = 24;
 
+/// A chunk edge that falls inside a long message at a key-dependent block:
+/// the blocks of the whole key cycles whose widest ranges take fewer bits
+/// than a `bits`-bit message. (Encrypt once wrote the covers of the chunks
+/// below it straight into the output; the edge stays in the sweep.)
+std::uint64_t widest_cycles_edge(const backend::KeyTables& k, std::uint64_t bits) {
+  std::uint64_t cycle = 0;  // the most bits one key cycle can take
+  for (const backend::PairCtx& pc : k.pairs) {
+    const auto h = static_cast<std::ptrdiff_t>(k.vector_bits / 2);
+    cycle += std::max_element(pc.range.begin(), pc.range.begin() + h,
+                              [](const auto& a, const auto& b) { return a.width < b.width; })
+                 ->width;
+  }
+  return (bits - 1) / cycle * k.pairs.size();
+}
+
 /// Kilobyte messages and the chunk sizes around the kernels' 16-block
 /// sub-batch and the 256-block apply batch.
 constexpr std::size_t kKilobyteLens[] = {1000, 2048, 4096};
 constexpr std::uint64_t kBatchEdgeChunks[] = {15, 16, 17, 255, 256, 257};
 
 /// encrypt_chunked and decrypt_chunked of `msg` under `key` at the batch
-/// edge chunk sizes and at the covers-once bound (the first chunk ends
-/// exactly at it, or one block past it), 1/2/4 shards: the ciphertext is
+/// edge chunk sizes and at widest_cycles_edge (the first chunk ends exactly
+/// at it, or one block past it), 1/2/4 shards: the ciphertext is
 /// `expected` with the 0xEE sentinel intact past it, and the message comes
 /// back.
 void expect_chunk_edges(const core::Key& key, const core::BlockParams& params,
@@ -113,7 +128,7 @@ void expect_chunk_edges(const core::Key& key, const core::BlockParams& params,
                         const std::vector<std::uint8_t>& expected, exec::Executor* pool) {
   const auto tables = core::detail::pair_tables(key, params, scheme);
   const core::LfsrCover cover(params.vector_bits, 0xACE1);
-  const std::uint64_t bound = core::detail::certain_blocks(tables, msg.size() * 8);
+  const std::uint64_t bound = widest_cycles_edge(tables, msg.size() * 8);
   std::vector<std::uint64_t> chunks(std::begin(kBatchEdgeChunks), std::end(kBatchEdgeChunks));
   chunks.push_back(bound);
   chunks.push_back(bound + 1);
@@ -229,33 +244,6 @@ TEST_P(ShardPolicy, KilobyteChunkEdgesMatchSequential) {
         const auto msg = random_message(rng, len);
         expect_chunk_edges(key, params, scheme, msg,
                            core::encrypt(msg, key, 0xACE1, params, scheme), &pool);
-      }
-    }
-  }
-}
-
-TEST(CoversOnce, BoundHoldsOnlyBlocksTheMessageSurelyReaches) {
-  // certain_blocks against a direct count: block j is surely in the
-  // ciphertext while the widest ranges of blocks 0..j-1 sum to fewer bits
-  // than the message. The bound stays at or below that count, by less
-  // than one key cycle.
-  util::Xoshiro256 rng(0xB0D);
-  for (const core::BlockParams params :
-       {core::BlockParams::hardware(), core::BlockParams{64, core::FramePolicy::continuous}}) {
-    for (int pairs = 1; pairs <= core::Key::kMaxPairs; pairs += 5) {
-      const core::Key key = core::Key::random(rng, pairs, params);
-      const auto tables = core::detail::pair_tables(key, params, core::Scheme::mhhea);
-      for (const std::uint64_t bits : {1ull, 7ull, 8ull, 100ull, 4096ull, 524288ull}) {
-        std::uint64_t reached = 0;
-        for (std::uint64_t most = 0; most < bits; ++reached) {
-          const auto& range = tables.pairs[reached % tables.pairs.size()].range;
-          most += std::max_element(range.begin(), range.begin() + params.half(),
-                                   [](auto a, auto b) { return a.width < b.width; })
-                      ->width;
-        }
-        const std::uint64_t bound = core::detail::certain_blocks(tables, bits);
-        EXPECT_LE(bound, reached) << "pairs=" << pairs << " bits=" << bits;
-        EXPECT_LE(reached - bound, tables.pairs.size()) << "pairs=" << pairs << " bits=" << bits;
       }
     }
   }
